@@ -596,8 +596,12 @@ PipelineRunReport run_iteration_pipeline(mesh::Mesh& live_mesh,
   return report;
 }
 
-SolverHooks euler_pipeline_hooks(
-    solver::EulerSolver& solver,
+namespace {
+
+/// The one body behind both solvers' hooks.
+template <class Solver>
+SolverHooks solver_pipeline_hooks(
+    Solver& solver,
     std::function<runtime::TaskBody(runtime::TaskBody,
                                     const IterationSnapshot&)>
         wrap_body) {
@@ -612,20 +616,22 @@ SolverHooks euler_pipeline_hooks(
   return hooks;
 }
 
+}  // namespace
+
+SolverHooks euler_pipeline_hooks(
+    solver::EulerSolver& solver,
+    std::function<runtime::TaskBody(runtime::TaskBody,
+                                    const IterationSnapshot&)>
+        wrap_body) {
+  return solver_pipeline_hooks(solver, std::move(wrap_body));
+}
+
 SolverHooks transport_pipeline_hooks(
     solver::TransportSolver& solver,
     std::function<runtime::TaskBody(runtime::TaskBody,
                                     const IterationSnapshot&)>
         wrap_body) {
-  SolverHooks hooks;
-  hooks.make_body = [&solver, wrap = std::move(wrap_body)](
-                        const IterationSnapshot& snap) {
-    runtime::TaskBody body = solver.make_iteration_body(snap.graph,
-                                                        snap.classes);
-    return wrap ? wrap(std::move(body), snap) : body;
-  };
-  hooks.note_complete = [&solver] { solver.note_tasks_complete(); };
-  return hooks;
+  return solver_pipeline_hooks(solver, std::move(wrap_body));
 }
 
 }  // namespace tamp::core

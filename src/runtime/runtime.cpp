@@ -187,6 +187,17 @@ ExecutionReport execute(const taskgraph::TaskGraph& graph,
     q.cv.notify_one();
   };
 
+  // Wake every worker once `remaining` or `failed` has changed. Waiters
+  // evaluate their predicate under their queue's mutex, so taking that
+  // mutex before notifying means no waiter can sit between a stale check
+  // and its sleep and miss the wake-up.
+  auto wake_all = [&] {
+    for (auto& pq : queues) {
+      const std::lock_guard<std::mutex> lock(pq.mutex);
+      pq.cv.notify_all();
+    }
+  };
+
   for (index_t t = 0; t < n; ++t)
     if (pending[static_cast<std::size_t>(t)].load(std::memory_order_relaxed) ==
         0)
@@ -299,7 +310,7 @@ ExecutionReport execute(const taskgraph::TaskGraph& graph,
         }
         failed.store(true, std::memory_order_release);
         // Unblock everyone; the graph will not complete.
-        for (auto& pq : queues) pq.cv.notify_all();
+        wake_all();
         return;
       }
       span.end = clock.seconds();
@@ -328,7 +339,7 @@ ExecutionReport execute(const taskgraph::TaskGraph& graph,
         }
       }
       if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        for (auto& pq : queues) pq.cv.notify_all();
+        wake_all();
         return;
       }
     }

@@ -2,18 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
-#include "solver/simd_kernels.hpp"
+#include "solver/fv_driver_impl.hpp"
 #include "support/stopwatch.hpp"
-#include "taskgraph/scheme.hpp"
 #include "verify/access.hpp"
 
 namespace tamp::solver {
 
 using mesh::Vec3;
 
-static_assert(simdk::kEulerVars == kNumVars,
+static_assert(simdk::kMaxVars == kNumVars,
               "SIMD kernel header disagrees on the Euler variable count");
 
 namespace {
@@ -23,56 +21,13 @@ double kinetic(const State& u) {
   return 0.5 * (u[1] * u[1] + u[2] * u[2] + u[3] * u[3]) / rho;
 }
 
-/// Pointer bundles into the solver's storage for the per-width kernels.
-/// Side s of variable v is combined-accumulator column s*kNumVars + v.
-simdk::EulerFluxCtx make_flux_ctx(const PaddedVars& u, PaddedVars& acc,
-                                  const KernelGeometry& g, double gamma) {
-  simdk::EulerFluxCtx ctx;
-  for (int v = 0; v < kNumVars; ++v) {
-    ctx.u[v] = u.var(v);
-    ctx.acc0[v] = acc.var(v);
-    ctx.acc1[v] = acc.var(kNumVars + v);
-  }
-  ctx.face_a = g.face_a.data();
-  ctx.face_b = g.face_b.data();
-  ctx.nx = g.nx.data();
-  ctx.ny = g.ny.data();
-  ctx.nz = g.nz.data();
-  ctx.area = g.area.data();
-  ctx.gamma = gamma;
-  return ctx;
-}
-
-simdk::EulerUpdateCtx make_update_ctx(PaddedVars& u, PaddedVars& acc,
-                                      const KernelGeometry& g,
-                                      const std::vector<index_t>& slot,
-                                      const std::vector<double>& sign) {
-  simdk::EulerUpdateCtx ctx;
-  for (int v = 0; v < kNumVars; ++v) {
-    ctx.u[v] = u.var(v);
-    ctx.acc[v] = acc.var(v);
-  }
-  ctx.inv_vol = g.inv_vol.data();
-  ctx.xadj = g.gather_xadj.data();
-  ctx.slot = slot.data();
-  ctx.sign = sign.data();
-  return ctx;
-}
-
 }  // namespace
 
 EulerSolver::EulerSolver(mesh::Mesh& mesh, SolverConfig config)
-    : mesh_(mesh), config_(config), geom_(build_kernel_geometry(mesh)),
-      u_(mesh.num_cells(), kNumVars),
-      acc_(mesh.num_faces(), 2 * kNumVars),
-      gather_slot_(build_gather_slots(
-          geom_, static_cast<eindex_t>(kNumVars) *
-                     static_cast<eindex_t>(acc_.stride()))),
-      gather_sign_(build_gather_signs(geom_)),
-      simd_level_(simd::resolve(config.simd)) {
+    : FvDriver(mesh, config.max_levels, config.simd), config_(config) {
   TAMP_EXPECTS(config.gamma > 1.0, "gamma must exceed 1");
   TAMP_EXPECTS(config.cfl > 0.0 && config.cfl <= 1.0, "CFL must be in (0,1]");
-  TAMP_EXPECTS(config.max_levels >= 1, "need at least one temporal level");
+  ctx_.gamma = config.gamma;
 }
 
 void EulerSolver::initialize_uniform(double rho, Vec3 velocity,
@@ -117,28 +72,9 @@ double EulerSolver::wave_speed(const State& u) const {
   return speed + c;
 }
 
-std::vector<level_t> EulerSolver::assign_temporal_levels() {
-  const index_t n = mesh_.num_cells();
-  std::vector<double> dt_cell(static_cast<std::size_t>(n));
-  double dt_min = std::numeric_limits<double>::max();
-  for (index_t c = 0; c < n; ++c) {
-    const auto sc = static_cast<std::size_t>(c);
-    State u{u_.at(0, c), u_.at(1, c), u_.at(2, c), u_.at(3, c), u_.at(4, c)};
-    const double h = std::cbrt(mesh_.cell_volume(c));
-    dt_cell[sc] = config_.cfl * h / wave_speed(u);
-    dt_min = std::min(dt_min, dt_cell[sc]);
-  }
-  TAMP_ENSURE(dt_min > 0 && std::isfinite(dt_min), "invalid CFL time step");
-  dt0_ = dt_min;
-  std::vector<level_t> levels(static_cast<std::size_t>(n));
-  for (index_t c = 0; c < n; ++c) {
-    const auto raw = static_cast<int>(
-        std::floor(std::log2(dt_cell[static_cast<std::size_t>(c)] / dt_min)));
-    levels[static_cast<std::size_t>(c)] = static_cast<level_t>(
-        std::clamp(raw, 0, static_cast<int>(config_.max_levels) - 1));
-  }
-  mesh_.set_cell_levels(levels);
-  return levels;
+double EulerSolver::stable_step(index_t c) const {
+  const double h = std::cbrt(mesh_.cell_volume(c));
+  return config_.cfl * h / wave_speed(cell_state(c));
 }
 
 State EulerSolver::interior_flux(const State& left, const State& right,
@@ -200,256 +136,6 @@ void EulerSolver::flux_face(index_t f, double dtf) {
     acc_.var(acc_col(0, v))[sf] += amount;
     acc_.var(acc_col(1, v))[sf] += amount;
   }
-}
-
-void EulerSolver::flux_faces_interior_scalar(index_t begin, index_t end,
-                                             double dtf) {
-  const double* u0 = u_.var(0);
-  const double* u1 = u_.var(1);
-  const double* u2 = u_.var(2);
-  const double* u3 = u_.var(3);
-  const double* u4 = u_.var(4);
-  for (index_t f = begin; f < end; ++f) {
-    const auto sf = static_cast<std::size_t>(f);
-    const auto sa = static_cast<std::size_t>(geom_.face_a[sf]);
-    const auto sb = static_cast<std::size_t>(geom_.face_b[sf]);
-    const State ua{u0[sa], u1[sa], u2[sa], u3[sa], u4[sa]};
-    const State ub{u0[sb], u1[sb], u2[sb], u3[sb], u4[sb]};
-    const Vec3 n{geom_.nx[sf], geom_.ny[sf], geom_.nz[sf]};
-    const State flux = interior_flux(ua, ub, n);
-    const double scale = geom_.area[sf] * dtf;
-    for (int v = 0; v < kNumVars; ++v) {
-      const double amount = flux[static_cast<std::size_t>(v)] * scale;
-      acc_.var(acc_col(0, v))[sf] += amount;
-      acc_.var(acc_col(1, v))[sf] += amount;
-    }
-  }
-}
-
-void EulerSolver::flux_faces_boundary_scalar(index_t begin, index_t end,
-                                             double dtf) {
-  const double* u0 = u_.var(0);
-  const double* u1 = u_.var(1);
-  const double* u2 = u_.var(2);
-  const double* u3 = u_.var(3);
-  const double* u4 = u_.var(4);
-  for (index_t f = begin; f < end; ++f) {
-    const auto sf = static_cast<std::size_t>(f);
-    const auto sa = static_cast<std::size_t>(geom_.face_a[sf]);
-    const State ua{u0[sa], u1[sa], u2[sa], u3[sa], u4[sa]};
-    const Vec3 n{geom_.nx[sf], geom_.ny[sf], geom_.nz[sf]};
-    const State flux = wall_flux(ua, n);
-    const double scale = geom_.area[sf] * dtf;
-    // Both sides, exactly like flux_face: the unconsumed side-1 deposit
-    // of a boundary face is inert (no cell gathers it — the SIMD path
-    // skips it; see layout.hpp).
-    for (int v = 0; v < kNumVars; ++v) {
-      const double amount = flux[static_cast<std::size_t>(v)] * scale;
-      acc_.var(acc_col(0, v))[sf] += amount;
-      acc_.var(acc_col(1, v))[sf] += amount;
-    }
-  }
-}
-
-void EulerSolver::flux_faces_interior(index_t begin, index_t end, double dtf) {
-  switch (simd_level_) {
-    case simd::Level::avx2:
-      simdk::euler_flux_interior_w4(make_flux_ctx(u_, acc_, geom_,
-                                                  config_.gamma),
-                                    begin, end, dtf);
-      return;
-    case simd::Level::sse2:
-      simdk::euler_flux_interior_w2(make_flux_ctx(u_, acc_, geom_,
-                                                  config_.gamma),
-                                    begin, end, dtf);
-      return;
-    case simd::Level::scalar:
-      flux_faces_interior_scalar(begin, end, dtf);
-      return;
-  }
-}
-
-void EulerSolver::flux_faces_boundary(index_t begin, index_t end, double dtf) {
-  switch (simd_level_) {
-    case simd::Level::avx2:
-      simdk::euler_flux_boundary_w4(make_flux_ctx(u_, acc_, geom_,
-                                                  config_.gamma),
-                                    begin, end, dtf);
-      return;
-    case simd::Level::sse2:
-      simdk::euler_flux_boundary_w2(make_flux_ctx(u_, acc_, geom_,
-                                                  config_.gamma),
-                                    begin, end, dtf);
-      return;
-    case simd::Level::scalar:
-      flux_faces_boundary_scalar(begin, end, dtf);
-      return;
-  }
-}
-
-void EulerSolver::update_cell(index_t c, double /*dtc*/) {
-  const auto scell = static_cast<std::size_t>(c);
-  const double inv_v = geom_.inv_vol[scell];
-  // A cell update reads+writes its own state and gathers-and-resets its
-  // side of every adjacent face accumulator (writes subsume the reads).
-  verify::record_write(verify::ObjectKind::cell_state, c);
-  for (const index_t f : mesh_.cell_faces(c)) {
-    const auto sf = static_cast<std::size_t>(f);
-    const int side = mesh_.face_cell(f, 0) == c ? 0 : 1;
-    verify::record_write(side == 0 ? verify::ObjectKind::face_acc_side0
-                                   : verify::ObjectKind::face_acc_side1,
-                         f);
-    const double sign = side == 0 ? -1.0 : 1.0;
-    for (int v = 0; v < kNumVars; ++v) {
-      double* accv = acc_.var(acc_col(side, v));
-      u_.var(v)[scell] += sign * accv[sf] * inv_v;
-      accv[sf] = 0.0;
-    }
-  }
-}
-
-void EulerSolver::update_cells_range_scalar(index_t begin, index_t end) {
-  for (index_t c = begin; c < end; ++c) {
-    const auto scell = static_cast<std::size_t>(c);
-    const double inv_v = geom_.inv_vol[scell];
-    const auto kb = static_cast<std::size_t>(geom_.gather_xadj[scell]);
-    const auto ke = static_cast<std::size_t>(geom_.gather_xadj[scell + 1]);
-    for (std::size_t k = kb; k < ke; ++k) {
-      const auto sf = static_cast<std::size_t>(geom_.gather_face[k]);
-      const int side = geom_.gather_side[k];
-      const double sign = side == 0 ? -1.0 : 1.0;
-      for (int v = 0; v < kNumVars; ++v) {
-        double* accv = acc_.var(acc_col(side, v));
-        u_.var(v)[scell] += sign * accv[sf] * inv_v;
-        accv[sf] = 0.0;
-      }
-    }
-  }
-}
-
-void EulerSolver::update_cells_range(index_t begin, index_t end) {
-  switch (simd_level_) {
-    case simd::Level::avx2:
-      simdk::euler_update_w4(
-          make_update_ctx(u_, acc_, geom_, gather_slot_, gather_sign_), begin,
-          end);
-      return;
-    case simd::Level::sse2:
-      simdk::euler_update_w2(
-          make_update_ctx(u_, acc_, geom_, gather_slot_, gather_sign_), begin,
-          end);
-      return;
-    case simd::Level::scalar:
-      update_cells_range_scalar(begin, end);
-      return;
-  }
-}
-
-void EulerSolver::run_iteration() {
-  TAMP_EXPECTS(dt0_ > 0, "call assign_temporal_levels() first");
-  const taskgraph::TemporalScheme scheme(
-      static_cast<level_t>(mesh_.max_level() + 1));
-  for (index_t s = 0; s < scheme.num_subiterations(); ++s) {
-    for (level_t tau = scheme.top_level(s);; --tau) {
-      const double dt_tau = dt0_ * std::exp2(static_cast<double>(tau));
-      for (index_t f = 0; f < mesh_.num_faces(); ++f)
-        if (mesh_.face_level(f) == tau) flux_face(f, dt_tau);
-      for (index_t c = 0; c < mesh_.num_cells(); ++c)
-        if (mesh_.cell_level(c) == tau) update_cell(c, dt_tau);
-      if (tau == 0) break;
-    }
-    time_ += dt0_;
-  }
-}
-
-EulerSolver::IterationTasks EulerSolver::make_iteration_tasks(
-    const std::vector<part_t>& domain_of_cell, part_t ndomains) {
-  auto classes = std::make_shared<taskgraph::ClassMap>();
-  taskgraph::TaskGraph graph = taskgraph::generate_task_graph(
-      mesh_, domain_of_cell, ndomains, {}, classes.get());
-  runtime::TaskBody body = make_iteration_body(graph, std::move(classes));
-  return {std::move(graph), std::move(body)};
-}
-
-runtime::TaskBody EulerSolver::make_iteration_body(
-    const taskgraph::TaskGraph& graph,
-    std::shared_ptr<const taskgraph::ClassMap> classes) {
-  TAMP_EXPECTS(dt0_ > 0, "call assign_temporal_levels() first");
-  TAMP_EXPECTS(classes != nullptr, "iteration body needs a class map");
-  auto access = std::make_shared<ClassAccessTable>(build_class_access_ranges(
-      mesh_, *classes, /*boundary_writes_side1=*/true));
-
-  // Per-task execution plan, self-contained so the body outlives both the
-  // caller's structs and the graph. A task whose class list is one
-  // contiguous id run carries the run and streams it; scattered classes
-  // keep the per-object list walk.
-  struct Plan {
-    double dt;
-    index_t cls;
-    bool face;
-    bool ranged;
-    index_t begin, mid, end;  ///< faces: [begin,mid) interior, [mid,end) boundary
-  };
-  auto plans = std::make_shared<std::vector<Plan>>();
-  plans->reserve(static_cast<std::size_t>(graph.num_tasks()));
-  for (index_t t = 0; t < graph.num_tasks(); ++t) {
-    const taskgraph::Task& task = graph.task(t);
-    const index_t cls = classes->task_class[static_cast<std::size_t>(t)];
-    Plan plan{dt0_ * std::exp2(static_cast<double>(task.level)), cls,
-              task.type == taskgraph::ObjectType::face, false, 0, 0, 0};
-    if (plan.face) {
-      const auto& r = classes->face_range[static_cast<std::size_t>(cls)];
-      if (r.valid())
-        plan = {plan.dt, cls, true, true, r.begin, r.boundary_begin, r.end};
-    } else {
-      const auto& r = classes->cell_range[static_cast<std::size_t>(cls)];
-      if (r.valid()) plan = {plan.dt, cls, false, true, r.begin, r.end, r.end};
-    }
-    plans->push_back(plan);
-  }
-  auto body = [this, classes, plans, access](index_t t) {
-    const Plan& plan = (*plans)[static_cast<std::size_t>(t)];
-    const auto scls = static_cast<std::size_t>(plan.cls);
-    if (plan.face) {
-      if (plan.ranged) {
-        if (verify::recording_active())
-          record_class_ranges(access->face[scls], /*face_task=*/true);
-        flux_faces_interior(plan.begin, plan.mid, plan.dt);
-        flux_faces_boundary(plan.mid, plan.end, plan.dt);
-      } else {
-        for (const index_t f : classes->class_faces[scls])
-          flux_face(f, plan.dt);
-      }
-    } else {
-      if (plan.ranged) {
-        if (verify::recording_active())
-          record_class_ranges(access->cell[scls], /*face_task=*/false);
-        update_cells_range(plan.begin, plan.end);
-      } else {
-        for (const index_t c : classes->class_cells[scls])
-          update_cell(c, plan.dt);
-      }
-    }
-  };
-  return body;
-}
-
-void EulerSolver::note_tasks_complete() {
-  const taskgraph::TemporalScheme scheme(
-      static_cast<level_t>(mesh_.max_level() + 1));
-  time_ += dt0_ * static_cast<double>(scheme.num_subiterations());
-}
-
-runtime::ExecutionReport EulerSolver::run_iteration_tasks(
-    const std::vector<part_t>& domain_of_cell, part_t ndomains,
-    const std::vector<part_t>& domain_to_process,
-    const runtime::RuntimeConfig& runtime_config) {
-  const IterationTasks iter = make_iteration_tasks(domain_of_cell, ndomains);
-  runtime::ExecutionReport report =
-      runtime::execute(iter.graph, domain_to_process, runtime_config,
-                       iter.body);
-  note_tasks_complete();
-  return report;
 }
 
 void EulerSolver::run_iteration_heun() {
@@ -577,7 +263,7 @@ taskgraph::CostModel EulerSolver::measure_cost_model(int repetitions) {
     }
     {
       ScopedTimer timer(cell_hist);
-      for (index_t c = 0; c < ncl; ++c) update_cell(c, dt0_);
+      for (index_t c = 0; c < ncl; ++c) update_cell(c);
       cell_seconds = std::min(cell_seconds, timer.stop());
     }
   }
@@ -589,5 +275,7 @@ taskgraph::CostModel EulerSolver::measure_cost_model(int repetitions) {
   cm.face_unit = per_cell > 0 ? per_face / per_cell : 0.4;
   return cm;
 }
+
+template class FvDriver<EulerSolver>;
 
 }  // namespace tamp::solver

@@ -22,11 +22,9 @@
 #pragma once
 
 #include <array>
-#include <vector>
 
 #include "mesh/mesh.hpp"
-#include "runtime/runtime.hpp"
-#include "solver/layout.hpp"
+#include "solver/fv_driver.hpp"
 #include "support/simd.hpp"
 #include "taskgraph/generate.hpp"
 
@@ -48,11 +46,12 @@ struct SolverConfig {
   level_t max_levels = 4;  ///< cap on the number of temporal levels
   /// SIMD tier for the streaming kernels, resolved once at construction:
   /// inherit defers to the process default (flusim --simd / TAMP_SIMD,
-  /// auto when unset). `scalar` forces the bitwise oracle path.
+  /// auto when unset). `scalar` forces the width-1 kernels.
   simd::Request simd = simd::Request::inherit;
 };
 
-class EulerSolver {
+/// Levels, iteration and task execution come from FvDriver.
+class EulerSolver : public FvDriver<EulerSolver> {
 public:
   /// Binds to `mesh` (whose temporal levels assign_temporal_levels()
   /// rewrites). The mesh must outlive the solver.
@@ -66,59 +65,7 @@ public:
   /// Superimpose a Gaussian density/pressure pulse (isentropic-ish bump).
   void add_pulse(mesh::Vec3 center, double radius, double relative_amplitude);
 
-  // --- temporal levels --------------------------------------------------------
-
-  /// Quantise per-cell CFL limits onto the ×2 level ladder, write the
-  /// levels into the mesh, and fix Δt0 (the finest step). Returns the
-  /// level vector.
-  std::vector<level_t> assign_temporal_levels();
-
-  [[nodiscard]] double dt0() const { return dt0_; }
-  [[nodiscard]] double time() const { return time_; }
-
   // --- execution ---------------------------------------------------------------
-
-  /// One full iteration (2^τmax subiterations), serial reference order:
-  /// subiterations ascending, phases descending, faces before cells.
-  void run_iteration();
-
-  /// One full iteration executed as a task graph on the threaded runtime.
-  /// Produces bitwise the same physics as run_iteration() modulo
-  /// floating-point reassociation across domains (none: object lists are
-  /// deterministic, and each object is touched by exactly one task).
-  runtime::ExecutionReport run_iteration_tasks(
-      const std::vector<part_t>& domain_of_cell, part_t ndomains,
-      const std::vector<part_t>& domain_to_process,
-      const runtime::RuntimeConfig& runtime_config);
-
-  /// One iteration as a reusable (graph, body) pair for custom execution
-  /// — the race verifier, adversarial-schedule sweeps, per-subiteration
-  /// slicing. Running `body` once per task in any DAG-consistent order
-  /// advances this solver exactly like run_iteration_tasks(); call
-  /// note_tasks_complete() afterwards to advance the clock. The body
-  /// shares ownership of its object lists and stays valid as long as the
-  /// solver does, independent of the struct or graph.
-  struct IterationTasks {
-    taskgraph::TaskGraph graph;
-    runtime::TaskBody body;
-  };
-  IterationTasks make_iteration_tasks(
-      const std::vector<part_t>& domain_of_cell, part_t ndomains);
-
-  /// Bind a task body to a pre-built (graph, class map) pair — the
-  /// asynchronous pipeline generates the graph on the prep stage and
-  /// binds it here at the iteration boundary, without regenerating
-  /// anything. `graph` and `*classes` must come from one
-  /// generate_task_graph call on a mesh whose topology and temporal
-  /// levels match this solver's mesh at bind time. Same contract as the
-  /// body of make_iteration_tasks (which is implemented on top of this).
-  runtime::TaskBody make_iteration_body(
-      const taskgraph::TaskGraph& graph,
-      std::shared_ptr<const taskgraph::ClassMap> classes);
-
-  /// Advance the solver clock after an externally-executed iteration's
-  /// tasks all ran.
-  void note_tasks_complete();
 
   /// Synchronous second-order Heun iteration; requires a single-level
   /// mesh (used by accuracy tests).
@@ -141,10 +88,6 @@ public:
   [[nodiscard]] double max_density() const;
   [[nodiscard]] bool state_is_finite() const;
 
-  /// The SIMD tier the streaming kernels actually run (config request
-  /// resolved against the CPU at construction).
-  [[nodiscard]] simd::Level simd_level() const { return simd_level_; }
-
   // --- cost calibration -------------------------------------------------------------
 
   /// Measure seconds per face-flux evaluation and per cell update by
@@ -153,51 +96,25 @@ public:
   [[nodiscard]] taskgraph::CostModel measure_cost_model(int repetitions = 3);
 
 private:
-  // Per-object reference kernels (serial path, scattered-class fallback;
-  // record their accesses inline when instrumented).
+  friend class FvDriver<EulerSolver>;
+  static constexpr int kVars = kNumVars;
+  static constexpr auto kKernels = &simdk::KernelTable::euler;
+
+  /// CFL · h / (|u| + c) with h the cube root of the cell volume.
+  [[nodiscard]] double stable_step(index_t c) const;
+  /// Per-object reference flux (serial path, scattered-class fallback;
+  /// records its accesses inline when instrumented).
   void flux_face(index_t f, double dtf);
-  void update_cell(index_t c, double dtc);
-  // Streaming range kernels over class-contiguous id runs. These are
-  // simd_level_ dispatchers: at Level::scalar they run the *_scalar
-  // bodies below (identical arithmetic to the per-object kernels,
-  // asserted bitwise by the layout property tests); at sse2/avx2 they
-  // run the lane-transposed kernels in simd_kernels_w{2,4}.cpp, which
-  // are lanewise transcriptions of the same expression trees (see
-  // DESIGN.md "SIMD kernel contract"). No inline access records either
-  // way — ranged task bodies record their class's ranges up front.
-  void flux_faces_interior(index_t begin, index_t end, double dtf);
-  void flux_faces_boundary(index_t begin, index_t end, double dtf);
-  void update_cells_range(index_t begin, index_t end);
-  void flux_faces_interior_scalar(index_t begin, index_t end, double dtf);
-  void flux_faces_boundary_scalar(index_t begin, index_t end, double dtf);
-  void update_cells_range_scalar(index_t begin, index_t end);
+  /// Euler tracks no boundary tally (its boundary kernels return 0).
+  void add_boundary_tally(double /*tally*/) {}
   State wall_flux(const State& inside, mesh::Vec3 n) const;
   State interior_flux(const State& left, const State& right,
                       mesh::Vec3 n) const;
   [[nodiscard]] double wave_speed(const State& u) const;
 
-  /// Column of the combined accumulator holding side `s` of variable v.
-  [[nodiscard]] static int acc_col(int side, int v) {
-    return side * kNumVars + v;
-  }
-
-  mesh::Mesh& mesh_;
   SolverConfig config_;
-  KernelGeometry geom_;
-  double dt0_ = 0;
-  double time_ = 0;
-  /// Conserved state, padded SoA: u_.var(v)[cell].
-  PaddedVars u_;
-  /// Face accumulators, both sides folded into one buffer so the SIMD
-  /// update gather reaches either side from one base pointer per
-  /// variable: side s of variable v is column acc_col(s, v), i.e.
-  /// acc_.var(acc_col(s, v))[face].
-  PaddedVars acc_;
-  /// SIMD gather addressing (layout.hpp): per-CSR-entry combined-buffer
-  /// slot and ±1 side sign.
-  std::vector<index_t> gather_slot_;
-  std::vector<double> gather_sign_;
-  simd::Level simd_level_ = simd::Level::scalar;
 };
+
+extern template class FvDriver<EulerSolver>;
 
 }  // namespace tamp::solver

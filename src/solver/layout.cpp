@@ -100,8 +100,7 @@ std::vector<IdRange> compress_to_ranges(std::vector<index_t> ids) {
 }
 
 ClassAccessTable build_class_access_ranges(
-    const mesh::Mesh& mesh, const taskgraph::ClassMap& classes,
-    bool boundary_writes_side1) {
+    const mesh::Mesh& mesh, const taskgraph::ClassMap& classes) {
   const std::size_t nclasses = classes.class_cells.size();
   TAMP_EXPECTS(classes.class_faces.size() == nclasses &&
                    classes.cell_range.size() == nclasses &&
@@ -123,9 +122,8 @@ ClassAccessTable build_class_access_ranges(
       }
       entry.cells = compress_to_ranges(scratch);
       entry.acc[0] = {{fr.begin, fr.end}};
-      const index_t side1_end = boundary_writes_side1 ? fr.end
-                                                      : fr.boundary_begin;
-      if (side1_end > fr.begin) entry.acc[1] = {{fr.begin, side1_end}};
+      if (fr.boundary_begin > fr.begin)
+        entry.acc[1] = {{fr.begin, fr.boundary_begin}};
     }
     const taskgraph::ClassMap::CellRange& cr = classes.cell_range[k];
     if (cr.valid()) {

@@ -21,6 +21,7 @@
 // column.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -72,7 +73,8 @@ public:
     return var(v)[static_cast<std::size_t>(i)];
   }
 
-  void fill(double value) { data_.assign(data_.size(), value); }
+  /// Fill in place: column pointers stay valid.
+  void fill(double value) { std::fill(data_.begin(), data_.end(), value); }
 
 private:
   index_t size_ = 0;
@@ -124,13 +126,15 @@ struct KernelGeometry {
 
 /// Boundary-face accumulator contract: a boundary face has no side-1
 /// cell, so nothing ever gathers its side-1 slot — a side-1 deposit
-/// there is inert. The scalar Euler kernels still write it (bitwise
-/// oracle, matches the seed), while the SIMD dispatch path skips the
-/// wasted store; the transport kernels never wrote it. The race
-/// annotations (build_class_access_ranges with boundary_writes_side1 =
-/// true) deliberately stay over-approximate — claiming a write that no
-/// longer happens on the SIMD path is sound, never falsely racy,
-/// because no reader of those slots exists either.
+/// there is inert. Every streaming tier skips it, the scalar tier (the
+/// width-1 instantiation of the kernel templates) included, so skipping
+/// it does not differ between tiers, and build_class_access_ranges
+/// records side-1 writes on interior faces only. The per-object kernels
+/// are the one reference every tier is compared against, bitwise except
+/// for the transport boundary tally (a diagnostic compared within a
+/// tolerance). The per-object Euler flux_face deposits into the inert
+/// slot (matching the seed) and records that write inline; no cell
+/// reads it.
 
 /// Nominal main-memory traffic of the streaming kernels, in bytes per
 /// object update, for converting measured counter totals into bandwidth
@@ -193,14 +197,11 @@ struct ClassAccessTable {
 
 /// Build the annotation tables for every class whose object list is a
 /// valid range in `classes`; scattered classes get empty entries (their
-/// tasks fall back to per-object kernels which record inline).
-/// `boundary_writes_side1` captures the solver's flux kernel semantics:
-/// the Euler kernel deposits into both accumulator sides of every face
-/// including boundaries, the transport kernel skips side 1 at
-/// boundaries.
+/// tasks fall back to per-object kernels which record inline). A face
+/// task writes side 0 of all its faces and side 1 of its interior faces
+/// (see the boundary-face contract above).
 [[nodiscard]] ClassAccessTable build_class_access_ranges(
-    const mesh::Mesh& mesh, const taskgraph::ClassMap& classes,
-    bool boundary_writes_side1);
+    const mesh::Mesh& mesh, const taskgraph::ClassMap& classes);
 
 /// Record one ranged task's precomputed accesses into the active
 /// verify::TaskRecordScope: `cells` as reads for a face task and as

@@ -1,20 +1,21 @@
-// Width-templated bodies of the SIMD streaming kernels. Included ONLY
-// by the per-width translation units (simd_kernels_w2.cpp /
+// Width-templated bodies of the streaming kernels. Included ONLY by the
+// per-width translation units (simd_kernels_w2.cpp /
 // simd_kernels_w4.cpp); everything here is in an anonymous namespace so
 // each TU keeps its own copies compiled for its own -m flags (the same
 // internal-linkage trick as support/simd_pack.hpp — no COMDAT merging
 // of AVX2 bodies into baseline code).
 //
 // Equivalence contract (DESIGN.md "SIMD kernel contract"): every kernel
-// is a lane-for-lane transcription of the scalar streaming kernel's
-// expression tree — same association, same max/compare semantics, no
-// FMA contraction, no horizontal reductions on the physics path. The
-// Pack<1> instantiation of each template IS the scalar kernel, which is
-// what the tail/remainder paths run, so range splits never change
-// results. The two deliberate divergences, both documented at the use
-// site: the Euler boundary kernel skips the inert side-1 deposit, and
-// the transport boundary net is a per-range horizontal sum (tolerance
-// -only diagnostic by contract).
+// is a lane-for-lane transcription of the per-object reference kernels'
+// expression trees (EulerSolver/TransportSolver::flux_face,
+// FvDriver::update_cell) — same association, same max/compare
+// semantics, no FMA contraction, no horizontal reductions on the physics
+// path. The Pack<1> instantiation is the scalar tier, and the wider
+// tiers hand their remainders to it, so range splits never change
+// results. Two deliberate differences from the per-object kernels, both
+// documented at the use site: the Euler boundary kernel skips the inert
+// side-1 deposit, and the transport boundary tally is a per-range sum
+// (tolerance-only diagnostic by contract).
 #pragma once
 
 #include <cstddef>
@@ -27,6 +28,9 @@ namespace {  // NOLINT — per-TU copies, see file header
 
 template <int W>
 using Pack = tamp::simd::Pack<W>;
+
+/// Conserved Euler variables (KernelCtx's columns are sized for them).
+constexpr int kEulerVars = kMaxVars;
 
 /// Shared lanewise pieces of the Euler physics, mirroring euler.cpp's
 /// kinetic() / wave_speed() / interior_flux() shapes exactly.
@@ -77,7 +81,7 @@ struct EulerMath {
 };
 
 template <int W>
-void euler_flux_interior_t(const EulerFluxCtx& ctx, index_t begin,
+void euler_flux_interior_t(const KernelCtx& ctx, index_t begin,
                            index_t end, double dtf) {
   using P = Pack<W>;
   const EulerMath<W> m(ctx.gamma);
@@ -110,8 +114,8 @@ void euler_flux_interior_t(const EulerFluxCtx& ctx, index_t begin,
 }
 
 template <int W>
-void euler_flux_boundary_t(const EulerFluxCtx& ctx, index_t begin,
-                           index_t end, double dtf) {
+double euler_flux_boundary_t(const KernelCtx& ctx, index_t begin,
+                             index_t end, double dtf) {
   using P = Pack<W>;
   const EulerMath<W> m(ctx.gamma);
   const P dtfp = P::broadcast(dtf);
@@ -129,8 +133,8 @@ void euler_flux_boundary_t(const EulerFluxCtx& ctx, index_t begin,
     const P flux[kEulerVars] = {zero, p * nx, p * ny, p * nz, zero};
     const P scale = P::load(ctx.area + f) * dtfp;
     // Side 0 only: the side-1 deposit of a boundary face is inert (no
-    // cell gathers it — see layout.hpp) and the dispatch path skips the
-    // wasted store. The scalar oracle keeps it.
+    // cell gathers it — see layout.hpp), so every tier skips it; only
+    // the per-object reference flux_face makes it.
     for (int v = 0; v < kEulerVars; ++v) {
       const P amount = flux[v] * scale;
       (P::load(ctx.acc0[v] + f) + amount).store(ctx.acc0[v] + f);
@@ -138,10 +142,11 @@ void euler_flux_boundary_t(const EulerFluxCtx& ctx, index_t begin,
   }
   if constexpr (W > 1)
     if (f < end) euler_flux_boundary_t<1>(ctx, f, end, dtf);
+  return 0.0;
 }
 
 template <int W>
-void transport_flux_interior_t(const TransportFluxCtx& ctx, index_t begin,
+void transport_flux_interior_t(const KernelCtx& ctx, index_t begin,
                                index_t end, double dtf) {
   using P = Pack<W>;
   const P vx = P::broadcast(ctx.vx);
@@ -156,22 +161,22 @@ void transport_flux_interior_t(const TransportFluxCtx& ctx, index_t begin,
     const P ny = P::load(ctx.ny + f);
     const P nz = P::load(ctx.nz + f);
     const P un = ((vx * nx) + (vy * ny)) + (vz * nz);
-    const P phi_a = P::gather(ctx.phi, ctx.face_a + f);
-    const P phi_b = P::gather(ctx.phi, ctx.face_b + f);
+    const P phi_a = P::gather(ctx.u[0], ctx.face_a + f);
+    const P phi_b = P::gather(ctx.u[0], ctx.face_b + f);
     // un * (un >= 0 ? phi_a : phi_b): >= is the same ordered compare.
     P flux = un * P::select(ge(un, zero), phi_a, phi_b);
     if (ctx.diffusivity > 0)
       flux = flux - ((diff * (phi_b - phi_a)) / P::load(ctx.dist + f));
     const P amount = (flux * P::load(ctx.area + f)) * dtfp;
-    (P::load(ctx.acc0 + f) + amount).store(ctx.acc0 + f);
-    (P::load(ctx.acc1 + f) + amount).store(ctx.acc1 + f);
+    (P::load(ctx.acc0[0] + f) + amount).store(ctx.acc0[0] + f);
+    (P::load(ctx.acc1[0] + f) + amount).store(ctx.acc1[0] + f);
   }
   if constexpr (W > 1)
     if (f < end) transport_flux_interior_t<1>(ctx, f, end, dtf);
 }
 
 template <int W>
-double transport_flux_boundary_t(const TransportFluxCtx& ctx, index_t begin,
+double transport_flux_boundary_t(const KernelCtx& ctx, index_t begin,
                                  index_t end, double dtf) {
   using P = Pack<W>;
   const P vx = P::broadcast(ctx.vx);
@@ -188,34 +193,37 @@ double transport_flux_boundary_t(const TransportFluxCtx& ctx, index_t begin,
     const P ny = P::load(ctx.ny + f);
     const P nz = P::load(ctx.nz + f);
     const P un = ((vx * nx) + (vy * ny)) + (vz * nz);
-    const P phi_a = P::gather(ctx.phi, ctx.face_a + f);
+    const P phi_a = P::gather(ctx.u[0], ctx.face_a + f);
     const P flux = un * P::select(ge(un, zero), phi_a, ambient);
     const P amount = (flux * P::load(ctx.area + f)) * dtfp;
-    (P::load(ctx.acc0 + f) + amount).store(ctx.acc0 + f);
+    (P::load(ctx.acc0[0] + f) + amount).store(ctx.acc0[0] + f);
     net_lanes = net_lanes + amount;
   }
-  // Horizontal sum — allowed here only because the boundary net is a
-  // tolerance-compared diagnostic (see transport.cpp), never physics.
+  // Horizontal sum — allowed here only because the boundary tally is a
+  // tolerance-compared diagnostic, never physics.
   net = net_lanes.hsum();
   if constexpr (W > 1)
     if (f < end) net += transport_flux_boundary_t<1>(ctx, f, end, dtf);
   return net;
 }
 
-/// Generic gather-CSR cell update, shared by both solvers (NV = number
-/// of state/accumulator variables; transport is NV = 1). Vector path:
-/// W consecutive cells with equal face counts d and contiguous CSR rows
+/// Gather-CSR cell update, shared by both solvers (NV = number of
+/// state/accumulator variables; transport is NV = 1). Vector path: W
+/// consecutive cells with equal face counts d and contiguous CSR rows
 /// form a W×d block whose slots are read with stride-d gathers; the
 /// accumulator reset is fused in as scalar zero-stores (no scatter in
 /// AVX2). Any cell breaking the uniform-degree pattern — and the final
-/// cells of the range — runs the scalar body, which is bitwise the
-/// solvers' scalar update kernel.
+/// cells of the range — runs the one-cell body, which is the per-object
+/// update_cell's arithmetic in CSR order.
 template <int W, int NV>
-void update_cells_t(double* const* u, double* const* acc,
-                    const double* inv_vol, const eindex_t* xadj,
-                    const index_t* slot, const double* sign, index_t begin,
-                    index_t end) {
+void update_cells_t(const KernelCtx& ctx, index_t begin, index_t end) {
   using P = Pack<W>;
+  double* const* u = ctx.u;
+  double* const* acc = ctx.acc0;
+  const double* inv_vol = ctx.inv_vol;
+  const eindex_t* xadj = ctx.xadj;
+  const index_t* slot = ctx.slot;
+  const double* sign = ctx.sign;
   const auto scalar_cell = [&](index_t c) {
     const double inv_v = inv_vol[c];
     for (eindex_t k = xadj[c]; k < xadj[c + 1]; ++k) {
@@ -252,7 +260,7 @@ void update_cells_t(double* const* u, double* const* acc,
         const P s = P::load_strided(sg + j, d);
         for (int v = 0; v < NV; ++v) {
           const P a = P::gather(acc[v], sl + j, d);
-          // u += (sign * acc) * inv_v, per update_cells_range.
+          // u += (sign * acc) * inv_v, as in update_cell.
           uv[v] = uv[v] + ((s * a) * inv_v);
         }
       }
@@ -265,19 +273,13 @@ void update_cells_t(double* const* u, double* const* acc,
   for (; c < end; ++c) scalar_cell(c);
 }
 
+/// The kernel table of lane width W.
 template <int W>
-void euler_update_t(const EulerUpdateCtx& ctx, index_t begin, index_t end) {
-  update_cells_t<W, kEulerVars>(ctx.u, ctx.acc, ctx.inv_vol, ctx.xadj,
-                                ctx.slot, ctx.sign, begin, end);
-}
-
-template <int W>
-void transport_update_t(const TransportUpdateCtx& ctx, index_t begin,
-                        index_t end) {
-  double* const u[1] = {ctx.phi};
-  double* const acc[1] = {ctx.acc};
-  update_cells_t<W, 1>(u, acc, ctx.inv_vol, ctx.xadj, ctx.slot, ctx.sign,
-                       begin, end);
+constexpr KernelTable make_kernel_table() {
+  return {{euler_flux_interior_t<W>, euler_flux_boundary_t<W>,
+           update_cells_t<W, kEulerVars>},
+          {transport_flux_interior_t<W>, transport_flux_boundary_t<W>,
+           update_cells_t<W, 1>}};
 }
 
 }  // namespace

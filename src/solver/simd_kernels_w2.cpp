@@ -1,40 +1,25 @@
-// 2-lane instantiations of the streaming kernels. Compiled with the
-// project's baseline flags: on x86-64 that already includes SSE2, so
-// Pack<2> is the hand-written __m128d specialisation; elsewhere it is
-// the portable fallback. This TU also owns the Pack<1> tail bodies the
-// wrappers fall into.
+// Width-1 and width-2 kernel tables, and the level → table lookup.
+// Compiled with the project's baseline flags: on x86-64 that already
+// includes SSE2, so Pack<2> is the hand-written __m128d specialisation;
+// elsewhere it is the portable fallback. Pack<1> is the scalar tier.
 #include "solver/simd_kernels.hpp"
 #include "solver/simd_kernels_impl.hpp"
 
 namespace tamp::solver::simdk {
 
-void euler_flux_interior_w2(const EulerFluxCtx& ctx, index_t begin,
-                            index_t end, double dtf) {
-  euler_flux_interior_t<2>(ctx, begin, end, dtf);
-}
+constinit const KernelTable kKernelsW1 = make_kernel_table<1>();
+constinit const KernelTable kKernelsW2 = make_kernel_table<2>();
 
-void euler_flux_boundary_w2(const EulerFluxCtx& ctx, index_t begin,
-                            index_t end, double dtf) {
-  euler_flux_boundary_t<2>(ctx, begin, end, dtf);
-}
-
-void euler_update_w2(const EulerUpdateCtx& ctx, index_t begin, index_t end) {
-  euler_update_t<2>(ctx, begin, end);
-}
-
-void transport_flux_interior_w2(const TransportFluxCtx& ctx, index_t begin,
-                                index_t end, double dtf) {
-  transport_flux_interior_t<2>(ctx, begin, end, dtf);
-}
-
-double transport_flux_boundary_w2(const TransportFluxCtx& ctx, index_t begin,
-                                  index_t end, double dtf) {
-  return transport_flux_boundary_t<2>(ctx, begin, end, dtf);
-}
-
-void transport_update_w2(const TransportUpdateCtx& ctx, index_t begin,
-                         index_t end) {
-  transport_update_t<2>(ctx, begin, end);
+const KernelTable& kernel_table(simd::Level level) {
+  switch (level) {
+    case simd::Level::avx2:
+      return kKernelsW4;
+    case simd::Level::sse2:
+      return kKernelsW2;
+    case simd::Level::scalar:
+      break;
+  }
+  return kKernelsW1;
 }
 
 }  // namespace tamp::solver::simdk

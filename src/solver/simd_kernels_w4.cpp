@@ -1,43 +1,17 @@
-// 4-lane instantiations of the streaming kernels. CMake compiles this
-// one TU with -mavx2 when the compiler accepts the flag (publishing
-// TAMP_SIMD_MAVX2 so simd::level_runnable knows), making Pack<4> the
-// hand-written __m256d specialisation with hardware gathers; without
-// the flag it is the portable 4-lane fallback, runnable on any CPU.
-// Everything ISA-sensitive here has internal linkage (see
-// simd_kernels_impl.hpp) — only the _w4 wrappers are exported, and the
-// dispatchers call them only when simd::Level::avx2 resolved runnable.
+// Width-4 kernel table. CMake compiles this one TU with -mavx2 when the
+// compiler accepts the flag (publishing TAMP_SIMD_MAVX2 so
+// simd::level_runnable knows), making Pack<4> the hand-written __m256d
+// specialisation with hardware gathers; without the flag it is the
+// portable 4-lane fallback, runnable on any CPU. Everything
+// ISA-sensitive here has internal linkage (see simd_kernels_impl.hpp) —
+// only the table is exported, constinit so no AVX2 code runs at static
+// initialisation, and a solver picks it only when simd::Level::avx2
+// resolved runnable.
 #include "solver/simd_kernels.hpp"
 #include "solver/simd_kernels_impl.hpp"
 
 namespace tamp::solver::simdk {
 
-void euler_flux_interior_w4(const EulerFluxCtx& ctx, index_t begin,
-                            index_t end, double dtf) {
-  euler_flux_interior_t<4>(ctx, begin, end, dtf);
-}
-
-void euler_flux_boundary_w4(const EulerFluxCtx& ctx, index_t begin,
-                            index_t end, double dtf) {
-  euler_flux_boundary_t<4>(ctx, begin, end, dtf);
-}
-
-void euler_update_w4(const EulerUpdateCtx& ctx, index_t begin, index_t end) {
-  euler_update_t<4>(ctx, begin, end);
-}
-
-void transport_flux_interior_w4(const TransportFluxCtx& ctx, index_t begin,
-                                index_t end, double dtf) {
-  transport_flux_interior_t<4>(ctx, begin, end, dtf);
-}
-
-double transport_flux_boundary_w4(const TransportFluxCtx& ctx, index_t begin,
-                                  index_t end, double dtf) {
-  return transport_flux_boundary_t<4>(ctx, begin, end, dtf);
-}
-
-void transport_update_w4(const TransportUpdateCtx& ctx, index_t begin,
-                         index_t end) {
-  transport_update_t<4>(ctx, begin, end);
-}
+constinit const KernelTable kKernelsW4 = make_kernel_table<4>();
 
 }  // namespace tamp::solver::simdk

@@ -2,75 +2,28 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
+#include <limits>
 
-#include "solver/simd_kernels.hpp"
-#include "taskgraph/scheme.hpp"
+#include "solver/fv_driver_impl.hpp"
 #include "verify/access.hpp"
 
 namespace tamp::solver {
 
 using mesh::Vec3;
 
-namespace {
-
-/// Pointer bundles into the solver's storage for the per-width kernels.
-/// Side s of face f is combined-accumulator column s: acc.var(s)[f].
-simdk::TransportFluxCtx make_flux_ctx(const std::vector<double>& phi,
-                                      PaddedVars& acc,
-                                      const KernelGeometry& g,
-                                      const TransportConfig& config) {
-  simdk::TransportFluxCtx ctx;
-  ctx.phi = phi.data();
-  ctx.acc0 = acc.var(0);
-  ctx.acc1 = acc.var(1);
-  ctx.face_a = g.face_a.data();
-  ctx.face_b = g.face_b.data();
-  ctx.nx = g.nx.data();
-  ctx.ny = g.ny.data();
-  ctx.nz = g.nz.data();
-  ctx.area = g.area.data();
-  ctx.dist = g.dist.data();
-  ctx.vx = config.velocity.x;
-  ctx.vy = config.velocity.y;
-  ctx.vz = config.velocity.z;
-  ctx.diffusivity = config.diffusivity;
-  ctx.ambient = config.ambient;
-  return ctx;
-}
-
-simdk::TransportUpdateCtx make_update_ctx(std::vector<double>& phi,
-                                          PaddedVars& acc,
-                                          const KernelGeometry& g,
-                                          const std::vector<index_t>& slot,
-                                          const std::vector<double>& sign) {
-  simdk::TransportUpdateCtx ctx;
-  ctx.phi = phi.data();
-  ctx.acc = acc.var(0);
-  ctx.inv_vol = g.inv_vol.data();
-  ctx.xadj = g.gather_xadj.data();
-  ctx.slot = slot.data();
-  ctx.sign = sign.data();
-  return ctx;
-}
-
-}  // namespace
-
 TransportSolver::TransportSolver(mesh::Mesh& mesh, TransportConfig config)
-    : mesh_(mesh), config_(config), geom_(build_kernel_geometry(mesh)),
-      acc_(mesh.num_faces(), 2),
-      gather_slot_(
-          build_gather_slots(geom_, static_cast<eindex_t>(acc_.stride()))),
-      gather_sign_(build_gather_signs(geom_)),
-      simd_level_(simd::resolve(config.simd)) {
+    : FvDriver(mesh, config.max_levels, config.simd), config_(config) {
   TAMP_EXPECTS(config.diffusivity >= 0, "diffusivity must be non-negative");
   TAMP_EXPECTS(config.cfl > 0 && config.cfl <= 1.0, "CFL must be in (0,1]");
-  TAMP_EXPECTS(config.max_levels >= 1, "need at least one temporal level");
-  phi_.assign(static_cast<std::size_t>(mesh.num_cells()), 0.0);
+  ctx_.vx = config.velocity.x;
+  ctx_.vy = config.velocity.y;
+  ctx_.vz = config.velocity.z;
+  ctx_.diffusivity = config.diffusivity;
+  ctx_.ambient = config.ambient;
 }
 
 void TransportSolver::initialize_uniform(double value) {
-  std::fill(phi_.begin(), phi_.end(), value);
+  std::fill_n(u_.var(0), mesh_.num_cells(), value);
   acc_.fill(0.0);
   boundary_net_.store(0.0, std::memory_order_relaxed);
   time_ = 0.0;
@@ -80,43 +33,26 @@ void TransportSolver::add_blob(Vec3 center, double radius, double amplitude) {
   TAMP_EXPECTS(radius > 0, "blob radius must be positive");
   for (index_t c = 0; c < mesh_.num_cells(); ++c) {
     const double d = distance(mesh_.cell_centroid(c), center);
-    phi_[static_cast<std::size_t>(c)] +=
-        amplitude * std::exp(-(d * d) / (radius * radius));
+    u_.at(0, c) += amplitude * std::exp(-(d * d) / (radius * radius));
   }
 }
 
 void TransportSolver::set_value(index_t cell, double value) {
   TAMP_EXPECTS(cell >= 0 && cell < mesh_.num_cells(), "cell out of range");
-  phi_[static_cast<std::size_t>(cell)] = value;
+  u_.at(0, cell) = value;
 }
 
-std::vector<level_t> TransportSolver::assign_temporal_levels() {
-  const index_t n = mesh_.num_cells();
+double TransportSolver::stable_step(index_t c) const {
   const double speed = norm(config_.velocity);
-  std::vector<double> dt_cell(static_cast<std::size_t>(n));
-  double dt_min = std::numeric_limits<double>::max();
-  for (index_t c = 0; c < n; ++c) {
-    const double h = std::cbrt(mesh_.cell_volume(c));
-    // Combined explicit bound: advective h/|u| and diffusive h²/(6D).
-    double dt = std::numeric_limits<double>::max();
-    if (speed > 0) dt = std::min(dt, h / speed);
-    if (config_.diffusivity > 0)
-      dt = std::min(dt, h * h / (6.0 * config_.diffusivity));
-    TAMP_EXPECTS(dt < std::numeric_limits<double>::max(),
-                 "transport needs a velocity or a diffusivity");
-    dt_cell[static_cast<std::size_t>(c)] = config_.cfl * dt;
-    dt_min = std::min(dt_min, dt_cell[static_cast<std::size_t>(c)]);
-  }
-  dt0_ = dt_min;
-  std::vector<level_t> levels(static_cast<std::size_t>(n));
-  for (index_t c = 0; c < n; ++c) {
-    const auto raw = static_cast<int>(
-        std::floor(std::log2(dt_cell[static_cast<std::size_t>(c)] / dt_min)));
-    levels[static_cast<std::size_t>(c)] = static_cast<level_t>(
-        std::clamp(raw, 0, static_cast<int>(config_.max_levels) - 1));
-  }
-  mesh_.set_cell_levels(levels);
-  return levels;
+  const double h = std::cbrt(mesh_.cell_volume(c));
+  // Combined explicit bound: advective h/|u| and diffusive h²/(6D).
+  double dt = std::numeric_limits<double>::max();
+  if (speed > 0) dt = std::min(dt, h / speed);
+  if (config_.diffusivity > 0)
+    dt = std::min(dt, h * h / (6.0 * config_.diffusivity));
+  TAMP_EXPECTS(dt < std::numeric_limits<double>::max(),
+               "transport needs a velocity or a diffusivity");
+  return config_.cfl * dt;
 }
 
 void TransportSolver::flux_face(index_t f, double dtf) {
@@ -124,7 +60,7 @@ void TransportSolver::flux_face(index_t f, double dtf) {
   const index_t a = mesh_.face_cell(f, 0);
   const Vec3 n = mesh_.face_normal(f);
   const double area = mesh_.face_area(f);
-  const double phi_a = phi_[static_cast<std::size_t>(a)];
+  const double phi_a = u_.at(0, a);
   const double un = dot(config_.velocity, n);
   // Race-verifier annotations (no-ops unless instrumented). boundary_net_
   // is deliberately NOT recorded: it is an atomic counter shared across
@@ -144,7 +80,7 @@ void TransportSolver::flux_face(index_t f, double dtf) {
   const index_t b = mesh_.face_cell(f, 1);
   verify::record_read(verify::ObjectKind::cell_state, b);
   verify::record_write(verify::ObjectKind::face_acc_side1, f);
-  const double phi_b = phi_[static_cast<std::size_t>(b)];
+  const double phi_b = u_.at(0, b);
   // Upwind convection along the face normal.
   double flux = un * (un >= 0 ? phi_a : phi_b);
   // Two-point diffusion with the centroid distance.
@@ -159,248 +95,10 @@ void TransportSolver::flux_face(index_t f, double dtf) {
   acc_.var(1)[sf] += amount;
 }
 
-void TransportSolver::update_cell(index_t c) {
-  const auto sc = static_cast<std::size_t>(c);
-  const double inv_v = geom_.inv_vol[sc];
-  verify::record_write(verify::ObjectKind::cell_state, c);
-  for (const index_t f : mesh_.cell_faces(c)) {
-    const auto sf = static_cast<std::size_t>(f);
-    const int side = mesh_.face_cell(f, 0) == c ? 0 : 1;
-    verify::record_write(side == 0 ? verify::ObjectKind::face_acc_side0
-                                   : verify::ObjectKind::face_acc_side1,
-                         f);
-    const double sign = side == 0 ? -1.0 : 1.0;
-    phi_[sc] += sign * acc_.var(side)[sf] * inv_v;
-    acc_.var(side)[sf] = 0.0;
-  }
-}
-
-void TransportSolver::flux_faces_interior_scalar(index_t begin, index_t end,
-                                                 double dtf) {
-  const double* phi = phi_.data();
-  double* acc0 = acc_.var(0);
-  double* acc1 = acc_.var(1);
-  const double diffusivity = config_.diffusivity;
-  for (index_t f = begin; f < end; ++f) {
-    const auto sf = static_cast<std::size_t>(f);
-    const Vec3 n{geom_.nx[sf], geom_.ny[sf], geom_.nz[sf]};
-    const double un = dot(config_.velocity, n);
-    const double phi_a = phi[static_cast<std::size_t>(geom_.face_a[sf])];
-    const double phi_b = phi[static_cast<std::size_t>(geom_.face_b[sf])];
-    double flux = un * (un >= 0 ? phi_a : phi_b);
-    if (diffusivity > 0)
-      flux -= diffusivity * (phi_b - phi_a) / geom_.dist[sf];
-    const double amount = flux * geom_.area[sf] * dtf;
-    acc0[sf] += amount;
-    acc1[sf] += amount;
-  }
-}
-
-void TransportSolver::flux_faces_boundary_scalar(index_t begin, index_t end,
-                                                 double dtf) {
-  const double* phi = phi_.data();
-  double* acc0 = acc_.var(0);
-  double net = 0.0;
-  for (index_t f = begin; f < end; ++f) {
-    const auto sf = static_cast<std::size_t>(f);
-    const Vec3 n{geom_.nx[sf], geom_.ny[sf], geom_.nz[sf]};
-    const double un = dot(config_.velocity, n);
-    const double phi_a = phi[static_cast<std::size_t>(geom_.face_a[sf])];
-    const double flux = un * (un >= 0 ? phi_a : config_.ambient);
-    const double amount = flux * geom_.area[sf] * dtf;
-    acc0[sf] += amount;
-    net += amount;
-  }
-  // One atomic add for the whole sub-range (boundary_net_ is a
-  // diagnostic total, compared with tolerance, never bitwise).
-  if (begin < end) boundary_net_.fetch_add(net, std::memory_order_relaxed);
-}
-
-void TransportSolver::update_cells_range_scalar(index_t begin, index_t end) {
-  double* phi = phi_.data();
-  double* acc[2] = {acc_.var(0), acc_.var(1)};
-  for (index_t c = begin; c < end; ++c) {
-    const auto sc = static_cast<std::size_t>(c);
-    const double inv_v = geom_.inv_vol[sc];
-    const auto kb = static_cast<std::size_t>(geom_.gather_xadj[sc]);
-    const auto ke = static_cast<std::size_t>(geom_.gather_xadj[sc + 1]);
-    for (std::size_t k = kb; k < ke; ++k) {
-      const auto sf = static_cast<std::size_t>(geom_.gather_face[k]);
-      const int side = geom_.gather_side[k];
-      const double sign = side == 0 ? -1.0 : 1.0;
-      phi[sc] += sign * acc[side][sf] * inv_v;
-      acc[side][sf] = 0.0;
-    }
-  }
-}
-
-void TransportSolver::flux_faces_interior(index_t begin, index_t end,
-                                          double dtf) {
-  switch (simd_level_) {
-    case simd::Level::avx2:
-      simdk::transport_flux_interior_w4(make_flux_ctx(phi_, acc_, geom_,
-                                                      config_),
-                                        begin, end, dtf);
-      return;
-    case simd::Level::sse2:
-      simdk::transport_flux_interior_w2(make_flux_ctx(phi_, acc_, geom_,
-                                                      config_),
-                                        begin, end, dtf);
-      return;
-    case simd::Level::scalar:
-      flux_faces_interior_scalar(begin, end, dtf);
-      return;
-  }
-}
-
-void TransportSolver::flux_faces_boundary(index_t begin, index_t end,
-                                          double dtf) {
-  double net = 0.0;
-  switch (simd_level_) {
-    case simd::Level::avx2:
-      net = simdk::transport_flux_boundary_w4(
-          make_flux_ctx(phi_, acc_, geom_, config_), begin, end, dtf);
-      break;
-    case simd::Level::sse2:
-      net = simdk::transport_flux_boundary_w2(
-          make_flux_ctx(phi_, acc_, geom_, config_), begin, end, dtf);
-      break;
-    case simd::Level::scalar:
-      flux_faces_boundary_scalar(begin, end, dtf);
-      return;
-  }
-  // Same one-atomic-add-per-sub-range policy as the scalar kernel; the
-  // lane partial sums make the total tolerance-only, which the
-  // boundary_net_ contract already is.
-  if (begin < end) boundary_net_.fetch_add(net, std::memory_order_relaxed);
-}
-
-void TransportSolver::update_cells_range(index_t begin, index_t end) {
-  switch (simd_level_) {
-    case simd::Level::avx2:
-      simdk::transport_update_w4(
-          make_update_ctx(phi_, acc_, geom_, gather_slot_, gather_sign_),
-          begin, end);
-      return;
-    case simd::Level::sse2:
-      simdk::transport_update_w2(
-          make_update_ctx(phi_, acc_, geom_, gather_slot_, gather_sign_),
-          begin, end);
-      return;
-    case simd::Level::scalar:
-      update_cells_range_scalar(begin, end);
-      return;
-  }
-}
-
-void TransportSolver::run_iteration() {
-  TAMP_EXPECTS(dt0_ > 0, "call assign_temporal_levels() first");
-  const taskgraph::TemporalScheme scheme(
-      static_cast<level_t>(mesh_.max_level() + 1));
-  for (index_t s = 0; s < scheme.num_subiterations(); ++s) {
-    for (level_t tau = scheme.top_level(s);; --tau) {
-      const double dt_tau = dt0_ * std::exp2(static_cast<double>(tau));
-      for (index_t f = 0; f < mesh_.num_faces(); ++f)
-        if (mesh_.face_level(f) == tau) flux_face(f, dt_tau);
-      for (index_t c = 0; c < mesh_.num_cells(); ++c)
-        if (mesh_.cell_level(c) == tau) update_cell(c);
-      if (tau == 0) break;
-    }
-    time_ += dt0_;
-  }
-}
-
-TransportSolver::IterationTasks TransportSolver::make_iteration_tasks(
-    const std::vector<part_t>& domain_of_cell, part_t ndomains) {
-  auto classes = std::make_shared<taskgraph::ClassMap>();
-  taskgraph::TaskGraph graph = taskgraph::generate_task_graph(
-      mesh_, domain_of_cell, ndomains, {}, classes.get());
-  runtime::TaskBody body = make_iteration_body(graph, std::move(classes));
-  return {std::move(graph), std::move(body)};
-}
-
-runtime::TaskBody TransportSolver::make_iteration_body(
-    const taskgraph::TaskGraph& graph,
-    std::shared_ptr<const taskgraph::ClassMap> classes) {
-  TAMP_EXPECTS(dt0_ > 0, "call assign_temporal_levels() first");
-  TAMP_EXPECTS(classes != nullptr, "iteration body needs a class map");
-  auto access = std::make_shared<ClassAccessTable>(build_class_access_ranges(
-      mesh_, *classes, /*boundary_writes_side1=*/false));
-  // Same ranged-vs-scattered plan split as the Euler solver (see
-  // euler.cpp): contiguous class lists stream, the rest walk the list.
-  struct Plan {
-    double dt;
-    index_t cls;
-    bool face;
-    bool ranged;
-    index_t begin, mid, end;
-  };
-  auto plans = std::make_shared<std::vector<Plan>>();
-  plans->reserve(static_cast<std::size_t>(graph.num_tasks()));
-  for (index_t t = 0; t < graph.num_tasks(); ++t) {
-    const taskgraph::Task& task = graph.task(t);
-    const index_t cls = classes->task_class[static_cast<std::size_t>(t)];
-    Plan plan{dt0_ * std::exp2(static_cast<double>(task.level)), cls,
-              task.type == taskgraph::ObjectType::face, false, 0, 0, 0};
-    if (plan.face) {
-      const auto& r = classes->face_range[static_cast<std::size_t>(cls)];
-      if (r.valid())
-        plan = {plan.dt, cls, true, true, r.begin, r.boundary_begin, r.end};
-    } else {
-      const auto& r = classes->cell_range[static_cast<std::size_t>(cls)];
-      if (r.valid()) plan = {plan.dt, cls, false, true, r.begin, r.end, r.end};
-    }
-    plans->push_back(plan);
-  }
-  auto body = [this, classes, plans, access](index_t t) {
-    const Plan& plan = (*plans)[static_cast<std::size_t>(t)];
-    const auto scls = static_cast<std::size_t>(plan.cls);
-    if (plan.face) {
-      if (plan.ranged) {
-        if (verify::recording_active())
-          record_class_ranges(access->face[scls], /*face_task=*/true);
-        flux_faces_interior(plan.begin, plan.mid, plan.dt);
-        flux_faces_boundary(plan.mid, plan.end, plan.dt);
-      } else {
-        for (const index_t f : classes->class_faces[scls])
-          flux_face(f, plan.dt);
-      }
-    } else {
-      if (plan.ranged) {
-        if (verify::recording_active())
-          record_class_ranges(access->cell[scls], /*face_task=*/false);
-        update_cells_range(plan.begin, plan.end);
-      } else {
-        for (const index_t c : classes->class_cells[scls])
-          update_cell(c);
-      }
-    }
-  };
-  return body;
-}
-
-void TransportSolver::note_tasks_complete() {
-  const taskgraph::TemporalScheme scheme(
-      static_cast<level_t>(mesh_.max_level() + 1));
-  time_ += dt0_ * static_cast<double>(scheme.num_subiterations());
-}
-
-runtime::ExecutionReport TransportSolver::run_iteration_tasks(
-    const std::vector<part_t>& domain_of_cell, part_t ndomains,
-    const std::vector<part_t>& domain_to_process,
-    const runtime::RuntimeConfig& runtime_config) {
-  const IterationTasks iter = make_iteration_tasks(domain_of_cell, ndomains);
-  runtime::ExecutionReport report =
-      runtime::execute(iter.graph, domain_to_process, runtime_config,
-                       iter.body);
-  note_tasks_complete();
-  return report;
-}
-
 double TransportSolver::total_scalar() const {
   double total = 0;
   for (index_t c = 0; c < mesh_.num_cells(); ++c)
-    total += mesh_.cell_volume(c) * phi_[static_cast<std::size_t>(c)];
+    total += mesh_.cell_volume(c) * u_.at(0, c);
   for (index_t f = 0; f < mesh_.num_faces(); ++f) {
     total -= acc_.at(0, f);  // side-0 pending (incl. boundary: already left)
     if (!mesh_.is_boundary_face(f)) total += acc_.at(1, f);
@@ -409,17 +107,18 @@ double TransportSolver::total_scalar() const {
 }
 
 double TransportSolver::min_value() const {
-  return *std::min_element(phi_.begin(), phi_.end());
+  return *std::min_element(u_.var(0), u_.var(0) + mesh_.num_cells());
 }
 
 double TransportSolver::max_value() const {
-  return *std::max_element(phi_.begin(), phi_.end());
+  return *std::max_element(u_.var(0), u_.var(0) + mesh_.num_cells());
 }
 
 bool TransportSolver::values_finite() const {
-  for (const double v : phi_)
-    if (!std::isfinite(v)) return false;
-  return true;
+  return std::all_of(u_.var(0), u_.var(0) + mesh_.num_cells(),
+                     [](double v) { return std::isfinite(v); });
 }
+
+template class FvDriver<TransportSolver>;
 
 }  // namespace tamp::solver

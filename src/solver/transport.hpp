@@ -19,13 +19,10 @@
 #pragma once
 
 #include <atomic>
-#include <vector>
 
 #include "mesh/mesh.hpp"
-#include "runtime/runtime.hpp"
-#include "solver/layout.hpp"
+#include "solver/fv_driver.hpp"
 #include "support/simd.hpp"
-#include "taskgraph/generate.hpp"
 
 namespace tamp::solver {
 
@@ -42,7 +39,9 @@ struct TransportConfig {
   simd::Request simd = simd::Request::inherit;
 };
 
-class TransportSolver {
+/// Levels, iteration and task execution come from FvDriver; the state
+/// is the one variable φ.
+class TransportSolver : public FvDriver<TransportSolver> {
 public:
   TransportSolver(mesh::Mesh& mesh, TransportConfig config = {});
 
@@ -53,41 +52,6 @@ public:
   /// Set one cell directly.
   void set_value(index_t cell, double value);
 
-  /// Quantise per-cell stable steps onto the level ladder and fix Δt0.
-  std::vector<level_t> assign_temporal_levels();
-
-  [[nodiscard]] double dt0() const { return dt0_; }
-  [[nodiscard]] double time() const { return time_; }
-
-  /// One iteration (2^τmax subiterations), serial reference order.
-  void run_iteration();
-
-  /// One iteration as a task graph on the threaded runtime; identical
-  /// arithmetic to run_iteration().
-  runtime::ExecutionReport run_iteration_tasks(
-      const std::vector<part_t>& domain_of_cell, part_t ndomains,
-      const std::vector<part_t>& domain_to_process,
-      const runtime::RuntimeConfig& runtime_config);
-
-  /// One iteration as a reusable (graph, body) pair — same contract as
-  /// EulerSolver::make_iteration_tasks (verification, adversarial
-  /// sweeps). Follow external execution with note_tasks_complete().
-  struct IterationTasks {
-    taskgraph::TaskGraph graph;
-    runtime::TaskBody body;
-  };
-  IterationTasks make_iteration_tasks(
-      const std::vector<part_t>& domain_of_cell, part_t ndomains);
-
-  /// Bind a task body to a pre-built (graph, class map) pair — same
-  /// contract as EulerSolver::make_iteration_body (the asynchronous
-  /// pipeline's bind-at-iteration-boundary hook).
-  runtime::TaskBody make_iteration_body(
-      const taskgraph::TaskGraph& graph,
-      std::shared_ptr<const taskgraph::ClassMap> classes);
-
-  void note_tasks_complete();
-
   /// Σ V·φ corrected by in-flight accumulators (scalar pending on a
   /// boundary face counts as already departed).
   [[nodiscard]] double total_scalar() const;
@@ -96,49 +60,34 @@ public:
   [[nodiscard]] double net_boundary_outflow() const {
     return boundary_net_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] double value(index_t cell) const {
-    return phi_[static_cast<std::size_t>(cell)];
-  }
+  [[nodiscard]] double value(index_t cell) const { return u_.at(0, cell); }
   [[nodiscard]] double min_value() const;
   [[nodiscard]] double max_value() const;
   [[nodiscard]] bool values_finite() const;
 
-  /// The SIMD tier the streaming kernels actually run.
-  [[nodiscard]] simd::Level simd_level() const { return simd_level_; }
-
 private:
-  // Per-object reference kernels (serial path, scattered-class fallback).
-  void flux_face(index_t f, double dtf);
-  void update_cell(index_t c);
-  // Streaming range kernels over class-contiguous id runs — simd_level_
-  // dispatchers, like the Euler solver's (see euler.hpp): scalar runs
-  // the *_scalar bodies (bitwise the per-object kernels), sse2/avx2 run
-  // the lane-transposed kernels in simd_kernels_w{2,4}.cpp.
-  void flux_faces_interior(index_t begin, index_t end, double dtf);
-  void flux_faces_boundary(index_t begin, index_t end, double dtf);
-  void update_cells_range(index_t begin, index_t end);
-  void flux_faces_interior_scalar(index_t begin, index_t end, double dtf);
-  void flux_faces_boundary_scalar(index_t begin, index_t end, double dtf);
-  void update_cells_range_scalar(index_t begin, index_t end);
+  friend class FvDriver<TransportSolver>;
+  static constexpr int kVars = 1;
+  static constexpr auto kKernels = &simdk::KernelTable::transport;
 
-  mesh::Mesh& mesh_;
+  /// CFL · min(h/|u|, h²/(6D)) with h the cube root of the cell volume.
+  [[nodiscard]] double stable_step(index_t c) const;
+  /// Per-object reference flux (serial path, scattered-class fallback;
+  /// records its accesses inline when instrumented).
+  void flux_face(index_t f, double dtf);
+  /// One atomic add per ranged boundary sweep (the tally is a
+  /// diagnostic, compared within a tolerance, never bitwise).
+  void add_boundary_tally(double tally) {
+    if (tally != 0.0)
+      boundary_net_.fetch_add(tally, std::memory_order_relaxed);
+  }
+
   TransportConfig config_;
-  KernelGeometry geom_;
-  double dt0_ = 0;
-  double time_ = 0;
-  std::vector<double> phi_;
-  /// Per-side face accumulators, folded into one two-column PaddedVars
-  /// (column = side) so the SIMD update gather reaches either side from
-  /// one base pointer: side s of face f is acc_.var(s)[f], equivalently
-  /// slot f + s * stride from acc_.var(0).
-  PaddedVars acc_;
-  /// SIMD gather addressing (layout.hpp).
-  std::vector<index_t> gather_slot_;
-  std::vector<double> gather_sign_;
-  simd::Level simd_level_ = simd::Level::scalar;
   /// Atomic: boundary face tasks of different classes may run
   /// concurrently and all credit the same counter.
   std::atomic<double> boundary_net_{0.0};
 };
+
+extern template class FvDriver<TransportSolver>;
 
 }  // namespace tamp::solver

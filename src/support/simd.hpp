@@ -2,7 +2,7 @@
 //
 // The class-contiguous layout (solver/layout.hpp) made the hot sweeps
 // lane-shaped; this header names the lanes. A *Level* is an executable
-// kernel tier — scalar (the bitwise oracle, one object per iteration),
+// kernel tier — scalar (the width-1 kernels, one object per iteration),
 // sse2 (2 double lanes) and avx2 (4 double lanes). A *Request* is what a
 // config knob asks for: a concrete level, `auto_` (best the CPU runs),
 // or `inherit` (defer to the process default, which is itself seeded

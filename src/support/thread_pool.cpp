@@ -22,6 +22,7 @@ namespace tamp {
 struct ThreadPool::TaskState {
   std::function<void()> fn;
   std::exception_ptr error;       ///< written before done is published
+  bool background = false;        ///< submitted by submit_background()
   std::atomic<bool> done{false};  ///< release store / acquire load
   std::mutex mutex;
   std::condition_variable cv;
@@ -35,13 +36,16 @@ namespace {
 thread_local ThreadPool* tls_pool = nullptr;
 thread_local int tls_slot = 0;
 
-void execute(const ThreadPool::TaskHandle& task) {
+void run(const ThreadPool::TaskHandle& task) {
   try {
     task->fn();
   } catch (...) {
     task->error = std::current_exception();
   }
   task->fn = nullptr;  // drop captures before publishing completion
+}
+
+void publish_done(const ThreadPool::TaskHandle& task) {
   {
     // Lock pairs with the cv wait in ThreadPool::wait so the notify
     // cannot slip between its predicate check and its sleep.
@@ -210,6 +214,7 @@ ThreadPool::TaskHandle ThreadPool::submit(std::function<void()> fn) {
 ThreadPool::TaskHandle ThreadPool::submit_background(std::function<void()> fn) {
   auto task = std::make_shared<TaskState>();
   task->fn = std::move(fn);
+  task->background = true;
   {
     const std::lock_guard<std::mutex> lock(impl_->background_mutex);
     impl_->background.push_back(task);
@@ -222,20 +227,21 @@ ThreadPool::TaskHandle ThreadPool::submit_background(std::function<void()> fn) {
   return task;
 }
 
-bool ThreadPool::run_one(int slot) {
+bool ThreadPool::run_one(int slot, bool background) {
   // Own deque first (LIFO: depth-first on locally forked subtrees, hot
   // in cache), then steal oldest-first from the other slots.
   TaskHandle task = impl_->pop(slot, /*lifo=*/true);
 #if defined(TAMP_TRACING_ENABLED)
   Impl::Slot& me = *impl_->slots[static_cast<std::size_t>(slot)];
-  obs::FlightRing* ring = impl_->ring(slot);
   if (task != nullptr) me.local_pops.fetch_add(1, std::memory_order_relaxed);
+  int stolen_from = -1;
 #endif
   for (int i = 1; task == nullptr && i <= num_threads_; ++i) {
     const int victim = (slot + i) % num_threads_;
 #if defined(TAMP_TRACING_ENABLED)
     if (victim != slot) {
       me.steal_attempts.fetch_add(1, std::memory_order_relaxed);
+      obs::FlightRing* ring = impl_->ring(slot);
       TAMP_FLIGHT_RECORD(ring, obs::FlightEventKind::steal_attempt,
                          impl_->clock.seconds(), victim);
     }
@@ -244,25 +250,33 @@ bool ThreadPool::run_one(int slot) {
 #if defined(TAMP_TRACING_ENABLED)
     if (task != nullptr && victim != slot) {
       me.steal_successes.fetch_add(1, std::memory_order_relaxed);
-      TAMP_FLIGHT_RECORD(ring, obs::FlightEventKind::steal_success,
-                         impl_->clock.seconds(), victim);
+      stolen_from = victim;
     }
 #endif
   }
   // Background class last: a queued prep task only runs on a worker that
   // proved it had no fork/join work anywhere to pop or steal.
-  if (task == nullptr) task = impl_->pop_background();
+  if (task == nullptr && background) task = impl_->pop_background();
   if (task == nullptr) return false;
 #if defined(TAMP_TRACING_ENABLED)
+  // Read the ring only now that a task is in hand: a scan that started
+  // before set_flight_recorder() must still record the task it got.
+  obs::FlightRing* ring = impl_->ring(slot);
+  if (stolen_from >= 0)
+    TAMP_FLIGHT_RECORD(ring, obs::FlightEventKind::steal_success,
+                       impl_->clock.seconds(), stolen_from);
   TAMP_FLIGHT_RECORD(ring, obs::FlightEventKind::task_begin,
                      impl_->clock.seconds());
 #endif
-  execute(task);
+  run(task);
 #if defined(TAMP_TRACING_ENABLED)
+  // Count and record before publishing completion, so everything a
+  // caller reads after wait() returns already includes this task.
   me.executed.fetch_add(1, std::memory_order_relaxed);
   TAMP_FLIGHT_RECORD(ring, obs::FlightEventKind::task_end,
                      impl_->clock.seconds());
 #endif
+  publish_done(task);
   return true;
 }
 
@@ -332,7 +346,7 @@ void ThreadPool::worker_main(int slot) {
   tls_pool = this;
   tls_slot = slot;
   while (true) {
-    if (run_one(slot)) continue;
+    if (run_one(slot, /*background=*/true)) continue;
     std::unique_lock<std::mutex> lock(impl_->sleep_mutex);
     impl_->sleep_cv.wait(lock, [this] {
       return impl_->stop.load(std::memory_order_relaxed) ||
@@ -346,7 +360,7 @@ void ThreadPool::wait(const TaskHandle& handle) {
   TAMP_EXPECTS(handle != nullptr, "waiting on a null task handle");
   const int slot = local_slot();
   while (!handle->done.load(std::memory_order_acquire)) {
-    if (run_one(slot)) continue;
+    if (run_one(slot, handle->background)) continue;
     // Nothing runnable: the awaited task (or one of its dependencies) is
     // executing elsewhere. Sleep briefly but wake early on completion;
     // the timeout re-arms helping in case new subtasks get forked.

@@ -112,7 +112,8 @@ public:
   /// every steal attempt came up empty, so a queued prep task can never
   /// starve the fork/join work the solve path depends on. Join with the
   /// same wait() (which helps, and will run the background task itself
-  /// if nothing else does).
+  /// if nothing else does). Waiting on a fork/join task never picks up a
+  /// background task: one that blocks on the waiter would deadlock.
   TaskHandle submit_background(std::function<void()> fn);
 
   /// Join: execute queued tasks until `handle` completes, then rethrow
@@ -180,7 +181,8 @@ public:
 private:
   struct Impl;
   void worker_main(int slot);
-  bool run_one(int slot);
+  /// Run one queued task; background tasks only when `background`.
+  bool run_one(int slot, bool background);
   [[nodiscard]] int local_slot() const;
 
   std::unique_ptr<Impl> impl_;

@@ -235,6 +235,29 @@ TEST(Runtime, SingleTaskGraphCompletes) {
   EXPECT_EQ(count.load(), 1);
 }
 
+TEST(Runtime, RepeatedExecutionsNeverLoseTheFinalWakeUp) {
+  // The worker that finishes the last task wakes every idle worker. A
+  // worker caught between its wait predicate and its sleep must still
+  // get that wake-up, or execute() never returns. Many short runs make
+  // the window likely; a lost wake-up shows as this case timing out.
+  const TaskGraph single = make_graph({0}, {{}});
+  const TaskGraph chain = make_graph(
+      {0, 1, 0, 1, 0, 1, 0, 1}, {{}, {0}, {1}, {2}, {3}, {4}, {5}, {6}});
+  RuntimeConfig one_by_four;
+  one_by_four.workers_per_process = 4;
+  RuntimeConfig two_by_two;
+  two_by_two.num_processes = 2;
+  two_by_two.workers_per_process = 2;
+  std::atomic<int> count{0};
+  const TaskBody body = [&](index_t) { count.fetch_add(1); };
+  constexpr int kRuns = 20000;
+  for (int i = 0; i < kRuns; ++i) {
+    execute(single, {0}, one_by_four, body);
+    execute(chain, {0, 1}, two_by_two, body);
+  }
+  EXPECT_EQ(count.load(), 9 * kRuns);
+}
+
 TEST(Runtime, OccupancyIsNaNWithoutCapacity) {
   // A default report has no capacity: occupancy must not divide by zero,
   // and must stay distinguishable from a real all-idle run (0.0).

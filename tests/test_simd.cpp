@@ -1,9 +1,11 @@
-// SIMD dispatch layer and kernel-equivalence harness: every runnable
-// lane tier must reproduce the scalar oracle within the documented ULP
-// bound on randomized states, conserve at subiteration boundaries, run
-// race-free under adversarial schedules, and handle every tail length
-// around the padded stride. Plus unit coverage of the tamp::simd
-// support functions themselves. See DESIGN.md "SIMD kernel contract".
+// SIMD dispatch layer and kernel-equivalence harness: the scalar
+// (width-1) tier must equal the per-object serial reference bit for bit,
+// and every runnable lane tier must reproduce the scalar tier within the
+// documented ULP bound on randomized states, conserve at subiteration
+// boundaries, run race-free under adversarial schedules, and handle
+// every tail length around the padded stride. Plus unit coverage of the
+// tamp::simd support functions themselves. See DESIGN.md "SIMD kernel
+// contract".
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +22,7 @@
 #include "support/check.hpp"
 #include "support/rng.hpp"
 #include "support/simd.hpp"
+#include "taskgraph/generate.hpp"
 #include "verify/access.hpp"
 #include "verify/graph_edit.hpp"
 #include "verify/verifier.hpp"
@@ -245,32 +248,92 @@ TEST(SimdEquivalence, TransportLevelsAgreeWithinUlpBound) {
   }
 }
 
+/// Every non-empty class is one contiguous id run, so the task path
+/// streams every class through the kernel table.
+void expect_all_classes_ranged(const mesh::Mesh& m,
+                               const std::vector<part_t>& domain_of_cell,
+                               part_t ndomains) {
+  taskgraph::ClassMap cm;
+  taskgraph::generate_task_graph(m, domain_of_cell, ndomains, {}, &cm);
+  for (std::size_t k = 0; k < cm.class_cells.size(); ++k) {
+    if (!cm.class_cells[k].empty()) {
+      ASSERT_TRUE(cm.cell_range[k].valid()) << "cell class " << k;
+    }
+    if (!cm.class_faces[k].empty()) {
+      ASSERT_TRUE(cm.face_range[k].valid()) << "face class " << k;
+    }
+  }
+}
+
 TEST(SimdEquivalence, ScalarRequestIsBitwiseTheSerialReference) {
   // --simd scalar through the task path must equal the per-object serial
-  // reference bit for bit — the seed-physics pin the acceptance criteria
-  // name. (The SIMD tiers are pinned to scalar by the ULP tests above
-  // and the serial reference is pinned to the seed by test_verify_solver.)
-  mesh::Mesh m1 = mesh::make_graded_box_mesh(8, 6, 5, 1.25);
-  mesh::Mesh m2 = mesh::make_graded_box_mesh(8, 6, 5, 1.25);
-  EulerSolver serial(m1);  // inherit: whatever the environment picked
+  // reference bit for bit, for both solvers. The meshes are renumbered
+  // for locality, so the tasked solver streams every class through the
+  // width-1 kernels while the serial one runs the per-object kernels.
+  // (The SIMD tiers are pinned to scalar by the ULP tests above and the
+  // serial reference is pinned to the seed by test_verify_solver.)
+  mesh::Mesh base = mesh::make_graded_box_mesh(8, 6, 5, 1.25);
+  {
+    EulerSolver tmp(base);
+    random_euler_state(tmp, base, 9);
+  }
+  const auto dd = decompose(base, 4, 2);
+  auto rd = partition::reorder_for_locality(base, dd.domain_of_cell,
+                                            dd.ndomains);
   solver::SolverConfig cfg;
   cfg.simd = simd::Request::scalar;
-  EulerSolver tasked(m2, cfg);
+  EulerSolver serial(rd.mesh), tasked(rd.mesh, cfg);
   EXPECT_EQ(tasked.simd_level(), simd::Level::scalar);
-  random_euler_state(serial, m1, 9);
-  random_euler_state(tasked, m2, 9);
-  const auto dd = decompose(m2, 4, 2);
+  random_euler_state(serial, rd.mesh, 9);
+  random_euler_state(tasked, rd.mesh, 9);
+  expect_all_classes_ranged(rd.mesh, rd.domain_of_cell, dd.ndomains);
   for (int it = 0; it < 3; ++it) {
     serial.run_iteration();
-    tasked.run_iteration_tasks(dd.domain_of_cell, dd.ndomains, dd.d2p,
+    tasked.run_iteration_tasks(rd.domain_of_cell, dd.ndomains, dd.d2p,
                                serial_config(2));
-    for (index_t c = 0; c < m1.num_cells(); ++c) {
+    for (index_t c = 0; c < rd.mesh.num_cells(); ++c) {
       const State a = serial.cell_state(c), b = tasked.cell_state(c);
       for (int v = 0; v < solver::kNumVars; ++v)
         ASSERT_EQ(a[static_cast<std::size_t>(v)],
                   b[static_cast<std::size_t>(v)])
-            << "iteration " << it << " cell " << c << " var " << v;
+            << "euler iteration " << it << " cell " << c << " var " << v;
     }
+  }
+
+  solver::TransportConfig tc;
+  tc.velocity = {0.8, 0.3, -0.2};
+  tc.diffusivity = 0.02;
+  tc.ambient = 0.05;
+  tc.simd = simd::Request::scalar;
+  auto init = [](TransportSolver& s) {
+    s.initialize_uniform(0.1);
+    s.add_blob({2.0, 2.0, 1.5}, 1.2, 0.8);
+    s.assign_temporal_levels();
+  };
+  mesh::Mesh tbase = mesh::make_graded_box_mesh(8, 6, 5, 1.25);
+  {
+    TransportSolver tmp(tbase, tc);
+    init(tmp);
+  }
+  const auto tdd = decompose(tbase, 4, 2);
+  auto trd = partition::reorder_for_locality(tbase, tdd.domain_of_cell,
+                                             tdd.ndomains);
+  TransportSolver t_serial(trd.mesh, tc), t_tasked(trd.mesh, tc);
+  init(t_serial);
+  init(t_tasked);
+  expect_all_classes_ranged(trd.mesh, trd.domain_of_cell, tdd.ndomains);
+  for (int it = 0; it < 3; ++it) {
+    t_serial.run_iteration();
+    t_tasked.run_iteration_tasks(trd.domain_of_cell, tdd.ndomains, tdd.d2p,
+                                 serial_config(2));
+    for (index_t c = 0; c < trd.mesh.num_cells(); ++c)
+      ASSERT_EQ(t_serial.value(c), t_tasked.value(c))
+          << "transport iteration " << it << " cell " << c;
+    // The boundary tally is summed per ranged sweep: tolerance only.
+    const double net = t_serial.net_boundary_outflow();
+    EXPECT_NEAR(t_tasked.net_boundary_outflow(), net,
+                1e-12 * std::max(1.0, std::abs(net)))
+        << "transport iteration " << it;
   }
 }
 
@@ -329,10 +392,9 @@ TEST(SimdEquivalence, ConservationHoldsAtSubiterationBoundariesPerLevel) {
 // --- race-freedom on the SIMD path -------------------------------------------
 
 TEST(SimdEquivalence, VerifyRacesCleanPerLevel) {
-  // The SIMD path records the same up-front class-range annotations as
-  // the scalar streaming path (over-approximate at boundary side 1 by
-  // design — see layout.hpp); the DAG must order every conflicting pair
-  // under adversarial schedules at every tier.
+  // Every tier records the same up-front class-range annotations
+  // (layout.hpp); the DAG must order every conflicting pair under
+  // adversarial schedules at every tier.
   mesh::Mesh base = mesh::make_graded_box_mesh(7, 6, 5, 1.3);
   {
     EulerSolver tmp(base);
