@@ -1,11 +1,5 @@
 #include "core/autotune.hpp"
 
-#include <algorithm>
-#include <memory>
-#include <utility>
-
-#include "support/thread_pool.hpp"
-
 namespace tamp::core {
 
 namespace {
@@ -22,12 +16,8 @@ RunConfig candidate_config(const AutotuneOptions& opts, part_t nd) {
   return cfg;
 }
 
-// Scoring consumes a *finished* plan — never the pipeline's shared
-// metric gauges, which the overlapped prep of the next candidate is
-// rewriting concurrently. Every row is a pure function of the plan and
-// the options, so sync and overlap sweeps agree bitwise.
-AutotuneRow score_candidate(const mesh::Mesh& /*mesh*/, const RunPlan& plan,
-                            const AutotuneOptions& opts, part_t nd) {
+AutotuneRow score_candidate(const RunPlan& plan, const AutotuneOptions& opts,
+                            part_t nd) {
   const RunConfig cfg = candidate_config(opts, nd);
   const sim::SimResult with_comm = simulate_plan(plan, cfg);
 
@@ -67,53 +57,15 @@ AutotuneResult suggest_domain_count(const mesh::Mesh& mesh,
   }
   TAMP_EXPECTS(!candidates.empty(), "no candidate domain counts");
 
-  ThreadPool* pool =
-      opts.pipeline == PipelineMode::overlap
-          ? ThreadPool::shared(std::max(2, resolve_num_threads(opts.threads)))
-          : nullptr;
-
   AutotuneResult result;
   simtime_t best_makespan = 0;
-  RunPlan plan = prepare_on_mesh(mesh, candidate_config(opts, candidates[0]));
-  for (std::size_t k = 0; k < candidates.size(); ++k) {
-    // Overlap: candidate k+1's decomposition + task graph build on the
-    // pool while candidate k is scored here.
-    ThreadPool::TaskHandle handle;
-    std::shared_ptr<RunPlan> next;
-    if (pool != nullptr && k + 1 < candidates.size()) {
-      next = std::make_shared<RunPlan>();
-      handle = pool->submit_background([&mesh, &opts, &candidates, next, k] {
-        *next = prepare_on_mesh(mesh,
-                                candidate_config(opts, candidates[k + 1]));
-      });
-    }
-
-    AutotuneRow row;
-    try {
-      row = score_candidate(mesh, plan, opts, candidates[k]);
-    } catch (...) {
-      if (handle != nullptr) {
-        try {
-          pool->wait(handle);
-        } catch (...) {
-        }
-      }
-      throw;
-    }
+  for (const part_t nd : candidates) {
+    const RunPlan plan = prepare_on_mesh(mesh, candidate_config(opts, nd));
+    const AutotuneRow row = score_candidate(plan, opts, nd);
     result.sweep.push_back(row);
     if (result.best_ndomains == 0 || row.makespan < best_makespan) {
-      result.best_ndomains = candidates[k];
+      result.best_ndomains = nd;
       best_makespan = row.makespan;
-    }
-
-    if (k + 1 < candidates.size()) {
-      if (handle != nullptr) {
-        pool->wait(handle);
-        plan = std::move(*next);
-      } else {
-        plan = prepare_on_mesh(mesh,
-                               candidate_config(opts, candidates[k + 1]));
-      }
     }
   }
   return result;

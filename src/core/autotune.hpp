@@ -32,16 +32,6 @@ struct AutotuneOptions {
   /// counterweight: doubling the domain count roughly doubles the task
   /// count, and each task pays this.
   simtime_t task_overhead = 2.0;
-  /// How the sweep is scheduled. `sync` prepares and scores candidates
-  /// one after another; `overlap` prepares candidate k+1 on the
-  /// work-stealing pool while candidate k is being simulated. The sweep
-  /// result is bit-identical either way: every row is a pure function of
-  /// (mesh, candidate, opts) — the historical bug this knob guards
-  /// against was the sweep reading shared pipeline gauges mid-candidate,
-  /// which assumed stages completed synchronously.
-  PipelineMode pipeline = PipelineMode::sync;
-  /// Pool threads for overlap mode (0 = TAMP_PARTITION_THREADS env).
-  int threads = 0;
   std::uint64_t seed = 1;
 };
 

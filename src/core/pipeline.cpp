@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
@@ -11,7 +12,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "partition/cache.hpp"
 #include "partition/repair.hpp"
 #include "solver/euler.hpp"
 #include "solver/transport.hpp"
@@ -193,12 +193,15 @@ PipelineFault parse_pipeline_fault(const std::string& spec) {
     throw precondition_error(
         "unknown pipeline fault stage '" + stage +
         "' (expected evolve | repartition | taskgraph | solve)");
-  const std::string iter = spec.substr(colon + 1);
-  char* tail = nullptr;
-  const long v = std::strtol(iter.c_str(), &tail, 10);
-  TAMP_EXPECTS(tail != iter.c_str() && *tail == '\0' && v >= 0,
+  // from_chars into the int itself: a value past int's range is an
+  // error, never a wrapped iteration number.
+  const char* first = spec.data() + colon + 1;
+  const char* last = spec.data() + spec.size();
+  int iteration = -1;
+  const auto [ptr, ec] = std::from_chars(first, last, iteration);
+  TAMP_EXPECTS(ec == std::errc{} && ptr == last && iteration >= 0,
                "pipeline fault iteration must be a non-negative integer");
-  fault.iteration = static_cast<int>(v);
+  fault.iteration = iteration;
   return fault;
 }
 
@@ -355,17 +358,12 @@ std::shared_ptr<const IterationSnapshot> prep_snapshot(
     iopts.dirty_vertices = snap->evolve.cells_changed;
     snap->repartition = partition::incremental_repartition(
         g, part, config.ndomains, iopts);
-    // Migration census on the worker's scratch arena: per-domain counts
-    // of cells that left their old domain, against the old population —
-    // the worst per-domain fraction is what a distributed run would
-    // actually ship from one node.
-    ScratchArena& arena = thread_scratch_arena();
-    arena.reset();
+    // Migration census: per-domain counts of cells that left their old
+    // domain, against the old population — the worst per-domain fraction
+    // is what a distributed run would actually ship from one node.
     const auto nd = static_cast<std::size_t>(config.ndomains);
-    index_t* moved = arena.alloc<index_t>(nd);
-    index_t* total = arena.alloc<index_t>(nd);
-    std::fill(moved, moved + nd, index_t{0});
-    std::fill(total, total + nd, index_t{0});
+    std::vector<index_t> moved(nd, 0);
+    std::vector<index_t> total(nd, 0);
     const std::vector<part_t>& old = prev.decomposition.domain_of_cell;
     for (std::size_t c = 0; c < part.size(); ++c) {
       const auto od = static_cast<std::size_t>(old[c]);
@@ -420,16 +418,7 @@ std::shared_ptr<const IterationSnapshot> initial_snapshot(
     sopts.partitioner.tolerance = config.partition_tolerance;
     sopts.partitioner.seed = config.seed;
     sopts.partitioner.num_threads = partition_threads;
-    if (config.cache != nullptr) {
-      // Service warm path: a mesh with this content + these parameters
-      // was decomposed before (possibly by a concurrent pipeline) — the
-      // cache hit replaces the whole multilevel run with a hash lookup.
-      const auto cached =
-          partition::decompose_cached(ctx.planning, sopts, config.cache);
-      snap->decomposition = cached->decomposition;
-    } else {
-      snap->decomposition = partition::decompose(ctx.planning, sopts);
-    }
+    snap->decomposition = partition::decompose(ctx.planning, sopts);
   }
 
   maybe_fault(config.fault, PipelineFault::Stage::taskgraph, 0);

@@ -5,7 +5,7 @@
 //  * run_on_mesh() — the one-shot pipeline the paper figures are written
 //    against: configure a RunConfig, read the outcome (with
 //    prepare_on_mesh()/simulate_plan() as its two stages, separately
-//    callable so callers can overlap preparation with scoring).
+//    callable so a prepared plan can be scored on its own).
 //
 //  * run_iteration_pipeline() — the asynchronous two-stage *iteration*
 //    pipeline: a real solver advances iteration i on the threaded
@@ -31,10 +31,6 @@
 #include "sim/simulate.hpp"
 #include "taskgraph/generate.hpp"
 #include "taskgraph/patch.hpp"
-
-namespace tamp::partition {
-class DecompositionCache;
-}  // namespace tamp::partition
 
 namespace tamp::solver {
 class EulerSolver;
@@ -87,8 +83,7 @@ RunOutcome run_on_mesh(const mesh::Mesh& mesh, const RunConfig& config);
 
 /// The preparation half of run_on_mesh(): decomposition (+ optional
 /// repair), task graph, process map — everything except the simulation.
-/// Deterministic in (mesh, config) alone, so it can run concurrently
-/// with simulate_plan() calls on other plans (autotune overlaps the two).
+/// Deterministic in (mesh, config) alone.
 struct RunPlan {
   partition::DomainDecomposition decomposition;
   taskgraph::TaskGraph graph;
@@ -118,7 +113,7 @@ PipelineMode parse_pipeline_mode(const std::string& name);
 
 /// How prep builds each iteration's task graph.
 ///
-///   off       — generate from scratch every iteration (the pre-service
+///   off       — generate from scratch every iteration (the unpatched
 ///               behaviour; also the reference the others must match).
 ///   automatic — diff-based patching (taskgraph::GraphPatcher) with a
 ///               full-rebuild fallback above the dirty-fraction
@@ -201,10 +196,6 @@ struct IterationPipelineConfig {
   PatchPolicy patch = PatchPolicy::automatic;
   /// Dirty-cell fraction above which a patch falls back to a rebuild.
   double patch_threshold = 0.05;
-  /// Optional shared decomposition cache for snapshot 0's from-scratch
-  /// partition (the repartitioning service's warm path). May be shared
-  /// by concurrent pipelines; nullptr = always compute.
-  partition::DecompositionCache* cache = nullptr;
 };
 
 /// Per-iteration stage timeline (seconds since pipeline start).

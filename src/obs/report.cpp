@@ -268,14 +268,8 @@ MetricAnnotation annotate_metric(const std::string& name) {
   if (has("rel_delta")) return {"share", +1};
   if (has("delta_seconds")) return {"s", +1};
   if (has("ns_per_event") || has("ns_per_read")) return {"ns", -1};
-  // Repartitioning service & caching families — before the generic
-  // bytes/fraction/latency rules so e.g. "cache.hit_rate" and
-  // "partition.dirty_fraction" get their service-specific direction.
-  if (has("hit_rate")) return {"share", +1};
-  if (has("cache.hits")) return {"count", +1};
-  if (has("cache.misses") || has("cache.evictions") || has("cache.rejected"))
-    return {"count", -1};
-  if (has("inflight_joins") || has("cache.entries")) return {"count", 0};
+  // Repartitioning and patching families — before the generic
+  // fraction rules so e.g. "partition.dirty_fraction" gets its direction.
   if (has("dirty_fraction")) return {"share", -1};
   if (has("patch.rebuilds")) return {"count", -1};
   if (has("patch.applied") || has("patch.noop") ||

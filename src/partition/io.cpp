@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 
 #include "support/check.hpp"
@@ -32,15 +33,18 @@ std::vector<part_t> read_partition(std::istream& is, part_t& ndomains_out) {
   long long ncells = 0;
   long long ndomains = 0;
   if (!(is >> magic >> ncells >> ndomains) || magic != "tamp-partition" ||
-      ncells < 0 || ndomains < 1)
+      ncells < 0 || ncells > std::numeric_limits<index_t>::max() ||
+      ndomains < 1 || ndomains > std::numeric_limits<part_t>::max())
     throw runtime_failure("malformed tamp-partition header");
-  std::vector<part_t> part(static_cast<std::size_t>(ncells));
+  // The header's cell count is a claim, not a size to allocate: the
+  // vector grows only as records actually arrive.
+  std::vector<part_t> part;
   for (long long c = 0; c < ncells; ++c) {
     long long d = -1;
     if (!(is >> d) || d < 0 || d >= ndomains)
       throw runtime_failure("malformed tamp-partition record at cell " +
                             std::to_string(c));
-    part[static_cast<std::size_t>(c)] = static_cast<part_t>(d);
+    part.push_back(static_cast<part_t>(d));
   }
   ndomains_out = static_cast<part_t>(ndomains);
   return part;

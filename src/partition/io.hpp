@@ -1,6 +1,6 @@
 // Partition (cell → domain) persistence.
 //
-// Lets decompositions be cached, exchanged with external tools, and fed
+// Lets decompositions be saved, exchanged with external tools, and fed
 // to the standalone flusim executable (mirroring the paper's FLUSIM,
 // which takes "a domain decomposition" as an input file). Format: one
 // line `tamp-partition <ncells> <ndomains>`, then one domain id per line.

@@ -1,7 +1,6 @@
 // FNV-1a hashing, shared by everything that fingerprints state: the
-// pipeline's IterationSnapshot seal, the task-graph patcher's
-// equivalence oracle, and the decomposition cache's keys. One
-// implementation so a snapshot fingerprint and a cache key can never
+// pipeline's IterationSnapshot seal and the task-graph patcher's
+// equivalence oracle. One implementation so two fingerprints can never
 // drift apart on byte order or constants.
 //
 // FNV-1a is deliberate: the fingerprints are integrity seals against

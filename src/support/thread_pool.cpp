@@ -1,6 +1,5 @@
 #include "support/thread_pool.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -57,46 +56,10 @@ void publish_done(const ThreadPool::TaskHandle& task) {
 
 }  // namespace
 
-void ScratchArena::reset() {
-  for (Block& b : blocks_) b.used = 0;
-  current_ = 0;
-}
-
-void* ScratchArena::raw(std::size_t bytes, std::size_t align) {
-  TAMP_EXPECTS(align > 0 && (align & (align - 1)) == 0,
-               "arena alignment must be a power of two");
-  if (bytes == 0) bytes = 1;
-  while (current_ < blocks_.size()) {
-    Block& b = blocks_[current_];
-    const std::size_t aligned = (b.used + align - 1) & ~(align - 1);
-    if (aligned + bytes <= b.size) {
-      b.used = aligned + bytes;
-      return b.data.get() + aligned;
-    }
-    ++current_;
-  }
-  // No block fits: append one (64 KiB floor amortises small allocations;
-  // existing blocks — and every pointer into them — stay where they are).
-  constexpr std::size_t kMinBlock = 64 * 1024;
-  const std::size_t size = std::max(kMinBlock, bytes + align);
-  Block b;
-  b.data = std::make_unique<unsigned char[]>(size);
-  b.size = size;
-  const auto base = reinterpret_cast<std::uintptr_t>(b.data.get());
-  const std::size_t aligned =
-      static_cast<std::size_t>(((base + align - 1) & ~(align - 1)) - base);
-  b.used = aligned + bytes;
-  reserved_ += size;
-  blocks_.push_back(std::move(b));
-  current_ = blocks_.size() - 1;
-  return blocks_.back().data.get() + aligned;
-}
-
 struct ThreadPool::Impl {
   struct Slot {
     std::mutex mutex;
     std::deque<TaskHandle> queue;
-    ScratchArena arena;  ///< owned by the thread occupying this slot
 #if defined(TAMP_TRACING_ENABLED)
     // Scheduling telemetry. Each counter is written only by the thread
     // occupying this slot (relaxed increments on an owned line); stats()
@@ -327,19 +290,6 @@ void ThreadPool::set_flight_recorder(
 #else
   static_cast<void>(recorder);
 #endif
-}
-
-ScratchArena& ThreadPool::local_arena() {
-  return impl_->slots[static_cast<std::size_t>(local_slot())]->arena;
-}
-
-ScratchArena& thread_scratch_arena() {
-  if (tls_pool != nullptr && tls_slot > 0) return tls_pool->local_arena();
-  // Foreign threads (the client, serial paths) each get their own
-  // thread-local arena — slot 0 of a pool could be raced by several
-  // client threads, a thread_local cannot.
-  thread_local ScratchArena arena;
-  return arena;
 }
 
 void ThreadPool::worker_main(int slot) {

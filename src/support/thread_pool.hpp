@@ -30,61 +30,16 @@
 // DESIGN.md "Parallel decomposition".
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
-#include <type_traits>
-#include <vector>
 
 namespace tamp {
 
 namespace obs {
 class FlightRecorder;
 }
-
-/// Grow-only bump allocator for task-scoped scratch memory. One arena
-/// belongs to one thread at a time (the pool keeps one per worker slot);
-/// alloc() bumps within pre-reserved blocks, reset() rewinds every block
-/// without releasing memory, so a task that runs every iteration stops
-/// paying allocator traffic after its first execution. Addresses handed
-/// out since the last reset() stay valid until the next reset() — growth
-/// appends blocks, it never reallocates one.
-///
-/// Not thread-safe; an arena use (alloc … last read) must not span a
-/// submit()/wait() boundary, because a helping wait() can run another
-/// task on this thread that resets or bumps the same arena.
-class ScratchArena {
-public:
-  /// Rewind every block to empty; capacity is retained.
-  void reset();
-
-  /// `count` default-constructible, trivially-destructible Ts. The
-  /// memory is uninitialised.
-  template <typename T>
-  T* alloc(std::size_t count) {
-    static_assert(std::is_trivially_destructible_v<T>,
-                  "arena memory is never destructed");
-    return static_cast<T*>(raw(count * sizeof(T), alignof(T)));
-  }
-
-  /// Raw aligned bytes (alloc<T> in terms of this).
-  void* raw(std::size_t bytes, std::size_t align);
-
-  /// Total bytes reserved across all blocks (monotone; telemetry).
-  [[nodiscard]] std::size_t bytes_reserved() const { return reserved_; }
-
-private:
-  struct Block {
-    std::unique_ptr<unsigned char[]> data;
-    std::size_t size = 0;
-    std::size_t used = 0;
-  };
-  std::vector<Block> blocks_;
-  std::size_t current_ = 0;
-  std::size_t reserved_ = 0;
-};
 
 class ThreadPool {
 public:
@@ -173,11 +128,6 @@ public:
   /// compiled out.
   void set_flight_recorder(std::shared_ptr<obs::FlightRecorder> recorder);
 
-  /// Scratch arena of the calling thread's pool slot (per-worker; slot 0
-  /// belongs to the client thread). See ScratchArena for the ownership
-  /// rules — in particular, do not let a use span a wait().
-  [[nodiscard]] ScratchArena& local_arena();
-
 private:
   struct Impl;
   void worker_main(int slot);
@@ -193,12 +143,6 @@ private:
 /// TAMP_PARTITION_THREADS environment variable; unset/invalid means 1
 /// (serial — today's behaviour, bit-identical by construction).
 int resolve_num_threads(int requested);
-
-/// The calling thread's scratch arena: the per-slot arena of the pool
-/// the thread works for, or a thread-local fallback for threads outside
-/// any pool (the serial pipeline path, test drivers). Same ownership
-/// rules as ScratchArena.
-[[nodiscard]] ScratchArena& thread_scratch_arena();
 
 /// parallel_for that degrades to an inline call when `pool` is null —
 /// the serial path stays free of any pool machinery.

@@ -1,5 +1,5 @@
-// Diff-based task-graph patching — the amortization layer of the online
-// repartitioning service (paper §III-A: temporal levels drift slowly, so
+// Diff-based task-graph patching — the amortization layer of the
+// iteration pipeline's prep (paper §III-A: temporal levels drift slowly, so
 // rebuilding the whole DAG every iteration wastes almost all of its
 // cost).
 //

@@ -95,35 +95,6 @@ TEST(Autotune, WorksForBothStrategies) {
   }
 }
 
-TEST(Autotune, SweepIsBitIdenticalAcrossPipelineModes) {
-  // Regression for the synchronous-completion assumption: the sweep used
-  // to read shared pipeline state while scoring, which broke as soon as
-  // the next candidate's preparation ran concurrently. Every row is now a
-  // pure function of (mesh, candidate, opts), so the overlapped sweep
-  // must reproduce the sync sweep exactly — makespans bitwise included.
-  const auto m = small_mesh();
-  AutotuneOptions opts;
-  opts.nprocesses = 4;
-  opts.max_multiplier = 8;
-  opts.pipeline = PipelineMode::sync;
-  const AutotuneResult sync = suggest_domain_count(m, opts);
-  for (const int threads : {2, 4}) {
-    opts.pipeline = PipelineMode::overlap;
-    opts.threads = threads;
-    const AutotuneResult over = suggest_domain_count(m, opts);
-    EXPECT_EQ(over.best_ndomains, sync.best_ndomains) << threads;
-    ASSERT_EQ(over.sweep.size(), sync.sweep.size());
-    for (std::size_t k = 0; k < sync.sweep.size(); ++k) {
-      EXPECT_EQ(over.sweep[k].ndomains, sync.sweep[k].ndomains);
-      EXPECT_EQ(over.sweep[k].makespan, sync.sweep[k].makespan) << k;
-      EXPECT_EQ(over.sweep[k].ideal_makespan, sync.sweep[k].ideal_makespan);
-      EXPECT_EQ(over.sweep[k].cross_process_edges,
-                sync.sweep[k].cross_process_edges);
-      EXPECT_EQ(over.sweep[k].occupancy, sync.sweep[k].occupancy);
-    }
-  }
-}
-
 TEST(Autotune, RejectsBadOptions) {
   const auto m = small_mesh();
   AutotuneOptions opts;

@@ -99,6 +99,14 @@ TEST(PartitionIo, RejectsMalformedInput) {
   EXPECT_THROW((void)partition::read_partition(bad3, nd), runtime_failure);
   std::istringstream bad4("tamp-partition 3 0\n0\n0\n0\n");
   EXPECT_THROW((void)partition::read_partition(bad4, nd), runtime_failure);
+  // A domain count past part_t's range must not wrap to a small one
+  // that lets ids 5 and 7 through.
+  std::istringstream bad5("tamp-partition 2 4294967297\n5\n7\n");
+  EXPECT_THROW((void)partition::read_partition(bad5, nd), runtime_failure);
+  // A cell count past index_t's range is a malformed header, not an
+  // allocation to attempt.
+  std::istringstream bad6("tamp-partition 100000000000 4\n0\n");
+  EXPECT_THROW((void)partition::read_partition(bad6, nd), runtime_failure);
 }
 
 TEST(PartitionIo, FileRoundTrip) {

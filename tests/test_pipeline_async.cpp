@@ -12,7 +12,6 @@
 #include <thread>
 
 #include "core/pipeline.hpp"
-#include "partition/cache.hpp"
 #include "solver/euler.hpp"
 #include "solver/transport.hpp"
 #include "support/thread_pool.hpp"
@@ -314,6 +313,10 @@ TEST(PipelineAsync, ModeAndFaultParsing) {
   EXPECT_THROW(parse_pipeline_fault("repartition:-1"), precondition_error);
   EXPECT_THROW(parse_pipeline_fault("warp:1"), precondition_error);
   EXPECT_THROW(parse_pipeline_fault(":2"), precondition_error);
+  // 2^32 + 1 must not wrap to iteration 1.
+  EXPECT_THROW(parse_pipeline_fault("taskgraph:4294967297"),
+               precondition_error);
+  EXPECT_THROW(parse_pipeline_fault("taskgraph:1x"), precondition_error);
 
   ASSERT_EQ(setenv("TAMP_PIPELINE_FAULT", "solve:2", 1), 0);
   const PipelineFault env = pipeline_fault_from_env();
@@ -413,25 +416,6 @@ TEST(PipelineAsync, ZeroDriftReusesDecompositionVerbatim) {
     EXPECT_EQ(it.migrated_cells, 0) << "iteration " << i;
     EXPECT_TRUE(it.graph_patched) << "iteration " << i;  // noop patch
   }
-}
-
-TEST(PipelineAsync, SharedCacheServesRepeatPipelinesBitwiseIdentically) {
-  partition::DecompositionCache cache;
-  IterationPipelineConfig cfg = base_config(PipelineMode::sync, 2);
-  cfg.drift = 0.02;
-  cfg.cache = &cache;
-  const SealedRun first = run_euler_sealed(cfg);
-  EXPECT_EQ(cache.stats().misses, 1u);  // snapshot 0's decomposition
-
-  const SealedRun second = run_euler_sealed(cfg);
-  EXPECT_GE(cache.stats().hits, 1u);  // same mesh content → warm start
-
-  cfg.cache = nullptr;
-  const SealedRun cold = run_euler_sealed(cfg);
-  EXPECT_EQ(first.fingerprints, second.fingerprints);
-  EXPECT_EQ(first.fingerprints, cold.fingerprints);
-  EXPECT_EQ(first.run.state_hash, second.run.state_hash);
-  EXPECT_EQ(first.run.state_hash, cold.run.state_hash);
 }
 
 }  // namespace

@@ -225,50 +225,6 @@ TEST(ThreadPool, BackgroundDoesNotStarveForkJoinWork) {
   EXPECT_EQ(total, 99 * 100 / 2);
 }
 
-TEST(ScratchArena, AllocationsAreAlignedAndDisjoint) {
-  ScratchArena arena;
-  double* d = arena.alloc<double>(100);
-  std::int32_t* i = arena.alloc<std::int32_t>(50);
-  ASSERT_NE(d, nullptr);
-  ASSERT_NE(i, nullptr);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(d) % alignof(double), 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(i) % alignof(std::int32_t), 0u);
-  // Scribble: ranges must not overlap.
-  for (int k = 0; k < 100; ++k) d[k] = 1.5;
-  for (int k = 0; k < 50; ++k) i[k] = -7;
-  for (int k = 0; k < 100; ++k) EXPECT_EQ(d[k], 1.5);
-}
-
-TEST(ScratchArena, ResetReusesMemoryWithoutGrowth) {
-  ScratchArena arena;
-  void* first = arena.raw(1000, 8);
-  const std::size_t reserved = arena.bytes_reserved();
-  EXPECT_GT(reserved, 0u);
-  for (int round = 0; round < 100; ++round) {
-    arena.reset();
-    void* p = arena.raw(1000, 8);
-    EXPECT_EQ(p, first);  // same block, rewound
-  }
-  EXPECT_EQ(arena.bytes_reserved(), reserved);
-}
-
-TEST(ScratchArena, GrowthKeepsExistingBlocksStable) {
-  ScratchArena arena;
-  std::uint64_t* small = arena.alloc<std::uint64_t>(8);
-  small[0] = 0xDEADBEEFULL;
-  // Force a new block well past the 64 KiB floor.
-  std::uint64_t* big = arena.alloc<std::uint64_t>(1 << 16);
-  big[0] = 1;
-  EXPECT_EQ(small[0], 0xDEADBEEFULL);  // old block untouched by growth
-  EXPECT_GE(arena.bytes_reserved(), (1u << 16) * sizeof(std::uint64_t));
-}
-
-TEST(ScratchArena, ThreadScratchArenaIsStablePerThread) {
-  ScratchArena& a = thread_scratch_arena();
-  ScratchArena& b = thread_scratch_arena();
-  EXPECT_EQ(&a, &b);
-}
-
 TEST(ThreadPoolStats, FreshPoolReportsNoWork) {
   // Workers may already have done an empty initial scan (steal attempts
   // are schedule-dependent), but no task can have been submitted or run.

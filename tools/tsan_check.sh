@@ -20,13 +20,13 @@ BUILD="${ROOT}/build-tsan"
 
 cmake -S "${ROOT}" -B "${BUILD}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DTAMP_TSAN=ON \
+  -DTAMP_SANITIZE=thread \
   -DTAMP_ENABLE_TRACING=ON \
   "$@"
 cmake --build "${BUILD}" -j "$(nproc)" --target \
   test_obs test_runtime test_flight test_thread_pool test_partition \
   test_partition_properties test_reorder test_verify test_verify_solver \
-  test_simd test_pipeline_async test_cache flusim tamp_report
+  test_simd test_pipeline_async flusim tamp_report
 
 # Run the binaries directly (deterministic, no ctest discovery pass);
 # TSan failures make the test runner exit non-zero.
@@ -49,12 +49,6 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 # planning-mesh/live-mesh split across the full mode x thread matrix
 # (fault-injection drains included).
 "${BUILD}/tests/test_pipeline_async"
-
-# The shared decomposition cache: the concurrent hammer mixes hits,
-# misses, single-flight joins, evictions and clears from several
-# threads; TSan watches the mutex/condvar single-flight protocol and
-# the shared_ptr value handoff across eviction.
-"${BUILD}/tests/test_cache"
 
 # The DAG-level race check itself, with the per-worker access buffers
 # exercised by real threads + jitter: TSan watches the recorder while the
