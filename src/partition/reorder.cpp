@@ -7,7 +7,7 @@
 
 #include "partition/sfc.hpp"
 #include "support/check.hpp"
-#include "taskgraph/taskgraph.hpp"
+#include "taskgraph/class_indexer.hpp"
 
 namespace tamp::partition {
 
@@ -27,16 +27,6 @@ Reorder parse_reorder(const std::string& name) {
 }
 
 namespace {
-
-/// Dense class id with the same formula and ordering as the task
-/// generator's ClassIndexer: (domain, level τ, locality), external
-/// before internal. Keeping the formulas in lockstep is what makes
-/// every class list contiguous after renumbering.
-index_t class_id(part_t d, level_t tau, taskgraph::Locality loc,
-                 level_t nlev) {
-  return (d * static_cast<index_t>(nlev) + static_cast<index_t>(tau)) * 2 +
-         static_cast<index_t>(loc);
-}
 
 /// Hilbert index of every cell centroid, normalised to the mesh bounds.
 std::vector<std::uint64_t> cell_hilbert_indices(const mesh::Mesh& mesh) {
@@ -75,22 +65,18 @@ mesh::MeshPermutation build_locality_permutation(
   TAMP_EXPECTS(ndomains >= 1, "need at least one domain");
   for (const part_t d : domain_of_cell)
     TAMP_EXPECTS(d >= 0 && d < ndomains, "domain id out of range");
-  const auto nlev = static_cast<level_t>(mesh.max_level() + 1);
-
-  // Cell locality, by the task generator's rule: external when any
-  // interior face leads to another domain.
-  std::vector<taskgraph::Locality> cell_loc(static_cast<std::size_t>(ncells),
-                                            taskgraph::Locality::internal);
-  for (index_t f = 0; f < nfaces; ++f) {
-    if (mesh.is_boundary_face(f)) continue;
-    const index_t a = mesh.face_cell(f, 0);
-    const index_t b = mesh.face_cell(f, 1);
-    if (domain_of_cell[static_cast<std::size_t>(a)] !=
-        domain_of_cell[static_cast<std::size_t>(b)]) {
-      cell_loc[static_cast<std::size_t>(a)] = taskgraph::Locality::external;
-      cell_loc[static_cast<std::size_t>(b)] = taskgraph::Locality::external;
-    }
-  }
+  // Sorting by the task generator's own classes is what makes every
+  // class list of the renumbered mesh one consecutive id run.
+  const taskgraph::Classifier cf{
+      mesh, domain_of_cell,
+      taskgraph::ClassIndexer{ndomains,
+                              static_cast<level_t>(mesh.max_level() + 1)}};
+  std::vector<index_t> cell_class(static_cast<std::size_t>(ncells));
+  for (index_t c = 0; c < ncells; ++c)
+    cell_class[static_cast<std::size_t>(c)] = cf.cell_class(c);
+  std::vector<index_t> face_class(static_cast<std::size_t>(nfaces));
+  for (index_t f = 0; f < nfaces; ++f)
+    face_class[static_cast<std::size_t>(f)] = cf.face_class(f);
 
   const std::vector<std::uint64_t> hilbert = cell_hilbert_indices(mesh);
 
@@ -100,40 +86,27 @@ mesh::MeshPermutation build_locality_permutation(
   std::iota(perm.cell_new_to_old.begin(), perm.cell_new_to_old.end(), 0);
   auto cell_key = [&](index_t c) {
     const auto sc = static_cast<std::size_t>(c);
-    return std::make_tuple(
-        class_id(domain_of_cell[sc], mesh.cell_level(c), cell_loc[sc], nlev),
-        hilbert[sc], c);
+    return std::make_tuple(cell_class[sc], hilbert[sc], c);
   };
   std::sort(perm.cell_new_to_old.begin(), perm.cell_new_to_old.end(),
             [&](index_t a, index_t b) { return cell_key(a) < cell_key(b); });
   perm.cell_old_to_new = mesh::invert_permutation(perm.cell_new_to_old);
 
   // --- faces: class-major, interior before boundary, stream-ordered ------
-  // Face class mirrors the generator: owner = lower adjacent domain
-  // (the cell's own domain at a physical boundary), level = face level,
-  // external when the adjacent cells' domains differ. Interior faces of
-  // a class come first so the boundary branch hoists into a tail
-  // sub-range; within each sub-range faces follow the renumbered id of
-  // their side-0 cell, which makes the flux sweep's cell reads advance
-  // monotonically through the adjacent cell ranges.
+  // Interior faces of a class come first so the boundary branch hoists
+  // into a tail sub-range; within each sub-range faces follow the
+  // renumbered id of their side-0 cell, which makes the flux sweep's cell
+  // reads advance monotonically through the adjacent cell ranges.
   perm.face_new_to_old.resize(static_cast<std::size_t>(nfaces));
   std::iota(perm.face_new_to_old.begin(), perm.face_new_to_old.end(), 0);
   auto face_key = [&](index_t f) {
-    const index_t a = mesh.face_cell(f, 0);
-    const part_t da = domain_of_cell[static_cast<std::size_t>(a)];
     const bool boundary = mesh.is_boundary_face(f);
-    part_t owner = da;
-    auto loc = taskgraph::Locality::internal;
-    index_t stream = perm.cell_old_to_new[static_cast<std::size_t>(a)];
-    if (!boundary) {
-      const index_t b = mesh.face_cell(f, 1);
-      const part_t db = domain_of_cell[static_cast<std::size_t>(b)];
-      owner = std::min(da, db);
-      if (da != db) loc = taskgraph::Locality::external;
-      stream = std::min(
-          stream, perm.cell_old_to_new[static_cast<std::size_t>(b)]);
-    }
-    return std::make_tuple(class_id(owner, mesh.face_level(f), loc, nlev),
+    index_t stream =
+        perm.cell_old_to_new[static_cast<std::size_t>(mesh.face_cell(f, 0))];
+    if (!boundary)
+      stream = std::min(stream, perm.cell_old_to_new[static_cast<std::size_t>(
+                                    mesh.face_cell(f, 1))]);
+    return std::make_tuple(face_class[static_cast<std::size_t>(f)],
                            boundary ? 1 : 0, stream, f);
   };
   std::sort(perm.face_new_to_old.begin(), perm.face_new_to_old.end(),

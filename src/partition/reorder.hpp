@@ -19,9 +19,10 @@
 //   * the branchy boundary-vs-interior test hoists out of the flux loop,
 //     because boundary faces occupy their own sub-range.
 //
-// The class key formula matches taskgraph::generate_task_graph exactly —
-// this is asserted by the property tests, which require every class list
-// on a renumbered mesh to be contiguous.
+// Cells and faces are classified through taskgraph's header-only
+// Classifier (taskgraph/class_indexer.hpp), the rules the generator
+// itself runs; the property tests require every class list on a
+// renumbered mesh to be contiguous.
 #pragma once
 
 #include <string>

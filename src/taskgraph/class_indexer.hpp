@@ -1,22 +1,44 @@
-// Dense object-class indexing shared by the task-graph generator and
-// the incremental patcher (taskgraph/patch.*). An object class is the
-// (domain, temporal level τ, locality) triple of Algorithm 1; both the
-// from-scratch build and the diff-based patch must agree on its dense
-// id, so the formula lives here exactly once.
+// Algorithm 1 (paper §II-B) in one place. The task graph is a pure
+// function of how cells and faces fall into object classes — the
+// (domain, temporal level τ, locality) triples — so every consumer of
+// that classification runs the code below instead of a copy:
+//
+//   * ClassIndexer and Classifier, the dense class id and the §II-B
+//     classification rules, are header-only: partition/reorder.cpp sorts
+//     by the very classes the generator emits without linking taskgraph;
+//   * the from-scratch build (build_task_graph), the distinct
+//     (face class, cell class) pair set and its adjacency CSR, the class
+//     range detector and the emission loop (emit_task_graph), defined in
+//     generate.cpp, are what generate_task_graph runs and what
+//     GraphPatcher (taskgraph/patch.*) builds with and re-emits through.
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <unordered_map>
+#include <vector>
 
 #include "mesh/mesh.hpp"
+#include "support/check.hpp"
 #include "support/types.hpp"
+#include "taskgraph/generate.hpp"
 #include "taskgraph/taskgraph.hpp"
 
 namespace tamp::taskgraph {
 
-/// Dense id of an object class: (domain, level, locality).
+/// Dense id of an object class: (domain, level, locality), external
+/// before internal. Rejects a class space that does not fit index_t.
 struct ClassIndexer {
   part_t ndomains;
   level_t nlev;
+
+  ClassIndexer(part_t domains, level_t levels)
+      : ndomains(domains), nlev(levels) {
+    const std::int64_t n = std::int64_t{domains} * levels * 2;
+    TAMP_EXPECTS(n >= 1 && n <= std::numeric_limits<index_t>::max(),
+                 "object class space (domains × levels × 2) exceeds index_t");
+  }
 
   [[nodiscard]] index_t count() const {
     return ndomains * static_cast<index_t>(nlev) * 2;
@@ -27,12 +49,11 @@ struct ClassIndexer {
   }
 };
 
-/// Classification formulas of §II-B, shared verbatim between
-/// generate_task_graph and GraphPatcher. A cell is external when any of
-/// its faces leads to another domain; a face is owned by the
-/// lower-indexed adjacent domain and external when its two adjacent
-/// cells live in different domains; boundary faces are internal and
-/// owned by their single cell's domain.
+/// Classification rules of §II-B. A cell is external when any of its
+/// faces leads to another domain; a face is owned by the lower-indexed
+/// adjacent domain and external when its two adjacent cells live in
+/// different domains; boundary faces are internal and owned by their
+/// single cell's domain. Domain ids are the caller's to range-check.
 struct Classifier {
   const mesh::Mesh& mesh;
   const std::vector<part_t>& domain_of_cell;
@@ -72,5 +93,56 @@ struct Classifier {
     return cls.id(face_owner(f), mesh.face_level(f), face_locality(f));
   }
 };
+
+// --- Algorithm 1 over class aggregates (generate.cpp) ------------------------
+
+/// Key of a (face class, cell class) adjacency pair.
+[[nodiscard]] constexpr std::uint64_t pack_pair(index_t face_cls,
+                                                index_t cell_cls) {
+  return static_cast<std::uint64_t>(face_cls) << 32 |
+         static_cast<std::uint32_t>(cell_cls);
+}
+
+/// Face class → adjacent cell classes and the transpose, each list in
+/// ascending class order.
+struct ClassAdjacency {
+  std::vector<eindex_t> f2c_xadj, c2f_xadj;
+  std::vector<index_t> f2c, c2f;
+};
+
+/// Algorithm 1's input: per-object classes, per-class populations, and
+/// the distinct (face class, cell class) pairs — one per side of every
+/// face, counted so a patch can retract them — with their adjacency CSR.
+struct ClassAggregates {
+  std::vector<index_t> cell_class, face_class;
+  std::vector<index_t> cell_count, face_count;
+  std::unordered_map<std::uint64_t, index_t> pair_count;
+  ClassAdjacency adjacency;
+};
+
+/// Adjacency CSR of the distinct pairs (the keys of `pair_count`).
+[[nodiscard]] ClassAdjacency class_adjacency(
+    const std::unordered_map<std::uint64_t, index_t>& pair_count,
+    index_t nclasses);
+
+/// Set class k's cell and face ranges from its (ascending) object lists:
+/// valid when the list is one consecutive id run, faces additionally
+/// with every interior face before every boundary face.
+void detect_class_ranges(const mesh::Mesh& mesh, ClassMap& map, index_t k);
+
+/// Algorithm 1's emission loop over the aggregates. When `task_class` is
+/// non-null it receives each task's class id.
+[[nodiscard]] TaskGraph emit_task_graph(const ClassIndexer& cls,
+                                        const ClassAggregates& agg,
+                                        const GenerateOptions& opts,
+                                        std::vector<index_t>* task_class);
+
+/// The from-scratch build: range-check the domain ids, classify every
+/// object into `agg`, fill `class_map` (lists and ranges) when non-null,
+/// and emit.
+[[nodiscard]] TaskGraph build_task_graph(const Classifier& cf,
+                                         const GenerateOptions& opts,
+                                         ClassAggregates& agg,
+                                         ClassMap* class_map);
 
 }  // namespace tamp::taskgraph

@@ -9,174 +9,84 @@
 
 namespace tamp::taskgraph {
 
-TaskGraph generate_task_graph(const mesh::Mesh& mesh,
-                              const std::vector<part_t>& domain_of_cell,
-                              part_t ndomains, const GenerateOptions& opts,
-                              ClassMap* class_map) {
-  const index_t ncells = mesh.num_cells();
-  const index_t nfaces = mesh.num_faces();
-  TAMP_EXPECTS(domain_of_cell.size() == static_cast<std::size_t>(ncells),
-               "domain vector size must equal cell count");
-  TAMP_EXPECTS(ndomains >= 1, "need at least one domain");
-  TAMP_EXPECTS(opts.num_iterations >= 1, "need at least one iteration");
-
-  TAMP_TRACE_SCOPE("taskgraph/generate");
-
-  const auto nlev = static_cast<level_t>(mesh.max_level() + 1);
-  const TemporalScheme scheme(nlev);
-  const ClassIndexer cls{ndomains, nlev};
-
-  // --- classify cells -------------------------------------------------------
-  // A cell is external when one of its faces leads to another domain.
-  std::vector<Locality> cell_loc(static_cast<std::size_t>(ncells),
-                                 Locality::internal);
-  for (index_t f = 0; f < nfaces; ++f) {
-    if (mesh.is_boundary_face(f)) continue;
-    const index_t a = mesh.face_cell(f, 0);
-    const index_t b = mesh.face_cell(f, 1);
-    if (domain_of_cell[static_cast<std::size_t>(a)] !=
-        domain_of_cell[static_cast<std::size_t>(b)]) {
-      cell_loc[static_cast<std::size_t>(a)] = Locality::external;
-      cell_loc[static_cast<std::size_t>(b)] = Locality::external;
-    }
-  }
-  auto cell_class = [&](index_t c) {
-    return cls.id(domain_of_cell[static_cast<std::size_t>(c)],
-                  mesh.cell_level(c), cell_loc[static_cast<std::size_t>(c)]);
-  };
-
-  // --- classify faces --------------------------------------------------------
-  // Owner: the lower-indexed adjacent domain (deterministic); external
-  // when the two adjacent cells live in different domains.
-  auto face_owner = [&](index_t f) {
-    const part_t da =
-        domain_of_cell[static_cast<std::size_t>(mesh.face_cell(f, 0))];
-    if (mesh.is_boundary_face(f)) return da;
-    const part_t db =
-        domain_of_cell[static_cast<std::size_t>(mesh.face_cell(f, 1))];
-    return std::min(da, db);
-  };
-  auto face_locality = [&](index_t f) {
-    if (mesh.is_boundary_face(f)) return Locality::internal;
-    const part_t da =
-        domain_of_cell[static_cast<std::size_t>(mesh.face_cell(f, 0))];
-    const part_t db =
-        domain_of_cell[static_cast<std::size_t>(mesh.face_cell(f, 1))];
-    return da == db ? Locality::internal : Locality::external;
-  };
-  auto face_class = [&](index_t f) {
-    return cls.id(face_owner(f), mesh.face_level(f), face_locality(f));
-  };
-
-  // --- per-class populations -------------------------------------------------
-  std::vector<index_t> cell_count(static_cast<std::size_t>(cls.count()), 0);
-  std::vector<index_t> face_count(static_cast<std::size_t>(cls.count()), 0);
-  for (index_t c = 0; c < ncells; ++c)
-    ++cell_count[static_cast<std::size_t>(cell_class(c))];
-  for (index_t f = 0; f < nfaces; ++f)
-    ++face_count[static_cast<std::size_t>(face_class(f))];
-
-  if (class_map != nullptr) {
-    class_map->class_faces.assign(static_cast<std::size_t>(cls.count()), {});
-    class_map->class_cells.assign(static_cast<std::size_t>(cls.count()), {});
-    for (index_t c = 0; c < ncells; ++c)
-      class_map->class_cells[static_cast<std::size_t>(cell_class(c))]
-          .push_back(c);
-    for (index_t f = 0; f < nfaces; ++f)
-      class_map->class_faces[static_cast<std::size_t>(face_class(f))]
-          .push_back(f);
-    class_map->task_class.clear();
-
-    // Contiguity detection: on a locality-renumbered mesh every class
-    // list is a consecutive id run (faces additionally with all interior
-    // faces before all boundary faces), and the solvers switch to
-    // streaming range kernels. Lists are built in ascending id order, so
-    // one span check per class suffices.
-    class_map->cell_range.assign(static_cast<std::size_t>(cls.count()), {});
-    class_map->face_range.assign(static_cast<std::size_t>(cls.count()), {});
-    for (std::size_t k = 0; k < static_cast<std::size_t>(cls.count()); ++k) {
-      const auto& cells = class_map->class_cells[k];
-      if (!cells.empty() &&
-          cells.back() - cells.front() + 1 ==
-              static_cast<index_t>(cells.size()))
-        class_map->cell_range[k] = {cells.front(),
-                                    cells.back() + 1};
-      const auto& faces = class_map->class_faces[k];
-      if (faces.empty() || faces.back() - faces.front() + 1 !=
-                               static_cast<index_t>(faces.size()))
-        continue;
-      std::size_t ninterior = 0;
-      while (ninterior < faces.size() &&
-             !mesh.is_boundary_face(faces[ninterior]))
-        ++ninterior;
-      bool partitioned = true;
-      for (std::size_t i = ninterior; i < faces.size(); ++i)
-        partitioned &= mesh.is_boundary_face(faces[i]);
-      if (partitioned)
-        class_map->face_range[k] = {
-            faces.front(), faces.front() + static_cast<index_t>(ninterior),
-            faces.back() + 1};
-    }
-  }
-
-  // --- class adjacency (face class ↔ cell class) ------------------------------
+ClassAdjacency class_adjacency(
+    const std::unordered_map<std::uint64_t, index_t>& pair_count,
+    index_t nclasses) {
   std::vector<std::uint64_t> pairs;
-  pairs.reserve(2 * static_cast<std::size_t>(nfaces));
-  for (index_t f = 0; f < nfaces; ++f) {
-    const auto fc = static_cast<std::uint64_t>(face_class(f));
-    pairs.push_back(fc << 32 |
-                    static_cast<std::uint32_t>(cell_class(mesh.face_cell(f, 0))));
-    if (!mesh.is_boundary_face(f))
-      pairs.push_back(
-          fc << 32 |
-          static_cast<std::uint32_t>(cell_class(mesh.face_cell(f, 1))));
-  }
+  pairs.reserve(pair_count.size());
+  for (const auto& entry : pair_count) pairs.push_back(entry.first);
   std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
 
-  // CSR: face class → adjacent cell classes, and the transpose.
-  std::vector<eindex_t> f2c_xadj(static_cast<std::size_t>(cls.count()) + 1, 0);
-  std::vector<index_t> f2c;
-  f2c.reserve(pairs.size());
-  for (const std::uint64_t p : pairs)
-    ++f2c_xadj[static_cast<std::size_t>(p >> 32) + 1];
-  for (std::size_t i = 0; i < static_cast<std::size_t>(cls.count()); ++i)
-    f2c_xadj[i + 1] += f2c_xadj[i];
-  f2c.resize(pairs.size());
-  {
-    std::vector<eindex_t> cursor(f2c_xadj.begin(), f2c_xadj.end() - 1);
+  // Counting sort of the (face, cell)-ordered pairs by one endpoint keeps
+  // every list ascending in the other.
+  const auto face_of = [](std::uint64_t p) {
+    return static_cast<index_t>(p >> 32);
+  };
+  const auto cell_of = [](std::uint64_t p) {
+    return static_cast<index_t>(p & 0xffffffffULL);
+  };
+  auto csr = [&](std::vector<eindex_t>& xadj, std::vector<index_t>& adjncy,
+                 auto key, auto value) {
+    xadj.assign(static_cast<std::size_t>(nclasses) + 1, 0);
     for (const std::uint64_t p : pairs)
-      f2c[static_cast<std::size_t>(cursor[static_cast<std::size_t>(p >> 32)]++)] =
-          static_cast<index_t>(p & 0xffffffffULL);
-  }
-  std::vector<eindex_t> c2f_xadj(static_cast<std::size_t>(cls.count()) + 1, 0);
-  std::vector<index_t> c2f(pairs.size());
-  for (const std::uint64_t p : pairs)
-    ++c2f_xadj[static_cast<std::size_t>(p & 0xffffffffULL) + 1];
-  for (std::size_t i = 0; i < static_cast<std::size_t>(cls.count()); ++i)
-    c2f_xadj[i + 1] += c2f_xadj[i];
-  {
-    std::vector<eindex_t> cursor(c2f_xadj.begin(), c2f_xadj.end() - 1);
+      ++xadj[static_cast<std::size_t>(key(p)) + 1];
+    for (std::size_t i = 0; i < static_cast<std::size_t>(nclasses); ++i)
+      xadj[i + 1] += xadj[i];
+    adjncy.resize(pairs.size());
+    std::vector<eindex_t> cursor(xadj.begin(), xadj.end() - 1);
     for (const std::uint64_t p : pairs)
-      c2f[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(p & 0xffffffffULL)]++)] =
-          static_cast<index_t>(p >> 32);
-  }
+      adjncy[static_cast<std::size_t>(
+          cursor[static_cast<std::size_t>(key(p))]++)] = value(p);
+  };
+  ClassAdjacency adj;
+  csr(adj.f2c_xadj, adj.f2c, face_of, cell_of);
+  csr(adj.c2f_xadj, adj.c2f, cell_of, face_of);
+  return adj;
+}
 
-  // --- Algorithm 1 ------------------------------------------------------------
+void detect_class_ranges(const mesh::Mesh& mesh, ClassMap& map, index_t k) {
+  const auto sk = static_cast<std::size_t>(k);
+  map.cell_range[sk] = {};
+  map.face_range[sk] = {};
+  const auto& cells = map.class_cells[sk];
+  if (!cells.empty() &&
+      cells.back() - cells.front() + 1 == static_cast<index_t>(cells.size()))
+    map.cell_range[sk] = {cells.front(), cells.back() + 1};
+  const auto& faces = map.class_faces[sk];
+  if (faces.empty() || faces.back() - faces.front() + 1 !=
+                           static_cast<index_t>(faces.size()))
+    return;
+  std::size_t ninterior = 0;
+  while (ninterior < faces.size() && !mesh.is_boundary_face(faces[ninterior]))
+    ++ninterior;
+  bool partitioned = true;
+  for (std::size_t i = ninterior; i < faces.size(); ++i)
+    partitioned &= mesh.is_boundary_face(faces[i]);
+  if (partitioned)
+    map.face_range[sk] = {faces.front(),
+                          faces.front() + static_cast<index_t>(ninterior),
+                          faces.back() + 1};
+}
+
+TaskGraph emit_task_graph(const ClassIndexer& cls, const ClassAggregates& agg,
+                          const GenerateOptions& opts,
+                          std::vector<index_t>* task_class) {
+  const TemporalScheme scheme(cls.nlev);
+  const ClassAdjacency& adj = agg.adjacency;
   std::vector<Task> tasks;
   std::vector<std::vector<index_t>> deps;
   std::vector<index_t> last_cell_writer(static_cast<std::size_t>(cls.count()),
                                         invalid_index);
   std::vector<index_t> last_face_writer(static_cast<std::size_t>(cls.count()),
                                         invalid_index);
+  if (task_class != nullptr) task_class->clear();
 
   auto emit = [&](index_t s, level_t tau, ObjectType type, part_t d,
                   Locality loc) {
     const index_t cid = cls.id(d, tau, loc);
-    const index_t count = type == ObjectType::face
-                              ? face_count[static_cast<std::size_t>(cid)]
-                              : cell_count[static_cast<std::size_t>(cid)];
+    const auto k = static_cast<std::size_t>(cid);
+    const bool face = type == ObjectType::face;
+    const index_t count = face ? agg.face_count[k] : agg.cell_count[k];
     if (count == 0) return;  // Algorithm 1 line 6: skip empty classes
 
     Task task;
@@ -187,35 +97,28 @@ TaskGraph generate_task_graph(const mesh::Mesh& mesh,
     task.domain = d;
     task.num_objects = count;
     task.cost = static_cast<simtime_t>(count) *
-                (type == ObjectType::face ? opts.cost.face_unit
-                                          : opts.cost.cell_unit);
+                (face ? opts.cost.face_unit : opts.cost.cell_unit);
     const auto tid = static_cast<index_t>(tasks.size());
 
+    // Previous values: the last writer of the task's own class.
+    // Neighbour values: the last writers of the adjacent classes of the
+    // other object type.
+    auto& own_writer = face ? last_face_writer : last_cell_writer;
+    const auto& other_writer = face ? last_cell_writer : last_face_writer;
+    const auto& xadj = face ? adj.f2c_xadj : adj.c2f_xadj;
+    const auto& adjncy = face ? adj.f2c : adj.c2f;
     std::vector<index_t> dep;
-    if (type == ObjectType::face) {
-      if (last_face_writer[static_cast<std::size_t>(cid)] != invalid_index)
-        dep.push_back(last_face_writer[static_cast<std::size_t>(cid)]);
-      for (eindex_t i = f2c_xadj[static_cast<std::size_t>(cid)];
-           i < f2c_xadj[static_cast<std::size_t>(cid) + 1]; ++i) {
-        const index_t cc = f2c[static_cast<std::size_t>(i)];
-        if (last_cell_writer[static_cast<std::size_t>(cc)] != invalid_index)
-          dep.push_back(last_cell_writer[static_cast<std::size_t>(cc)]);
-      }
-      last_face_writer[static_cast<std::size_t>(cid)] = tid;
-    } else {
-      if (last_cell_writer[static_cast<std::size_t>(cid)] != invalid_index)
-        dep.push_back(last_cell_writer[static_cast<std::size_t>(cid)]);
-      for (eindex_t i = c2f_xadj[static_cast<std::size_t>(cid)];
-           i < c2f_xadj[static_cast<std::size_t>(cid) + 1]; ++i) {
-        const index_t fc = c2f[static_cast<std::size_t>(i)];
-        if (last_face_writer[static_cast<std::size_t>(fc)] != invalid_index)
-          dep.push_back(last_face_writer[static_cast<std::size_t>(fc)]);
-      }
-      last_cell_writer[static_cast<std::size_t>(cid)] = tid;
+    if (own_writer[k] != invalid_index) dep.push_back(own_writer[k]);
+    for (eindex_t i = xadj[k]; i < xadj[k + 1]; ++i) {
+      const auto other = static_cast<std::size_t>(
+          adjncy[static_cast<std::size_t>(i)]);
+      if (other_writer[other] != invalid_index)
+        dep.push_back(other_writer[other]);
     }
+    own_writer[k] = tid;
     tasks.push_back(task);
     deps.push_back(std::move(dep));
-    if (class_map != nullptr) class_map->task_class.push_back(cid);
+    if (task_class != nullptr) task_class->push_back(cid);
   };
 
   for (int iter = 0; iter < opts.num_iterations; ++iter) {
@@ -223,7 +126,7 @@ TaskGraph generate_task_graph(const mesh::Mesh& mesh,
       const level_t top = scheme.top_level(s);
       for (level_t tau = top;; --tau) {  // descending phases
         for (const ObjectType type : {ObjectType::face, ObjectType::cell}) {
-          for (part_t d = 0; d < ndomains; ++d) {
+          for (part_t d = 0; d < cls.ndomains; ++d) {
             emit(s, tau, type, d, Locality::external);
             emit(s, tau, type, d, Locality::internal);
           }
@@ -232,10 +135,84 @@ TaskGraph generate_task_graph(const mesh::Mesh& mesh,
       }
     }
   }
-  TaskGraph graph(std::move(tasks), deps);
+  return TaskGraph(std::move(tasks), deps);
+}
+
+TaskGraph build_task_graph(const Classifier& cf, const GenerateOptions& opts,
+                           ClassAggregates& agg, ClassMap* class_map) {
+  TAMP_TRACE_SCOPE("taskgraph/generate");
+  const mesh::Mesh& mesh = cf.mesh;
+  const index_t ncells = mesh.num_cells();
+  const index_t nfaces = mesh.num_faces();
+  const auto nclasses = static_cast<std::size_t>(cf.cls.count());
+
+  agg.cell_class.resize(static_cast<std::size_t>(ncells));
+  agg.face_class.resize(static_cast<std::size_t>(nfaces));
+  agg.cell_count.assign(nclasses, 0);
+  agg.face_count.assign(nclasses, 0);
+  agg.pair_count.clear();
+  for (index_t c = 0; c < ncells; ++c) {
+    const part_t d = cf.domain_of_cell[static_cast<std::size_t>(c)];
+    TAMP_EXPECTS(d >= 0 && d < cf.cls.ndomains, "domain id out of range");
+    const index_t k = cf.cell_class(c);
+    agg.cell_class[static_cast<std::size_t>(c)] = k;
+    ++agg.cell_count[static_cast<std::size_t>(k)];
+  }
+  auto side_class = [&](index_t f, int side) {
+    return agg.cell_class[static_cast<std::size_t>(mesh.face_cell(f, side))];
+  };
+  for (index_t f = 0; f < nfaces; ++f) {
+    const index_t k = cf.face_class(f);
+    agg.face_class[static_cast<std::size_t>(f)] = k;
+    ++agg.face_count[static_cast<std::size_t>(k)];
+    ++agg.pair_count[pack_pair(k, side_class(f, 0))];
+    if (!mesh.is_boundary_face(f))
+      ++agg.pair_count[pack_pair(k, side_class(f, 1))];
+  }
+  agg.adjacency = class_adjacency(agg.pair_count, cf.cls.count());
+
+  if (class_map != nullptr) {
+    // Lists in ascending id order, which the range detector relies on.
+    auto fill = [&](std::vector<std::vector<index_t>>& lists,
+                    const std::vector<index_t>& object_class,
+                    const std::vector<index_t>& count) {
+      lists.assign(nclasses, {});
+      for (std::size_t k = 0; k < nclasses; ++k)
+        lists[k].reserve(static_cast<std::size_t>(count[k]));
+      for (std::size_t x = 0; x < object_class.size(); ++x)
+        lists[static_cast<std::size_t>(object_class[x])].push_back(
+            static_cast<index_t>(x));
+    };
+    fill(class_map->class_cells, agg.cell_class, agg.cell_count);
+    fill(class_map->class_faces, agg.face_class, agg.face_count);
+    class_map->cell_range.assign(nclasses, {});
+    class_map->face_range.assign(nclasses, {});
+    for (index_t k = 0; k < cf.cls.count(); ++k)
+      detect_class_ranges(mesh, *class_map, k);
+  }
+
+  TaskGraph graph = emit_task_graph(
+      cf.cls, agg, opts,
+      class_map != nullptr ? &class_map->task_class : nullptr);
   TAMP_METRIC_COUNT("taskgraph.tasks", graph.num_tasks());
   TAMP_METRIC_COUNT("taskgraph.dependencies", graph.num_dependencies());
   return graph;
+}
+
+TaskGraph generate_task_graph(const mesh::Mesh& mesh,
+                              const std::vector<part_t>& domain_of_cell,
+                              part_t ndomains, const GenerateOptions& opts,
+                              ClassMap* class_map) {
+  TAMP_EXPECTS(domain_of_cell.size() ==
+                   static_cast<std::size_t>(mesh.num_cells()),
+               "domain vector size must equal cell count");
+  TAMP_EXPECTS(ndomains >= 1, "need at least one domain");
+  TAMP_EXPECTS(opts.num_iterations >= 1, "need at least one iteration");
+  const Classifier cf{
+      mesh, domain_of_cell,
+      ClassIndexer{ndomains, static_cast<level_t>(mesh.max_level() + 1)}};
+  ClassAggregates agg;
+  return build_task_graph(cf, opts, agg, class_map);
 }
 
 std::vector<simtime_t> work_per_subiteration(const TaskGraph& graph) {

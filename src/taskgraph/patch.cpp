@@ -8,16 +8,10 @@
 #include "support/check.hpp"
 #include "support/hash.hpp"
 #include "taskgraph/class_indexer.hpp"
-#include "taskgraph/scheme.hpp"
 
 namespace tamp::taskgraph {
 
 namespace {
-
-constexpr std::uint64_t pack_pair(index_t face_cls, index_t cell_cls) {
-  return static_cast<std::uint64_t>(face_cls) << 32 |
-         static_cast<std::uint32_t>(cell_cls);
-}
 
 /// Remove one value from a sorted id list (must be present).
 void sorted_erase(std::vector<index_t>& v, index_t x) {
@@ -51,195 +45,18 @@ GraphPatcher::GraphPatcher(const mesh::Mesh& mesh,
 
 void GraphPatcher::rebuild(const mesh::Mesh& mesh, const char* reason) {
   TAMP_TRACE_SCOPE("taskgraph/patch/rebuild");
-  // The graph and ClassMap come from the generator itself, so the
-  // rebuild path is bit-identical to a direct generate_task_graph call
-  // by construction; only the diff aggregates are derived here.
-  graph_ = generate_task_graph(mesh, domains_, ndomains_, opts_.generate,
-                               &classes_);
-  derive_aggregates(mesh);
+  // The generator's own from-scratch build, keeping the aggregates it
+  // classifies into: bit-identical to generate_task_graph by construction.
+  nlev_ = static_cast<level_t>(mesh.max_level() + 1);
+  levels_ = mesh.cell_levels();
+  const Classifier cf{mesh, domains_, ClassIndexer{ndomains_, nlev_}};
+  graph_ = build_task_graph(cf, {}, agg_, &classes_);
+  pair_set_changed_ = false;
+  dirty_classes_.assign(static_cast<std::size_t>(cf.cls.count()), 0);
   stats_.patched = false;
   stats_.rebuild_reason = reason == nullptr ? "initial build" : reason;
   dirty_tasks_.assign(static_cast<std::size_t>(graph_.num_tasks()), 1);
   TAMP_METRIC_COUNT("taskgraph.patch.rebuilds", 1);
-}
-
-void GraphPatcher::derive_aggregates(const mesh::Mesh& mesh) {
-  const index_t ncells = mesh.num_cells();
-  const index_t nfaces = mesh.num_faces();
-  nlev_ = static_cast<level_t>(mesh.max_level() + 1);
-  levels_ = mesh.cell_levels();
-
-  const Classifier cf{mesh, domains_, ClassIndexer{ndomains_, nlev_}};
-  const auto nclasses = static_cast<std::size_t>(cf.cls.count());
-
-  cell_class_.resize(static_cast<std::size_t>(ncells));
-  face_class_.resize(static_cast<std::size_t>(nfaces));
-  cell_count_.assign(nclasses, 0);
-  face_count_.assign(nclasses, 0);
-  for (index_t c = 0; c < ncells; ++c) {
-    const index_t k = cf.cell_class(c);
-    cell_class_[static_cast<std::size_t>(c)] = k;
-    ++cell_count_[static_cast<std::size_t>(k)];
-  }
-  pair_count_.clear();
-  for (index_t f = 0; f < nfaces; ++f) {
-    const index_t k = cf.face_class(f);
-    face_class_[static_cast<std::size_t>(f)] = k;
-    ++face_count_[static_cast<std::size_t>(k)];
-    ++pair_count_[pack_pair(
-        k, cell_class_[static_cast<std::size_t>(mesh.face_cell(f, 0))])];
-    if (!mesh.is_boundary_face(f))
-      ++pair_count_[pack_pair(
-          k, cell_class_[static_cast<std::size_t>(mesh.face_cell(f, 1))])];
-  }
-  pair_set_changed_ = true;
-  refresh_adjacency();
-  dirty_classes_.assign(nclasses, 0);
-}
-
-void GraphPatcher::refresh_adjacency() {
-  if (!pair_set_changed_) return;
-  const ClassIndexer cls{ndomains_, nlev_};
-  const auto nclasses = static_cast<std::size_t>(cls.count());
-
-  // The deduplicated sorted pair list generate_task_graph derives from
-  // its 2·F-element sort, reconstructed from the multiset keys instead.
-  std::vector<std::uint64_t> pairs;
-  pairs.reserve(pair_count_.size());
-  for (const auto& [p, n] : pair_count_)
-    if (n > 0) pairs.push_back(p);
-  std::sort(pairs.begin(), pairs.end());
-
-  f2c_xadj_.assign(nclasses + 1, 0);
-  f2c_.resize(pairs.size());
-  for (const std::uint64_t p : pairs)
-    ++f2c_xadj_[static_cast<std::size_t>(p >> 32) + 1];
-  for (std::size_t i = 0; i < nclasses; ++i) f2c_xadj_[i + 1] += f2c_xadj_[i];
-  {
-    std::vector<eindex_t> cursor(f2c_xadj_.begin(), f2c_xadj_.end() - 1);
-    for (const std::uint64_t p : pairs)
-      f2c_[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(p >> 32)]++)] =
-          static_cast<index_t>(p & 0xffffffffULL);
-  }
-  c2f_xadj_.assign(nclasses + 1, 0);
-  c2f_.resize(pairs.size());
-  for (const std::uint64_t p : pairs)
-    ++c2f_xadj_[static_cast<std::size_t>(p & 0xffffffffULL) + 1];
-  for (std::size_t i = 0; i < nclasses; ++i) c2f_xadj_[i + 1] += c2f_xadj_[i];
-  {
-    std::vector<eindex_t> cursor(c2f_xadj_.begin(), c2f_xadj_.end() - 1);
-    for (const std::uint64_t p : pairs)
-      c2f_[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(p & 0xffffffffULL)]++)] =
-          static_cast<index_t>(p >> 32);
-  }
-  pair_set_changed_ = false;
-}
-
-void GraphPatcher::recompute_ranges(const mesh::Mesh& mesh, index_t k) {
-  // Verbatim mirror of generate_task_graph's contiguity detection.
-  const auto sk = static_cast<std::size_t>(k);
-  classes_.cell_range[sk] = {};
-  classes_.face_range[sk] = {};
-  const auto& cells = classes_.class_cells[sk];
-  if (!cells.empty() &&
-      cells.back() - cells.front() + 1 == static_cast<index_t>(cells.size()))
-    classes_.cell_range[sk] = {cells.front(), cells.back() + 1};
-  const auto& faces = classes_.class_faces[sk];
-  if (faces.empty() || faces.back() - faces.front() + 1 !=
-                           static_cast<index_t>(faces.size()))
-    return;
-  std::size_t ninterior = 0;
-  while (ninterior < faces.size() && !mesh.is_boundary_face(faces[ninterior]))
-    ++ninterior;
-  bool partitioned = true;
-  for (std::size_t i = ninterior; i < faces.size(); ++i)
-    partitioned &= mesh.is_boundary_face(faces[i]);
-  if (partitioned)
-    classes_.face_range[sk] = {faces.front(),
-                               faces.front() +
-                                   static_cast<index_t>(ninterior),
-                               faces.back() + 1};
-}
-
-void GraphPatcher::emit(const mesh::Mesh& mesh) {
-  static_cast<void>(mesh);
-  const ClassIndexer cls{ndomains_, nlev_};
-  const TemporalScheme scheme(nlev_);
-  const auto nclasses = static_cast<std::size_t>(cls.count());
-
-  scratch_tasks_.clear();
-  scratch_deps_.clear();
-  classes_.task_class.clear();
-  last_cell_writer_.assign(nclasses, invalid_index);
-  last_face_writer_.assign(nclasses, invalid_index);
-
-  // Algorithm 1, byte-for-byte the generator's emission loop, replayed
-  // over the incrementally-maintained aggregates.
-  auto emit_one = [&](index_t s, level_t tau, ObjectType type, part_t d,
-                      Locality loc) {
-    const index_t cid = cls.id(d, tau, loc);
-    const index_t count = type == ObjectType::face
-                              ? face_count_[static_cast<std::size_t>(cid)]
-                              : cell_count_[static_cast<std::size_t>(cid)];
-    if (count == 0) return;  // Algorithm 1 line 6: skip empty classes
-
-    Task task;
-    task.subiteration = s;
-    task.level = tau;
-    task.type = type;
-    task.locality = loc;
-    task.domain = d;
-    task.num_objects = count;
-    task.cost = static_cast<simtime_t>(count) *
-                (type == ObjectType::face ? opts_.generate.cost.face_unit
-                                          : opts_.generate.cost.cell_unit);
-    const auto tid = static_cast<index_t>(scratch_tasks_.size());
-
-    std::vector<index_t> dep;
-    if (type == ObjectType::face) {
-      if (last_face_writer_[static_cast<std::size_t>(cid)] != invalid_index)
-        dep.push_back(last_face_writer_[static_cast<std::size_t>(cid)]);
-      for (eindex_t i = f2c_xadj_[static_cast<std::size_t>(cid)];
-           i < f2c_xadj_[static_cast<std::size_t>(cid) + 1]; ++i) {
-        const index_t cc = f2c_[static_cast<std::size_t>(i)];
-        if (last_cell_writer_[static_cast<std::size_t>(cc)] != invalid_index)
-          dep.push_back(last_cell_writer_[static_cast<std::size_t>(cc)]);
-      }
-      last_face_writer_[static_cast<std::size_t>(cid)] = tid;
-    } else {
-      if (last_cell_writer_[static_cast<std::size_t>(cid)] != invalid_index)
-        dep.push_back(last_cell_writer_[static_cast<std::size_t>(cid)]);
-      for (eindex_t i = c2f_xadj_[static_cast<std::size_t>(cid)];
-           i < c2f_xadj_[static_cast<std::size_t>(cid) + 1]; ++i) {
-        const index_t fc = c2f_[static_cast<std::size_t>(i)];
-        if (last_face_writer_[static_cast<std::size_t>(fc)] != invalid_index)
-          dep.push_back(last_face_writer_[static_cast<std::size_t>(fc)]);
-      }
-      last_cell_writer_[static_cast<std::size_t>(cid)] = tid;
-    }
-    scratch_tasks_.push_back(task);
-    scratch_deps_.push_back(std::move(dep));
-    classes_.task_class.push_back(cid);
-  };
-
-  for (int iter = 0; iter < opts_.generate.num_iterations; ++iter) {
-    for (index_t s = 0; s < scheme.num_subiterations(); ++s) {
-      const level_t top = scheme.top_level(s);
-      for (level_t tau = top;; --tau) {  // descending phases
-        for (const ObjectType type : {ObjectType::face, ObjectType::cell}) {
-          for (part_t d = 0; d < ndomains_; ++d) {
-            emit_one(s, tau, type, d, Locality::external);
-            emit_one(s, tau, type, d, Locality::internal);
-          }
-        }
-        if (tau == 0) break;
-      }
-    }
-  }
-  graph_ = TaskGraph(std::move(scratch_tasks_), scratch_deps_);
-  scratch_tasks_.clear();
 }
 
 const PatchStats& GraphPatcher::apply(
@@ -247,11 +64,26 @@ const PatchStats& GraphPatcher::apply(
   TAMP_TRACE_SCOPE("taskgraph/patch/apply");
   const index_t ncells = mesh.num_cells();
   TAMP_EXPECTS(levels_.size() == static_cast<std::size_t>(ncells) &&
-                   face_class_.size() ==
+                   agg_.face_class.size() ==
                        static_cast<std::size_t>(mesh.num_faces()),
                "GraphPatcher bound to a mesh of different topology");
   TAMP_EXPECTS(domain_of_cell.size() == static_cast<std::size_t>(ncells),
                "domain vector size must equal cell count");
+
+  // --- diff against the mirrored inputs -----------------------------------
+  // The one pass over every cell also range-checks the new domain ids,
+  // before any state changes.
+  std::vector<index_t> changed;
+  std::vector<index_t> domain_changed;
+  for (index_t c = 0; c < ncells; ++c) {
+    const auto sc = static_cast<std::size_t>(c);
+    TAMP_EXPECTS(domain_of_cell[sc] >= 0 && domain_of_cell[sc] < ndomains_,
+                 "domain id out of range");
+    const bool lev = levels_[sc] != mesh.cell_level(c);
+    const bool dom = domains_[sc] != domain_of_cell[sc];
+    if (lev || dom) changed.push_back(c);
+    if (dom) domain_changed.push_back(c);
+  }
 
   stats_ = {};
   if (static_cast<level_t>(mesh.max_level() + 1) != nlev_) {
@@ -261,17 +93,6 @@ const PatchStats& GraphPatcher::apply(
     stats_.dirty_fraction = 1.0;
     if (opts_.oracle) run_oracle(mesh);
     return stats_;
-  }
-
-  // --- diff against the mirrored inputs -----------------------------------
-  std::vector<index_t> changed;
-  std::vector<index_t> domain_changed;
-  for (index_t c = 0; c < ncells; ++c) {
-    const auto sc = static_cast<std::size_t>(c);
-    const bool lev = levels_[sc] != mesh.cell_level(c);
-    const bool dom = domains_[sc] != domain_of_cell[sc];
-    if (lev || dom) changed.push_back(c);
-    if (dom) domain_changed.push_back(c);
   }
   stats_.dirty_fraction =
       static_cast<double>(changed.size()) / static_cast<double>(ncells);
@@ -324,25 +145,25 @@ const PatchStats& GraphPatcher::apply(
       }
 
   // --- retract the dirty contributions (old classes) -----------------------
+  auto cell_class_at = [&](index_t f, int side) {
+    return agg_.cell_class[static_cast<std::size_t>(mesh.face_cell(f, side))];
+  };
   auto dec_pair = [&](index_t fc, index_t cc) {
-    const auto it = pair_count_.find(pack_pair(fc, cc));
-    TAMP_ENSURE(it != pair_count_.end() && it->second > 0,
+    const auto it = agg_.pair_count.find(pack_pair(fc, cc));
+    TAMP_ENSURE(it != agg_.pair_count.end() && it->second > 0,
                 "patch bookkeeping lost an adjacency pair");
     if (--it->second == 0) {
-      pair_count_.erase(it);
+      agg_.pair_count.erase(it);
       pair_set_changed_ = true;
     }
   };
   auto inc_pair = [&](index_t fc, index_t cc) {
-    if (++pair_count_[pack_pair(fc, cc)] == 1) pair_set_changed_ = true;
+    if (++agg_.pair_count[pack_pair(fc, cc)] == 1) pair_set_changed_ = true;
   };
   for (const index_t f : dirty_faces) {
-    const index_t fc = face_class_[static_cast<std::size_t>(f)];
-    dec_pair(fc,
-             cell_class_[static_cast<std::size_t>(mesh.face_cell(f, 0))]);
-    if (!mesh.is_boundary_face(f))
-      dec_pair(fc,
-               cell_class_[static_cast<std::size_t>(mesh.face_cell(f, 1))]);
+    const index_t fc = agg_.face_class[static_cast<std::size_t>(f)];
+    dec_pair(fc, cell_class_at(f, 0));
+    if (!mesh.is_boundary_face(f)) dec_pair(fc, cell_class_at(f, 1));
   }
 
   // --- reclassify under the new (levels, domains) --------------------------
@@ -350,61 +171,62 @@ const PatchStats& GraphPatcher::apply(
   levels_ = mesh.cell_levels();
   const Classifier cf{mesh, domains_, ClassIndexer{ndomains_, nlev_}};
   std::fill(dirty_classes_.begin(), dirty_classes_.end(), char{0});
-  auto touch_class = [&](index_t k) {
-    dirty_classes_[static_cast<std::size_t>(k)] = 1;
+  // Move one object between the class lists and populations.
+  auto reclassify = [&](index_t x, index_t new_k, std::vector<index_t>& cls,
+                        std::vector<index_t>& count,
+                        std::vector<std::vector<index_t>>& lists) {
+    const auto sx = static_cast<std::size_t>(x);
+    const index_t old_k = cls[sx];
+    if (new_k == old_k) return;
+    --count[static_cast<std::size_t>(old_k)];
+    ++count[static_cast<std::size_t>(new_k)];
+    sorted_erase(lists[static_cast<std::size_t>(old_k)], x);
+    sorted_insert(lists[static_cast<std::size_t>(new_k)], x);
+    cls[sx] = new_k;
+    dirty_classes_[static_cast<std::size_t>(old_k)] = 1;
+    dirty_classes_[static_cast<std::size_t>(new_k)] = 1;
   };
-  for (const index_t c : dirty_cells) {
-    const index_t old_k = cell_class_[static_cast<std::size_t>(c)];
-    const index_t new_k = cf.cell_class(c);
-    if (new_k == old_k) continue;
-    --cell_count_[static_cast<std::size_t>(old_k)];
-    ++cell_count_[static_cast<std::size_t>(new_k)];
-    sorted_erase(classes_.class_cells[static_cast<std::size_t>(old_k)], c);
-    sorted_insert(classes_.class_cells[static_cast<std::size_t>(new_k)], c);
-    cell_class_[static_cast<std::size_t>(c)] = new_k;
-    touch_class(old_k);
-    touch_class(new_k);
-  }
+  for (const index_t c : dirty_cells)
+    reclassify(c, cf.cell_class(c), agg_.cell_class, agg_.cell_count,
+               classes_.class_cells);
   for (const index_t f : dirty_faces) {
-    const index_t old_k = face_class_[static_cast<std::size_t>(f)];
-    const index_t new_k = cf.face_class(f);
-    if (new_k != old_k) {
-      --face_count_[static_cast<std::size_t>(old_k)];
-      ++face_count_[static_cast<std::size_t>(new_k)];
-      sorted_erase(classes_.class_faces[static_cast<std::size_t>(old_k)], f);
-      sorted_insert(classes_.class_faces[static_cast<std::size_t>(new_k)], f);
-      face_class_[static_cast<std::size_t>(f)] = new_k;
-      touch_class(old_k);
-      touch_class(new_k);
-    }
-    inc_pair(new_k,
-             cell_class_[static_cast<std::size_t>(mesh.face_cell(f, 0))]);
-    if (!mesh.is_boundary_face(f))
-      inc_pair(new_k,
-               cell_class_[static_cast<std::size_t>(mesh.face_cell(f, 1))]);
+    reclassify(f, cf.face_class(f), agg_.face_class, agg_.face_count,
+               classes_.class_faces);
+    const index_t fc = agg_.face_class[static_cast<std::size_t>(f)];
+    inc_pair(fc, cell_class_at(f, 0));
+    if (!mesh.is_boundary_face(f)) inc_pair(fc, cell_class_at(f, 1));
   }
 
-  // --- re-derive the graph from the patched aggregates ---------------------
-  refresh_adjacency();
+  // --- re-emit from the patched aggregates ---------------------------------
+  if (pair_set_changed_) {
+    agg_.adjacency = class_adjacency(agg_.pair_count, cf.cls.count());
+    pair_set_changed_ = false;
+  }
   index_t ndirty_classes = 0;
-  for (std::size_t k = 0; k < dirty_classes_.size(); ++k)
-    if (dirty_classes_[k] != 0) {
+  for (index_t k = 0; k < cf.cls.count(); ++k)
+    if (dirty_classes_[static_cast<std::size_t>(k)] != 0) {
       ++ndirty_classes;
-      recompute_ranges(mesh, static_cast<index_t>(k));
+      detect_class_ranges(mesh, classes_, k);
     }
-  emit(mesh);
+  graph_ = emit_task_graph(cf.cls, agg_, {}, &classes_.task_class);
 
   // Dirty-task mask at class granularity: tasks of a changed class, plus
   // tasks class-adjacent to one (their dependency lists reference its
   // last writer) — the region the race verifier re-certifies.
   std::vector<char> region(dirty_classes_.size(), 0);
+  auto mark_adjacent = [&](const std::vector<eindex_t>& xadj,
+                           const std::vector<index_t>& adjncy,
+                           std::size_t k) {
+    for (eindex_t i = xadj[k]; i < xadj[k + 1]; ++i)
+      region[static_cast<std::size_t>(adjncy[static_cast<std::size_t>(i)])] =
+          1;
+  };
+  const ClassAdjacency& adj = agg_.adjacency;
   for (std::size_t k = 0; k < dirty_classes_.size(); ++k) {
     if (dirty_classes_[k] == 0) continue;
     region[k] = 1;
-    for (eindex_t i = f2c_xadj_[k]; i < f2c_xadj_[k + 1]; ++i)
-      region[static_cast<std::size_t>(f2c_[static_cast<std::size_t>(i)])] = 1;
-    for (eindex_t i = c2f_xadj_[k]; i < c2f_xadj_[k + 1]; ++i)
-      region[static_cast<std::size_t>(c2f_[static_cast<std::size_t>(i)])] = 1;
+    mark_adjacent(adj.f2c_xadj, adj.f2c, k);
+    mark_adjacent(adj.c2f_xadj, adj.c2f, k);
   }
   dirty_tasks_.assign(static_cast<std::size_t>(graph_.num_tasks()), 0);
   for (index_t t = 0; t < graph_.num_tasks(); ++t)
@@ -459,8 +281,8 @@ std::uint64_t GraphPatcher::fingerprint() const {
 void GraphPatcher::run_oracle(const mesh::Mesh& mesh) const {
   TAMP_TRACE_SCOPE("taskgraph/patch/oracle");
   ClassMap rebuilt_map;
-  const TaskGraph rebuilt = generate_task_graph(mesh, domains_, ndomains_,
-                                                opts_.generate, &rebuilt_map);
+  const TaskGraph rebuilt =
+      generate_task_graph(mesh, domains_, ndomains_, {}, &rebuilt_map);
   if (fingerprint(rebuilt, rebuilt_map) != fingerprint(graph_, classes_))
     throw invariant_error(
         "patched task graph diverged from the from-scratch rebuild — "
@@ -468,9 +290,9 @@ void GraphPatcher::run_oracle(const mesh::Mesh& mesh) const {
 }
 
 void GraphPatcher::corrupt_aggregates_for_testing() {
-  for (std::size_t k = 0; k < cell_count_.size(); ++k) {
-    if (cell_count_[k] > 1) {
-      --cell_count_[k];
+  for (index_t& n : agg_.cell_count) {
+    if (n > 1) {
+      --n;
       return;
     }
   }

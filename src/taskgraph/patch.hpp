@@ -3,42 +3,36 @@
 // rebuilding the whole DAG every iteration wastes almost all of its
 // cost).
 //
-// The key structural fact (proved by the property tests and enforced at
-// runtime by the equivalence oracle): Algorithm 1's output is a pure
-// function of three per-class aggregates —
-//
-//   * per-class cell populations,
-//   * per-class face populations,
-//   * the deduplicated (face class, cell class) adjacency pair set —
-//
-// plus the fixed emission order. GraphPatcher maintains those aggregates
-// incrementally from the dirty cell/face set (cells whose level or
-// domain changed, their domain-flip neighbours, and incident faces) and
-// re-emits the task/dependency arrays from them. The O(cells + faces)
-// classification, the 2·F-element pair sort and the per-class object
-// list rebuilds — the dominant costs of generate_task_graph — are all
-// replaced by O(dirty) updates; only the O(tasks + deps) emission loop
-// (a few thousand slots) reruns. The result is bit-identical to a
-// from-scratch rebuild: same task order, same fields, same dependency
-// CSR, same ClassMap lists and ranges.
+// Algorithm 1's output is a pure function of its class aggregates
+// (taskgraph/class_indexer.hpp): per-class cell and face populations and
+// the distinct (face class, cell class) adjacency pairs, plus the fixed
+// emission order. GraphPatcher builds those aggregates with the
+// generator's own from-scratch build, then maintains them incrementally
+// from the dirty cell/face set (cells whose level or domain changed,
+// their domain-flip neighbours, and incident faces) and re-emits through
+// the generator's emission loop. The O(cells + faces) classification and
+// the per-class object list rebuilds are replaced by O(dirty) updates;
+// only the O(tasks + deps) emission (a few thousand slots) reruns. The
+// result is bit-identical to a from-scratch rebuild: same task order,
+// same fields, same dependency CSR, same ClassMap lists and ranges.
 //
 // Safety net layers, outermost first:
 //   1. the pipeline's IterationSnapshot fingerprint (support/hash.hpp)
 //      seals whatever graph was published;
-//   2. the equivalence oracle (Options::oracle or apply-time override)
-//      rebuilds from scratch and throws invariant_error unless the
-//      patched graph + ClassMap are bit-identical;
+//   2. the equivalence oracle (Options::oracle) classifies the whole mesh
+//      from scratch and throws invariant_error unless the patched graph
+//      + ClassMap are bit-identical — it checks the incremental
+//      bookkeeping, which is all the patcher owns;
 //   3. verify::check_races_region re-certifies the dirty region of the
 //      patched graph via induced-subgraph race checking (verifier.hpp).
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "mesh/mesh.hpp"
 #include "support/types.hpp"
+#include "taskgraph/class_indexer.hpp"
 #include "taskgraph/generate.hpp"
 #include "taskgraph/taskgraph.hpp"
 
@@ -57,19 +51,18 @@ struct PatchStats {
 
 /// Incrementally-maintained task graph over one evolving mesh.
 ///
-/// Construction runs generate_task_graph once and snapshots the class
-/// aggregates; each apply() diffs the new (levels, domains) against the
-/// stored ones and patches. The mesh topology (cells, faces, adjacency)
-/// must not change across applies — only temporal levels and the domain
-/// assignment may. Not thread-safe: one patcher belongs to one prep
-/// stream (the pipeline's depth-1 handoff serializes applies).
+/// Construction runs the generator's from-scratch build and keeps its
+/// class aggregates; each apply() diffs the new (levels, domains)
+/// against the stored ones and patches. The mesh topology (cells, faces,
+/// adjacency) must not change across applies — only temporal levels and
+/// the domain assignment may. Not thread-safe: one patcher belongs to one
+/// prep stream (the pipeline's depth-1 handoff serializes applies).
 class GraphPatcher {
 public:
   struct Options {
-    GenerateOptions generate;
     /// Dirty-cell fraction above which apply() falls back to a full
-    /// rebuild (the diff bookkeeping stops paying for itself; the
-    /// issue's "<~5 % of cells" premise).
+    /// rebuild (the diff bookkeeping stops paying for itself; drift is
+    /// expected to touch under ~5 % of cells).
     double max_dirty_fraction = 0.05;
     /// Run the equivalence oracle on every apply(): rebuild from
     /// scratch, compare bit-for-bit, throw invariant_error on mismatch.
@@ -117,10 +110,6 @@ public:
 
 private:
   void rebuild(const mesh::Mesh& mesh, const char* reason);
-  void derive_aggregates(const mesh::Mesh& mesh);
-  void emit(const mesh::Mesh& mesh);
-  void refresh_adjacency();
-  void recompute_ranges(const mesh::Mesh& mesh, index_t cls);
   void run_oracle(const mesh::Mesh& mesh) const;
 
   Options opts_;
@@ -131,32 +120,16 @@ private:
   std::vector<part_t> domains_;
   std::vector<level_t> levels_;
 
-  // Per-object class ids and per-class aggregates.
-  std::vector<index_t> cell_class_;
-  std::vector<index_t> face_class_;
-  std::vector<index_t> cell_count_;
-  std::vector<index_t> face_count_;
-  /// (face class << 32 | cell class) → multiplicity; the deduplicated
-  /// pair set generate_task_graph sorts is exactly the keys with
-  /// multiplicity > 0.
-  std::unordered_map<std::uint64_t, index_t> pair_count_;
-  bool pair_set_changed_ = true;
-
-  // Class adjacency CSRs rebuilt from pair_count_ when the distinct
-  // pair set changes (cheap: O(distinct pairs · log)).
-  std::vector<eindex_t> f2c_xadj_, c2f_xadj_;
-  std::vector<index_t> f2c_, c2f_;
+  /// Per-object classes, per-class populations and the counted
+  /// (face class, cell class) pairs, patched in place by apply().
+  ClassAggregates agg_;
+  bool pair_set_changed_ = false;
 
   TaskGraph graph_;
   ClassMap classes_;
   PatchStats stats_;
   std::vector<char> dirty_classes_;  ///< scratch, per class
   std::vector<char> dirty_tasks_;
-
-  // Emission scratch, reused across applies.
-  std::vector<Task> scratch_tasks_;
-  std::vector<std::vector<index_t>> scratch_deps_;
-  std::vector<index_t> last_cell_writer_, last_face_writer_;
 };
 
 }  // namespace tamp::taskgraph

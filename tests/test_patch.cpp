@@ -2,8 +2,10 @@
 // (taskgraph/patch.hpp): a drift sweep across meshes × strategies × seeds
 // asserting the patched graph, ClassMap ranges and doctor output are
 // bit-identical to a from-scratch rebuild; the zero-drift noop and the
-// rebuild fallbacks; the equivalence oracle and the snapshot fingerprint
-// catching a deliberately staled patch; and dirty-region re-certification
+// rebuild fallbacks; rejected domain ids and class spaces; degenerate
+// configurations (one domain, more domains than cells, one temporal
+// level, an emptied class); the equivalence oracle and the snapshot
+// fingerprint catching a deliberately staled patch; and dirty-region re-certification
 // (verify::check_races_region) on real patched graphs — clean on the
 // genuine article, flagged when a load-bearing edge is severed.
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include "solver/euler.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
+#include "taskgraph/class_indexer.hpp"
 #include "taskgraph/patch.hpp"
 #include "verify/graph_edit.hpp"
 #include "verify/verifier.hpp"
@@ -224,6 +227,154 @@ TEST(Patch, LevelCountChangeFallsBackToFullRebuild) {
   ASSERT_NE(st.rebuild_reason, nullptr);
   EXPECT_EQ(std::string(st.rebuild_reason), "temporal level count changed");
   expect_matches_rebuild(patcher, m, dom, 4, "level count change");
+}
+
+// --- input checks ------------------------------------------------------------
+
+TEST(Patch, RejectsOutOfRangeDomainIds) {
+  mesh::Mesh m = test_mesh(mesh::TestMeshKind::cylinder, 2000, 1);
+  const auto dom = decompose(m, partition::Strategy::sc_oc, 4);
+  for (const part_t bad : {part_t{4}, part_t{-1}}) {
+    auto wrong = dom;
+    wrong[17] = bad;
+    EXPECT_THROW(GraphPatcher(m, wrong, 4), precondition_error) << bad;
+    GraphPatcher patcher(m, dom, 4);
+    const std::uint64_t before = patcher.fingerprint();
+    EXPECT_THROW(patcher.apply(m, wrong), precondition_error) << bad;
+    // Rejected before any state changed: the patcher still patches.
+    EXPECT_EQ(patcher.fingerprint(), before) << bad;
+    EXPECT_TRUE(patcher.apply(m, dom).patched) << bad;
+  }
+}
+
+TEST(Patch, RejectsOverflowingClassSpace) {
+  const mesh::Mesh m = mesh::make_lattice_mesh(4, 1, 1);
+  const std::vector<part_t> dom(4, 0);
+  // 2^30 domains × 1 level × 2 localities does not fit index_t.
+  EXPECT_THROW(GraphPatcher(m, dom, part_t{1} << 30), precondition_error);
+}
+
+// --- degenerate configurations -----------------------------------------------
+
+/// Every cell and face sits in exactly one class list, and every task
+/// aggregates at least one object.
+void expect_well_formed(const GraphPatcher& patcher, const mesh::Mesh& m,
+                        const std::string& context) {
+  const ClassMap& cm = patcher.classes();
+  std::vector<int> cell_seen(static_cast<std::size_t>(m.num_cells()), 0);
+  std::vector<int> face_seen(static_cast<std::size_t>(m.num_faces()), 0);
+  for (const auto& cells : cm.class_cells)
+    for (const index_t c : cells) ++cell_seen[static_cast<std::size_t>(c)];
+  for (const auto& faces : cm.class_faces)
+    for (const index_t f : faces) ++face_seen[static_cast<std::size_t>(f)];
+  for (std::size_t c = 0; c < cell_seen.size(); ++c)
+    ASSERT_EQ(cell_seen[c], 1) << context << " cell " << c;
+  for (std::size_t f = 0; f < face_seen.size(); ++f)
+    ASSERT_EQ(face_seen[f], 1) << context << " face " << f;
+  const TaskGraph& g = patcher.graph();
+  ASSERT_GT(g.num_tasks(), 0) << context;
+  for (index_t t = 0; t < g.num_tasks(); ++t)
+    ASSERT_GT(g.task(t).num_objects, 0) << context << " task " << t;
+}
+
+void expect_degenerate_ok(const GraphPatcher& patcher, const mesh::Mesh& m,
+                          const std::vector<part_t>& dom, part_t ndomains,
+                          const std::string& context) {
+  expect_matches_rebuild(patcher, m, dom, ndomains, context);
+  expect_well_formed(patcher, m, context);
+}
+
+TEST(PatchDegenerate, OneDomain) {
+  mesh::Mesh m = test_mesh(mesh::TestMeshKind::cylinder, 2000, 3);
+  const std::vector<part_t> dom(static_cast<std::size_t>(m.num_cells()), 0);
+  GraphPatcher patcher(m, dom, 1);
+  expect_degenerate_ok(patcher, m, dom, 1, "one domain, initial");
+  Rng rng(31);
+  int patched = 0;
+  for (int iter = 0; iter < 3; ++iter) {
+    mesh::evolve_levels(m, 0.01, rng);
+    patched += patcher.apply(m, dom).patched ? 1 : 0;
+    expect_degenerate_ok(patcher, m, dom, 1,
+                         "one domain, iter " + std::to_string(iter));
+  }
+  EXPECT_GT(patched, 0);
+}
+
+TEST(PatchDegenerate, MoreDomainsThanCellsAndAMoveIntoAnEmptyDomain) {
+  const mesh::Mesh m = mesh::make_lattice_mesh(3, 2, 1);  // 6 cells
+  std::vector<part_t> dom{0, 1, 2, 3, 4, 5};              // 6..9 empty
+  GraphPatcher::Options opts;
+  opts.max_dirty_fraction = 1.0;  // keep the diff path on 6 cells
+  GraphPatcher patcher(m, dom, 10, opts);
+  expect_degenerate_ok(patcher, m, dom, 10, "10 domains, 6 cells");
+  dom[2] = 9;
+  const PatchStats& st = patcher.apply(m, dom);
+  EXPECT_TRUE(st.patched) << st.rebuild_reason;
+  expect_degenerate_ok(patcher, m, dom, 10, "cell 2 moved into domain 9");
+  bool domain9 = false;
+  for (const Task& t : patcher.graph().tasks()) domain9 |= t.domain == 9;
+  EXPECT_TRUE(domain9);
+}
+
+TEST(PatchDegenerate, SingleTemporalLevel) {
+  mesh::Mesh m = test_mesh(mesh::TestMeshKind::cube, 2000, 5);
+  m.set_cell_levels(std::vector<level_t>(
+      static_cast<std::size_t>(m.num_cells()), 0));
+  auto dom = decompose(m, partition::Strategy::sc_oc, 4);
+  GraphPatcher patcher(m, dom, 4);
+  expect_degenerate_ok(patcher, m, dom, 4, "single level, initial");
+  // Move a few boundary cells to their neighbour's domain.
+  int moved = 0;
+  for (index_t c = 0; c < m.num_cells() && moved < 10; c += 41)
+    for (const index_t f : m.cell_faces(c)) {
+      const index_t o = m.face_other_cell(f, c);
+      if (o == invalid_index) continue;
+      const part_t od = dom[static_cast<std::size_t>(o)];
+      if (od != dom[static_cast<std::size_t>(c)]) {
+        dom[static_cast<std::size_t>(c)] = od;
+        ++moved;
+        break;
+      }
+    }
+  ASSERT_GT(moved, 0);
+  const PatchStats& st = patcher.apply(m, dom);
+  EXPECT_TRUE(st.patched) << st.rebuild_reason;
+  expect_degenerate_ok(patcher, m, dom, 4, "single level, domain moves");
+}
+
+TEST(PatchDegenerate, DriftStepEmptiesAWholeClass) {
+  // 6×4 lattice, two domains split at i = 3. Column i = 0 holds level 2
+  // (keeps the level count fixed); cell (5, 0) is the only level-1 cell,
+  // so its class empties when it drops to level 0.
+  mesh::Mesh m = mesh::make_lattice_mesh(6, 4, 1);
+  std::vector<level_t> levels(24, 0);
+  std::vector<part_t> dom(24, 0);
+  for (index_t c = 0; c < 24; ++c) {
+    if (c % 6 == 0) levels[static_cast<std::size_t>(c)] = 2;
+    if (c % 6 >= 3) dom[static_cast<std::size_t>(c)] = 1;
+  }
+  levels[5] = 1;
+  m.set_cell_levels(levels);
+  GraphPatcher::Options opts;
+  opts.max_dirty_fraction = 1.0;
+  GraphPatcher patcher(m, dom, 2, opts);
+  expect_degenerate_ok(patcher, m, dom, 2, "before the drift step");
+  const index_t level1_cell_class =
+      ClassIndexer{2, 3}.id(1, 1, Locality::internal);
+  ASSERT_EQ(patcher.classes()
+                .class_cells[static_cast<std::size_t>(level1_cell_class)]
+                .size(),
+            1u);
+
+  levels[5] = 0;
+  m.set_cell_levels(levels);
+  const PatchStats& st = patcher.apply(m, dom);
+  EXPECT_TRUE(st.patched) << st.rebuild_reason;
+  EXPECT_TRUE(patcher.classes()
+                  .class_cells[static_cast<std::size_t>(level1_cell_class)]
+                  .empty());
+  expect_degenerate_ok(patcher, m, dom, 2, "after the drift step");
+  for (const Task& t : patcher.graph().tasks()) EXPECT_NE(t.level, 1);
 }
 
 // --- mutation tests: a stale patch cannot survive ----------------------------

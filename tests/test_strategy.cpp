@@ -142,6 +142,23 @@ TEST(Decompose, SingleDomainTrivial) {
   EXPECT_DOUBLE_EQ(dd.cost_imbalance(), 1.0);
 }
 
+TEST(Decompose, SingleLevelMcTlEqualsScOc) {
+  // With one temporal level MC_TL's single level indicator and SC_OC's
+  // operating cost are both 1 per cell: the same graph, the same split.
+  auto m = small_cylinder();
+  m.set_cell_levels(
+      std::vector<level_t>(static_cast<std::size_t>(m.num_cells()), 0));
+  StrategyOptions oc, tl;
+  oc.strategy = Strategy::sc_oc;
+  tl.strategy = Strategy::mc_tl;
+  oc.ndomains = tl.ndomains = 8;
+  oc.nprocesses = tl.nprocesses = 2;
+  const DomainDecomposition a = decompose(m, oc);
+  const DomainDecomposition b = decompose(m, tl);
+  EXPECT_EQ(a.domain_of_cell, b.domain_of_cell);
+  EXPECT_EQ(a.edge_cut, b.edge_cut);
+}
+
 TEST(Hybrid, RefinesWithinProcessDomains) {
   const auto m = small_cylinder();
   StrategyOptions opts;

@@ -179,6 +179,25 @@ TEST(Generate, ClassMapCoversEveryObjectOnce) {
   }
 }
 
+TEST(Generate, RejectsOutOfRangeDomainIds) {
+  TinyCase t;
+  t.mesh.set_cell_levels({0, 1, 2, 2});
+  // An id equal to ndomains, and a negative id, would index past the
+  // per-class arrays.
+  EXPECT_THROW(generate_task_graph(t.mesh, {0, 0, 1, 2}, 2),
+               precondition_error);
+  EXPECT_THROW(generate_task_graph(t.mesh, {0, -1, 1, 1}, 2),
+               precondition_error);
+}
+
+TEST(Generate, RejectsOverflowingClassSpace) {
+  TinyCase t;
+  t.mesh.set_cell_levels({0, 0, 0, 0});
+  // 2^30 domains × 1 level × 2 localities does not fit index_t.
+  EXPECT_THROW(generate_task_graph(t.mesh, {0, 0, 0, 0}, part_t{1} << 30),
+               precondition_error);
+}
+
 TEST(TaskGraphStructure, RejectsOutOfRangeDeps) {
   std::vector<Task> tasks(2);
   EXPECT_THROW(TaskGraph(tasks, {{5}, {}}), precondition_error);
