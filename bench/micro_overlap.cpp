@@ -154,9 +154,6 @@ int main(int argc, char** argv) {
              fmt_double(over.wall_seconds * 1e3, 1), fmt_double(speedup, 3),
              fmt_double(ov.hidden_seconds * 1e3, 1),
              fmt_percent(ov.overlap_efficiency())});
-      // obs::gauge directly (not the TAMP_METRIC_* macros): the CI perf
-      // jobs build Release without TAMP_ENABLE_TRACING, and these gauges
-      // ARE the product here, not optional instrumentation.
       const std::string suffix = ".t" + std::to_string(workers);
       obs::gauge("pipeline.overlap_speedup" + suffix).set(speedup);
       obs::gauge("pipeline.overlap_efficiency" + suffix)

@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
   cli.option("svg", "", "write a Gantt SVG here");
   cli.option("chrome-trace", "",
              "write a chrome://tracing JSON here (task spans merged with "
-             "pipeline-phase spans when tracing is compiled in)");
+             "pipeline-phase spans)");
   cli.option("metrics", "", "write a metrics JSON snapshot here");
   cli.flag("doctor",
            "diagnose the schedule: realized critical path, idle blame "
@@ -500,17 +500,12 @@ int main(int argc, char** argv) {
           graph, d2p, rcfg, runtime::make_synthetic_body(graph, spin));
       runtime::publish_execution_metrics(graph, report);
 
+      const obs::FlightSummary fs = obs::summarize(*report.flight);
       std::cout << "measured: " << fmt_double(report.wall_seconds * 1e3, 2)
-                << " ms wall   occupancy: " << fmt_percent(report.occupancy());
-      if (report.flight) {
-        const obs::FlightSummary fs = obs::summarize(*report.flight);
-        std::cout << "   flight events: " << fs.events << " (" << fs.dropped
-                  << " dropped, "
-                  << report.flight->memory_bytes() / 1024 << " KiB rings)";
-      } else {
-        std::cout << "   flight recorder: compiled out";
-      }
-      std::cout << '\n';
+                << " ms wall   occupancy: " << fmt_percent(report.occupancy())
+                << "   flight events: " << fs.events << " (" << fs.dropped
+                << " dropped, " << report.flight->memory_bytes() / 1024
+                << " KiB rings)\n";
 
       if (rcfg.perf.enabled) {
         const runtime::PerfProfile perf = runtime::aggregate_perf(graph, report);

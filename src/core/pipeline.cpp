@@ -71,11 +71,12 @@ RunPlan prepare_on_mesh(const mesh::Mesh& mesh, const RunConfig& config) {
                                 config.ndomains);
     partition::update_census(mesh, plan.decomposition);
   }
-  TAMP_METRIC_GAUGE_SET("pipeline.level_imbalance",
-                        plan.decomposition.level_imbalance());
-  TAMP_METRIC_GAUGE_SET("pipeline.cost_imbalance",
-                        plan.decomposition.cost_imbalance());
-  TAMP_METRIC_GAUGE_SET("pipeline.edge_cut", plan.decomposition.edge_cut);
+  obs::gauge("pipeline.level_imbalance")
+      .set(plan.decomposition.level_imbalance());
+  obs::gauge("pipeline.cost_imbalance")
+      .set(plan.decomposition.cost_imbalance());
+  obs::gauge("pipeline.edge_cut")
+      .set(static_cast<double>(plan.decomposition.edge_cut));
 
   {
     TAMP_TRACE_SCOPE("pipeline/taskgraph");
@@ -114,8 +115,8 @@ RunOutcome run_on_mesh(const mesh::Mesh& mesh, const RunConfig& config) {
   out.decomposition = std::move(plan.decomposition);
   out.graph = std::move(plan.graph);
   out.domain_to_process = std::move(plan.domain_to_process);
-  TAMP_METRIC_GAUGE_SET("pipeline.makespan", out.makespan());
-  TAMP_METRIC_GAUGE_SET("pipeline.occupancy", out.occupancy());
+  obs::gauge("pipeline.makespan").set(out.makespan());
+  obs::gauge("pipeline.occupancy").set(out.occupancy());
   return out;
 }
 
@@ -570,10 +571,8 @@ PipelineRunReport run_iteration_pipeline(mesh::Mesh& live_mesh,
     }
   }
   sim::publish_stage_overlap_metrics(ov);
-  // Once-per-run summary gauges, published unconditionally (obs::gauge,
-  // not the TAMP_METRIC_* macros): the cross-mode determinism gate in
-  // tools/pipeline_smoke.sh reads them from Release builds that compile
-  // the tracing macros out.
+  // Once-per-run summary gauges: the cross-mode determinism gate in
+  // tools/pipeline_smoke.sh reads them.
   obs::gauge("pipeline.cells_changed.total")
       .set(static_cast<double>(cells_changed));
   obs::gauge("pipeline.migrated_cells.total")

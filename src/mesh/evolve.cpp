@@ -37,8 +37,8 @@ EvolveStats evolve_levels(Mesh& mesh, double drift, Rng& rng) {
     if (next[static_cast<std::size_t>(c)] != mine) ++stats.cells_changed;
   }
   mesh.set_cell_levels(std::move(next));
-  TAMP_METRIC_COUNT("mesh.evolve.eligible_cells", stats.eligible_cells);
-  TAMP_METRIC_COUNT("mesh.evolve.cells_changed", stats.cells_changed);
+  obs::counter("mesh.evolve.eligible_cells").add(stats.eligible_cells);
+  obs::counter("mesh.evolve.cells_changed").add(stats.cells_changed);
   return stats;
 }
 

@@ -4,6 +4,7 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <vector>
 
 namespace tamp::mesh {
 
@@ -46,17 +47,26 @@ Mesh read_mesh(std::istream& is) {
   if (!(is >> token >> ncells) || token != "cells" || ncells <= 0)
     return fail("bad cell count");
 
-  MeshBuilder mb(ncells);
-  std::vector<level_t> levels(static_cast<std::size_t>(ncells));
+  // The header's cell count is a claim, not a size to allocate: the
+  // records grow as they arrive, and the builder sizes itself only once
+  // the last one has been read.
+  std::vector<double> volumes;
+  std::vector<Vec3> centroids;
+  std::vector<level_t> levels;
   for (index_t c = 0; c < ncells; ++c) {
     double vol = 0;
     Vec3 p;
     int level = 0;
     if (!(is >> vol >> p.x >> p.y >> p.z >> level)) return fail("cell record");
     if (level < 0 || level > 127) return fail("level out of range");
-    mb.set_cell(c, vol, p);
-    levels[static_cast<std::size_t>(c)] = static_cast<level_t>(level);
+    volumes.push_back(vol);
+    centroids.push_back(p);
+    levels.push_back(static_cast<level_t>(level));
   }
+  MeshBuilder mb(ncells);
+  for (index_t c = 0; c < ncells; ++c)
+    mb.set_cell(c, volumes[static_cast<std::size_t>(c)],
+                centroids[static_cast<std::size_t>(c)]);
 
   index_t nfaces = 0;
   if (!(is >> token >> nfaces) || token != "faces" || nfaces < 0)

@@ -16,10 +16,9 @@
 //  * lock-free recording — exactly one producer per ring (the owning
 //    worker), no atomics on the hot path. Readers (merge, stats) run
 //    after the execution quiesces (thread join publishes everything).
-//  * zero overhead when off — instrumentation sites in runtime::execute
-//    and ThreadPool compile out entirely with TAMP_ENABLE_TRACING=OFF,
-//    and cost one null-pointer test per event when compiled in but not
-//    attached.
+//  * near-zero overhead when off — an instrumentation site in
+//    runtime::execute or ThreadPool costs one null-pointer test per
+//    event while no recorder is attached.
 //
 // Event schema (see DESIGN.md "Flight recorder"): every event is a POD
 // {kind, t_seconds, a, b}. The meaning of a/b depends on the kind:
@@ -165,20 +164,10 @@ struct FlightSummary {
 
 }  // namespace tamp::obs
 
-#if defined(TAMP_TRACING_ENABLED)
-
-/// Record one flight event into `ring_ptr` when a recorder is attached.
-/// Compiled in: one null test + a bounded array store. Compiled out
-/// (TAMP_ENABLE_TRACING=OFF): nothing — the instrumentation sites in the
-/// runtime and the thread pool vanish entirely.
+/// Record one flight event into `ring_ptr` when a recorder is attached:
+/// one null test + a bounded array store.
 #define TAMP_FLIGHT_RECORD(ring_ptr, ...)                         \
   do {                                                            \
     if ((ring_ptr) != nullptr)                                    \
       (ring_ptr)->push(::tamp::obs::FlightEvent{__VA_ARGS__});    \
   } while (false)
-
-#else  // !TAMP_TRACING_ENABLED
-
-#define TAMP_FLIGHT_RECORD(ring_ptr, ...) static_cast<void>(0)
-
-#endif  // TAMP_TRACING_ENABLED

@@ -54,8 +54,14 @@ private:
   JsonValue parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (++depth_ > kMaxDepth)
+          fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        JsonValue v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return JsonValue(parse_string());
       case 't':
         if (!consume_literal("true")) fail("invalid literal");
@@ -214,8 +220,14 @@ private:
     return v;
   }
 
+  /// Arrays and objects recurse once per level, so a deep document would
+  /// overflow the stack before it ran out of input. The committed
+  /// snapshots nest 3 levels deep.
+  static constexpr int kMaxDepth = 256;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< open arrays/objects around pos_
 };
 
 }  // namespace

@@ -6,7 +6,8 @@
 // verdicts. This is a deliberately small, dependency-free parser for
 // that job: full RFC 8259 grammar, object key order preserved, numbers
 // held as doubles (metric values all fit), parse errors reported with
-// byte offsets via runtime_failure.
+// byte offsets via runtime_failure. Nesting deeper than 256 levels is a
+// parse error, so a hostile file cannot overflow the parser's stack.
 #pragma once
 
 #include <string>

@@ -7,11 +7,9 @@
 // buckets (16 sub-buckets per power of two → ≤ ~6 % relative error on
 // percentile estimates, HdrHistogram-style).
 //
-// Updates are lock-free; registry lookup by name takes a mutex, so hot
-// loops should resolve `obs::counter("x")` once and keep the reference.
-// The TAMP_METRIC_* macros compile out entirely when the instrumentation
-// build flag is off; the classes themselves are always available (used
-// directly by ScopedTimer, benches and tests).
+// Updates are lock-free and always on (there is no recording switch);
+// registry lookup by name takes a mutex, so hot loops should resolve
+// `obs::counter("x")` once and keep the reference.
 #pragma once
 
 #include <array>
@@ -175,24 +173,3 @@ inline Histogram& histogram(const std::string& name) {
 
 }  // namespace tamp::obs
 
-#if defined(TAMP_TRACING_ENABLED)
-
-/// Library-internal instrumentation hooks — compiled out with the
-/// tracing build flag so disabled builds pay nothing.
-#define TAMP_METRIC_COUNT(name, delta) \
-  ::tamp::obs::counter(name).add(static_cast<std::int64_t>(delta))
-#define TAMP_METRIC_GAUGE_SET(name, v) \
-  ::tamp::obs::gauge(name).set(static_cast<double>(v))
-#define TAMP_METRIC_GAUGE_ADD(name, v) \
-  ::tamp::obs::gauge(name).add(static_cast<double>(v))
-#define TAMP_METRIC_RECORD(name, v) \
-  ::tamp::obs::histogram(name).record(static_cast<double>(v))
-
-#else  // !TAMP_TRACING_ENABLED
-
-#define TAMP_METRIC_COUNT(name, delta) static_cast<void>(0)
-#define TAMP_METRIC_GAUGE_SET(name, v) static_cast<void>(0)
-#define TAMP_METRIC_GAUGE_ADD(name, v) static_cast<void>(0)
-#define TAMP_METRIC_RECORD(name, v) static_cast<void>(0)
-
-#endif  // TAMP_TRACING_ENABLED

@@ -28,9 +28,7 @@
 //               returns false and callers skip attribution entirely.
 //
 // Construction degrades silently down this ladder; nothing throws on a
-// missing PMU. The classes compile everywhere (like obs/metrics.hpp);
-// the *runtime call sites* are guarded by TAMP_TRACING_ENABLED so a
-// TAMP_ENABLE_TRACING=OFF build carries no attribution code at all.
+// missing PMU.
 #pragma once
 
 #include <array>

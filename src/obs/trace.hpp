@@ -9,12 +9,8 @@
 // merge these pipeline-phase spans with task spans into one Chrome
 // trace-event timeline.
 //
-// Cost model:
-//  * compiled out (TAMP_ENABLE_TRACING=OFF → no TAMP_TRACING_ENABLED
-//    define): every TAMP_TRACE_* macro expands to `static_cast<void>(0)`
-//    — literally zero code in the hot paths;
-//  * compiled in, runtime-disabled (the default): one relaxed atomic load
-//    per site;
+// Cost model (every build compiles the instrumentation in):
+//  * runtime-disabled (the default): one relaxed atomic load per site;
 //  * enabled: one append into a thread-local chunk list — no locks, no
 //    contention between recording threads.
 //
@@ -139,8 +135,6 @@ private:
 
 }  // namespace tamp::obs
 
-#if defined(TAMP_TRACING_ENABLED)
-
 #define TAMP_OBS_CONCAT_IMPL(a, b) a##b
 #define TAMP_OBS_CONCAT(a, b) TAMP_OBS_CONCAT_IMPL(a, b)
 
@@ -150,28 +144,3 @@ private:
                                                 __LINE__) {         \
     name                                                            \
   }
-
-/// Record an instant event with a payload string.
-#define TAMP_TRACE_INSTANT(name, detail_str)                              \
-  do {                                                                    \
-    ::tamp::obs::TraceSession& tamp_obs_s =                               \
-        ::tamp::obs::TraceSession::instance();                            \
-    if (tamp_obs_s.enabled()) tamp_obs_s.record_instant((name), (detail_str)); \
-  } while (false)
-
-/// Record a counter sample.
-#define TAMP_TRACE_COUNTER(name, value)                                   \
-  do {                                                                    \
-    ::tamp::obs::TraceSession& tamp_obs_s =                               \
-        ::tamp::obs::TraceSession::instance();                            \
-    if (tamp_obs_s.enabled())                                             \
-      tamp_obs_s.record_counter((name), static_cast<double>(value));      \
-  } while (false)
-
-#else  // !TAMP_TRACING_ENABLED
-
-#define TAMP_TRACE_SCOPE(name) static_cast<void>(0)
-#define TAMP_TRACE_INSTANT(name, detail_str) static_cast<void>(0)
-#define TAMP_TRACE_COUNTER(name, value) static_cast<void>(0)
-
-#endif  // TAMP_TRACING_ENABLED

@@ -28,7 +28,7 @@ IncrementalReport incremental_repartition(const graph::Csr& g,
     report.imbalance_before = report.imbalance_after =
         max_imbalance(g, part, nparts);
     report.reused_verbatim = true;
-    TAMP_METRIC_COUNT("partition.incremental.reused_verbatim", 1);
+    obs::counter("partition.incremental.reused_verbatim").add(1);
     return report;
   }
 
@@ -151,11 +151,12 @@ IncrementalReport incremental_repartition(const graph::Csr& g,
       ++report.migrated_vertices;
   report.cut_after = edge_cut(g, part);
   report.imbalance_after = max_imbalance(g, part, nparts);
-  TAMP_METRIC_COUNT("partition.incremental.migrated_vertices",
-                    report.migrated_vertices);
-  TAMP_METRIC_GAUGE_SET("partition.incremental.cut_after", report.cut_after);
-  TAMP_METRIC_GAUGE_SET("partition.incremental.imbalance_after",
-                        report.imbalance_after);
+  obs::counter("partition.incremental.migrated_vertices")
+      .add(report.migrated_vertices);
+  obs::gauge("partition.incremental.cut_after")
+      .set(static_cast<double>(report.cut_after));
+  obs::gauge("partition.incremental.imbalance_after")
+      .set(report.imbalance_after);
   return report;
 }
 

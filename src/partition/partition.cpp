@@ -239,12 +239,10 @@ Result partition_graph(const graph::Csr& g, const Options& opts) {
 
   result.edge_cut = edge_cut(g, result.part);
   result.loads = part_loads(g, result.part, opts.nparts);
-#if defined(TAMP_TRACING_ENABLED)
   obs::gauge("partition.threads").set(static_cast<double>(nthreads));
   for (int c = 0; c < result.ncon; ++c)
     obs::gauge("partition.imbalance.c" + std::to_string(c))
         .set(result.imbalance(c));
-#endif
   return result;
 }
 

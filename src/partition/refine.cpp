@@ -270,7 +270,8 @@ weight_t fm_refine_bisection(const graph::Csr& g, std::vector<part_t>& part,
       const MoveRecord& m = moves[i - 1];
       apply_move(m.vertex);  // flips back
     }
-    TAMP_METRIC_COUNT("partition.refine.moves", best_prefix);
+    obs::counter("partition.refine.moves")
+        .add(static_cast<std::int64_t>(best_prefix));
     const weight_t new_cut = best_cut;
     const bool improved = new_cut < cut || best_prefix > 0;
     cut = new_cut;
@@ -346,8 +347,7 @@ weight_t kway_refine(const graph::Csr& g, std::vector<part_t>& part,
     }
     if (!any_move) break;
   }
-  TAMP_METRIC_COUNT("partition.refine.kway_moves", kway_moves);
-  static_cast<void>(kway_moves);
+  obs::counter("partition.refine.kway_moves").add(kway_moves);
   return edge_cut(g, part);
 }
 

@@ -214,9 +214,9 @@ RepairReport repair_fragments(const graph::Csr& g, std::vector<part_t>& part,
   const Fragments final_frags = find_fragments(g, part, nparts);
   report.fragments_after = count_extra_fragments(final_frags, nparts);
   report.cut_after = edge_cut(g, part);
-  TAMP_METRIC_COUNT("partition.repair.vertices_moved", report.vertices_moved);
-  TAMP_METRIC_COUNT("partition.repair.fragments_dissolved",
-                    report.fragments_before - report.fragments_after);
+  obs::counter("partition.repair.vertices_moved").add(report.vertices_moved);
+  obs::counter("partition.repair.fragments_dissolved")
+      .add(report.fragments_before - report.fragments_after);
   return report;
 }
 

@@ -174,7 +174,6 @@ DomainDecomposition decompose_hybrid(const mesh::Mesh& mesh,
 /// Publish decomposition-quality gauges, including the per-level cell
 /// imbalance the paper's census figures plot (partition.level_imbalance.l<τ>).
 void record_decomposition_metrics(const DomainDecomposition& dd) {
-#if defined(TAMP_TRACING_ENABLED)
   obs::gauge("partition.level_imbalance").set(dd.level_imbalance());
   obs::gauge("partition.cost_imbalance").set(dd.cost_imbalance());
   obs::gauge("partition.edge_cut").set(static_cast<double>(dd.edge_cut));
@@ -190,9 +189,6 @@ void record_decomposition_metrics(const DomainDecomposition& dd) {
                                         static_cast<double>(total);
     obs::gauge("partition.level_imbalance.l" + std::to_string(tau)).set(imb);
   }
-#else
-  static_cast<void>(dd);
-#endif
 }
 
 }  // namespace

@@ -144,9 +144,8 @@ ExecutionReport execute(const taskgraph::TaskGraph& graph,
 
   // Flight recorder: one bounded ring per worker, owned exclusively by
   // that worker while threads run, read after the join below. Null when
-  // recording is off; absent entirely when compiled out.
+  // recording is off.
   std::shared_ptr<obs::FlightRecorder> recorder;
-#if defined(TAMP_TRACING_ENABLED)
   if (config.flight.enabled)
     recorder = std::make_shared<obs::FlightRecorder>(
         static_cast<int>(config.num_processes) * config.workers_per_process,
@@ -173,7 +172,6 @@ ExecutionReport execute(const taskgraph::TaskGraph& graph,
     worker_tier.assign(num_worker_slots, obs::PerfTier::unavailable);
     worker_valid.assign(num_worker_slots, {});
   }
-#endif
 
   const Stopwatch clock;
 
@@ -203,18 +201,15 @@ ExecutionReport execute(const taskgraph::TaskGraph& graph,
         0)
       push_ready(t);
 
-#if defined(TAMP_TRACING_ENABLED)
   // Resolve metric handles once: the per-name lookup takes the registry
   // mutex and must stay out of the worker loop.
   obs::Histogram& task_seconds_hist = obs::histogram("runtime.task.seconds");
-#endif
 
   const AdversarialSchedule& adv = config.adversarial;
 
   auto worker_main = [&](part_t p, int w) {
     ProcessQueue& q = queues[static_cast<std::size_t>(p)];
     obs::FlightRing* ring = nullptr;
-#if defined(TAMP_TRACING_ENABLED)
     if (recorder)
       ring = &recorder->ring(static_cast<int>(p) * config.workers_per_process +
                              w);
@@ -231,8 +226,6 @@ ExecutionReport execute(const taskgraph::TaskGraph& graph,
       worker_tier[slot] = perf->tier();
       worker_valid[slot] = perf->counter_valid();
     }
-#endif
-    static_cast<void>(ring);
     // Per-worker stream: the schedule explored depends only on
     // (seed, process, worker), never on thread start-up order.
     Rng rng(mix_seed(adv.seed, static_cast<std::uint64_t>(p),
@@ -274,7 +267,6 @@ ExecutionReport execute(const taskgraph::TaskGraph& graph,
         }
         depth_after = q.ready.size();
       }
-      static_cast<void>(depth_after);
       TAMP_FLIGHT_RECORD(ring, obs::FlightEventKind::idle_end,
                          clock.seconds());
       TAMP_FLIGHT_RECORD(ring, obs::FlightEventKind::task_dequeue,
@@ -290,13 +282,11 @@ ExecutionReport execute(const taskgraph::TaskGraph& graph,
       ExecutionReport::Span& span = report.spans[static_cast<std::size_t>(t)];
       span.process = p;
       span.worker = w;
-#if defined(TAMP_TRACING_ENABLED)
       // Bracket the body as tightly as possible: the read costs one
       // syscall (~1 µs), so attribution noise stays far below any task
       // worth attributing.
       obs::PerfSample perf_begin;
       const bool perf_have = perf && perf->read(perf_begin);
-#endif
       span.start = clock.seconds();
       TAMP_FLIGHT_RECORD(ring, obs::FlightEventKind::task_begin, span.start,
                          static_cast<std::int64_t>(t));
@@ -316,7 +306,6 @@ ExecutionReport execute(const taskgraph::TaskGraph& graph,
       span.end = clock.seconds();
       TAMP_FLIGHT_RECORD(ring, obs::FlightEventKind::task_end, span.end,
                          static_cast<std::int64_t>(t));
-#if defined(TAMP_TRACING_ENABLED)
       if (perf_have) {
         obs::PerfSample perf_end;
         if (perf->read(perf_end))
@@ -324,7 +313,6 @@ ExecutionReport execute(const taskgraph::TaskGraph& graph,
               obs::perf_delta(perf_begin, perf_end);
       }
       task_seconds_hist.record(span.end - span.start);
-#endif
 
       for (const index_t s : graph.successors(t)) {
         if (pending[static_cast<std::size_t>(s)].fetch_sub(
@@ -357,7 +345,6 @@ ExecutionReport execute(const taskgraph::TaskGraph& graph,
   TAMP_ENSURE(remaining.load() == 0, "runtime finished with pending tasks");
   report.wall_seconds = clock.seconds();
   report.flight = recorder;  // joined threads published every ring
-#if defined(TAMP_TRACING_ENABLED)
   if (perf_on) {
     // The run is only as attributable as its least-privileged worker:
     // weakest tier wins, and a counter must have opened on every worker
@@ -377,11 +364,9 @@ ExecutionReport execute(const taskgraph::TaskGraph& graph,
     if (report.perf.tier == obs::PerfTier::unavailable)
       report.perf.per_task.clear();
   }
-#endif
-  TAMP_METRIC_COUNT("runtime.tasks.executed", n);
-  TAMP_METRIC_GAUGE_ADD("runtime.worker.busy_seconds",
-                        report.total_busy_seconds());
-  TAMP_METRIC_GAUGE_SET("runtime.occupancy", report.occupancy());
+  obs::counter("runtime.tasks.executed").add(n);
+  obs::gauge("runtime.worker.busy_seconds").add(report.total_busy_seconds());
+  obs::gauge("runtime.occupancy").set(report.occupancy());
   return report;
 }
 

@@ -40,8 +40,7 @@ struct AdversarialSchedule {
   double max_delay_seconds = 0;
 };
 
-/// Flight-recorder knobs: when enabled (and the instrumentation is
-/// compiled in — TAMP_ENABLE_TRACING), every worker records dequeues,
+/// Flight-recorder knobs: when enabled, every worker records dequeues,
 /// task begin/end, dependency releases and idle intervals into its own
 /// bounded ring (obs/flight.hpp). Memory is fixed at
 /// workers · ring_capacity · sizeof(FlightEvent); overflow overwrites the
@@ -51,13 +50,12 @@ struct FlightConfig {
   std::size_t ring_capacity = obs::FlightRecorder::kDefaultRingCapacity;
 };
 
-/// Hardware-counter knobs: when enabled (and TAMP_ENABLE_TRACING is
-/// compiled in), every worker opens a per-thread perf_event counter
-/// group (obs/perf.hpp) and brackets each task body with grouped reads,
-/// so every task accrues cycle/instruction/miss deltas. The effective
-/// capability is min(max_tier, TAMP_PERF env ceiling, what the kernel
-/// grants) — in locked-down environments this degrades to clock-only or
-/// nothing without failing the run.
+/// Hardware-counter knobs: when enabled, every worker opens a per-thread
+/// perf_event counter group (obs/perf.hpp) and brackets each task body
+/// with grouped reads, so every task accrues cycle/instruction/miss
+/// deltas. The effective capability is min(max_tier, TAMP_PERF env
+/// ceiling, what the kernel grants) — in locked-down environments this
+/// degrades to clock-only or nothing without failing the run.
 struct PerfConfig {
   bool enabled = false;
   obs::PerfTier max_tier = obs::PerfTier::hardware;
@@ -85,15 +83,14 @@ struct ExecutionReport {
   part_t num_processes = 0;
   int workers_per_process = 0;
   /// Flight events of this execution (ring w belongs to worker
-  /// process·workers_per_process + w); null when recording was off or
-  /// compiled out.
+  /// process·workers_per_process + w); null when recording was off.
   std::shared_ptr<const obs::FlightRecorder> flight;
 
   /// Per-task counter deltas of this execution. `tier` is the weakest
   /// capability any worker obtained (a run is only as attributable as
   /// its least-privileged thread) and `counter_valid` the AND across
   /// workers. Default-constructed (tier unavailable, empty per_task)
-  /// when perf recording was off or compiled out.
+  /// when perf recording was off.
   struct PerfAttribution {
     obs::PerfTier tier = obs::PerfTier::unavailable;
     std::array<bool, obs::kNumPerfCounters> counter_valid{};

@@ -348,9 +348,8 @@ SimResult simulate(const taskgraph::TaskGraph& graph,
             ? std::max(peak_workers[static_cast<std::size_t>(p)], 1)
             : opts.cluster.workers_per_process;
 
-  TAMP_METRIC_GAUGE_SET("sim.ready_queue.peak_depth", peak_depth);
-  static_cast<void>(peak_depth);
-#if defined(TAMP_TRACING_ENABLED)
+  obs::gauge("sim.ready_queue.peak_depth")
+      .set(static_cast<double>(peak_depth));
   // Per-subiteration work and occupancy (the paper's Fig 6 diagnostic):
   // occupancy of subiteration s = its total work over the busy window
   // [min start, max end] of its tasks times the configured capacity.
@@ -382,7 +381,6 @@ SimResult simulate(const taskgraph::TaskGraph& graph,
                       ((last[s] - first[s]) * capacity_per_time));
     }
   }
-#endif
   return result;
 }
 

@@ -60,7 +60,6 @@ struct ThreadPool::Impl {
   struct Slot {
     std::mutex mutex;
     std::deque<TaskHandle> queue;
-#if defined(TAMP_TRACING_ENABLED)
     // Scheduling telemetry. Each counter is written only by the thread
     // occupying this slot (relaxed increments on an owned line); stats()
     // reads them from outside.
@@ -68,7 +67,6 @@ struct ThreadPool::Impl {
     std::atomic<std::uint64_t> local_pops{0};
     std::atomic<std::uint64_t> steal_attempts{0};
     std::atomic<std::uint64_t> steal_successes{0};
-#endif
   };
   std::vector<std::unique_ptr<Slot>> slots;  ///< 0 = client, 1.. = workers
   std::vector<std::thread> workers;
@@ -80,7 +78,6 @@ struct ThreadPool::Impl {
   /// local deque and every steal victim came up empty.
   std::mutex background_mutex;
   std::deque<TaskHandle> background;
-#if defined(TAMP_TRACING_ENABLED)
   std::atomic<std::uint64_t> submitted{0};
   std::atomic<std::uint64_t> background_submitted{0};
   std::atomic<std::uint64_t> max_queue_depth{0};
@@ -104,7 +101,6 @@ struct ThreadPool::Impl {
                               cur, depth, std::memory_order_relaxed)) {
     }
   }
-#endif
 
   TaskHandle pop(int slot, bool lifo) {
     Slot& s = *slots[static_cast<std::size_t>(slot)];
@@ -162,13 +158,9 @@ ThreadPool::TaskHandle ThreadPool::submit(std::function<void()> fn) {
     Impl::Slot& s = *impl_->slots[static_cast<std::size_t>(slot)];
     const std::lock_guard<std::mutex> lock(s.mutex);
     s.queue.push_back(task);
-#if defined(TAMP_TRACING_ENABLED)
     impl_->note_queue_depth(static_cast<std::uint64_t>(s.queue.size()));
-#endif
   }
-#if defined(TAMP_TRACING_ENABLED)
   impl_->submitted.fetch_add(1, std::memory_order_relaxed);
-#endif
   impl_->pending.fetch_add(1, std::memory_order_relaxed);
   impl_->sleep_cv.notify_one();
   return task;
@@ -182,9 +174,7 @@ ThreadPool::TaskHandle ThreadPool::submit_background(std::function<void()> fn) {
     const std::lock_guard<std::mutex> lock(impl_->background_mutex);
     impl_->background.push_back(task);
   }
-#if defined(TAMP_TRACING_ENABLED)
   impl_->background_submitted.fetch_add(1, std::memory_order_relaxed);
-#endif
   impl_->pending.fetch_add(1, std::memory_order_relaxed);
   impl_->sleep_cv.notify_one();
   return task;
@@ -194,34 +184,27 @@ bool ThreadPool::run_one(int slot, bool background) {
   // Own deque first (LIFO: depth-first on locally forked subtrees, hot
   // in cache), then steal oldest-first from the other slots.
   TaskHandle task = impl_->pop(slot, /*lifo=*/true);
-#if defined(TAMP_TRACING_ENABLED)
   Impl::Slot& me = *impl_->slots[static_cast<std::size_t>(slot)];
   if (task != nullptr) me.local_pops.fetch_add(1, std::memory_order_relaxed);
   int stolen_from = -1;
-#endif
   for (int i = 1; task == nullptr && i <= num_threads_; ++i) {
     const int victim = (slot + i) % num_threads_;
-#if defined(TAMP_TRACING_ENABLED)
     if (victim != slot) {
       me.steal_attempts.fetch_add(1, std::memory_order_relaxed);
       obs::FlightRing* ring = impl_->ring(slot);
       TAMP_FLIGHT_RECORD(ring, obs::FlightEventKind::steal_attempt,
                          impl_->clock.seconds(), victim);
     }
-#endif
     task = impl_->pop(victim, /*lifo=*/false);
-#if defined(TAMP_TRACING_ENABLED)
     if (task != nullptr && victim != slot) {
       me.steal_successes.fetch_add(1, std::memory_order_relaxed);
       stolen_from = victim;
     }
-#endif
   }
   // Background class last: a queued prep task only runs on a worker that
   // proved it had no fork/join work anywhere to pop or steal.
   if (task == nullptr && background) task = impl_->pop_background();
   if (task == nullptr) return false;
-#if defined(TAMP_TRACING_ENABLED)
   // Read the ring only now that a task is in hand: a scan that started
   // before set_flight_recorder() must still record the task it got.
   obs::FlightRing* ring = impl_->ring(slot);
@@ -230,22 +213,18 @@ bool ThreadPool::run_one(int slot, bool background) {
                        impl_->clock.seconds(), stolen_from);
   TAMP_FLIGHT_RECORD(ring, obs::FlightEventKind::task_begin,
                      impl_->clock.seconds());
-#endif
   run(task);
-#if defined(TAMP_TRACING_ENABLED)
   // Count and record before publishing completion, so everything a
   // caller reads after wait() returns already includes this task.
   me.executed.fetch_add(1, std::memory_order_relaxed);
   TAMP_FLIGHT_RECORD(ring, obs::FlightEventKind::task_end,
                      impl_->clock.seconds());
-#endif
   publish_done(task);
   return true;
 }
 
 ThreadPool::Stats ThreadPool::stats() const {
   Stats out;
-#if defined(TAMP_TRACING_ENABLED)
   out.submitted = impl_->submitted.load(std::memory_order_relaxed);
   out.background_submitted =
       impl_->background_submitted.load(std::memory_order_relaxed);
@@ -257,7 +236,6 @@ ThreadPool::Stats ThreadPool::stats() const {
     out.steal_successes +=
         slot->steal_successes.load(std::memory_order_relaxed);
   }
-#endif
   return out;
 }
 
@@ -281,15 +259,11 @@ void ThreadPool::publish_metrics(const std::string& prefix) const {
 
 void ThreadPool::set_flight_recorder(
     std::shared_ptr<obs::FlightRecorder> recorder) {
-#if defined(TAMP_TRACING_ENABLED)
   TAMP_EXPECTS(recorder == nullptr || recorder->num_workers() >= num_threads_,
                "flight recorder needs one ring per pool slot");
   obs::FlightRecorder* raw = recorder.get();
   if (recorder != nullptr) impl_->flight_owners.push_back(std::move(recorder));
   impl_->flight.store(raw, std::memory_order_release);
-#else
-  static_cast<void>(recorder);
-#endif
 }
 
 void ThreadPool::worker_main(int slot) {

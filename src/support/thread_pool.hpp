@@ -92,8 +92,7 @@ public:
 
   /// Lifetime telemetry of the pool's scheduling behaviour. Counters are
   /// maintained with per-slot relaxed atomics (each worker touches only
-  /// its own cache line) when instrumentation is compiled in; with
-  /// TAMP_ENABLE_TRACING=OFF every field reads 0.
+  /// its own cache line).
   struct Stats {
     std::uint64_t submitted = 0;        ///< tasks pushed via submit()
     std::uint64_t background_submitted = 0;  ///< via submit_background()
@@ -124,8 +123,7 @@ public:
   /// task_begin/task_end, steal_attempt/steal_success events. Safe to
   /// call while workers are scanning (every recorder ever attached stays
   /// alive until the pool is destroyed), but the rings must only be
-  /// *read* once the pool is quiescent. No-op when instrumentation is
-  /// compiled out.
+  /// *read* once the pool is quiescent.
   void set_flight_recorder(std::shared_ptr<obs::FlightRecorder> recorder);
 
 private:

@@ -194,8 +194,8 @@ TaskGraph build_task_graph(const Classifier& cf, const GenerateOptions& opts,
   TaskGraph graph = emit_task_graph(
       cf.cls, agg, opts,
       class_map != nullptr ? &class_map->task_class : nullptr);
-  TAMP_METRIC_COUNT("taskgraph.tasks", graph.num_tasks());
-  TAMP_METRIC_COUNT("taskgraph.dependencies", graph.num_dependencies());
+  obs::counter("taskgraph.tasks").add(graph.num_tasks());
+  obs::counter("taskgraph.dependencies").add(graph.num_dependencies());
   return graph;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -13,17 +14,40 @@ namespace tamp::taskgraph {
 
 namespace {
 
-/// Remove one value from a sorted id list (must be present).
-void sorted_erase(std::vector<index_t>& v, index_t x) {
-  const auto it = std::lower_bound(v.begin(), v.end(), x);
-  TAMP_ENSURE(it != v.end() && *it == x,
-              "patch bookkeeping lost a class-list member");
-  v.erase(it);
-}
+/// One object's move between two class lists.
+struct Move {
+  index_t from;
+  index_t to;
+  index_t x;
+};
 
-/// Insert one value into a sorted id list.
-void sorted_insert(std::vector<index_t>& v, index_t x) {
-  v.insert(std::upper_bound(v.begin(), v.end(), x), x);
+/// Apply a batch of moves to the sorted class lists, touching each
+/// changed list once: a source list drops every member now classed
+/// elsewhere (`cls` already holds the new classes), and a target list
+/// merges in its sorted arrivals. One pass per list, not one memmove per
+/// move.
+void apply_moves(std::vector<Move>& moves, const std::vector<index_t>& cls,
+                 std::vector<std::vector<index_t>>& lists) {
+  std::vector<std::size_t> leaving(lists.size(), 0);
+  for (const Move& m : moves) ++leaving[static_cast<std::size_t>(m.from)];
+  for (std::size_t k = 0; k < lists.size(); ++k) {
+    if (leaving[k] == 0) continue;
+    const std::size_t left = std::erase_if(lists[k], [&](index_t x) {
+      return static_cast<std::size_t>(cls[static_cast<std::size_t>(x)]) != k;
+    });
+    TAMP_ENSURE(left == leaving[k],
+                "patch bookkeeping lost a class-list member");
+  }
+  std::sort(moves.begin(), moves.end(), [](const Move& a, const Move& b) {
+    return a.to != b.to ? a.to < b.to : a.x < b.x;
+  });
+  for (auto m = moves.begin(); m != moves.end();) {
+    const index_t k = m->to;
+    std::vector<index_t>& list = lists[static_cast<std::size_t>(k)];
+    const auto nkept = static_cast<std::ptrdiff_t>(list.size());
+    for (; m != moves.end() && m->to == k; ++m) list.push_back(m->x);
+    std::inplace_merge(list.begin(), list.begin() + nkept, list.end());
+  }
 }
 
 }  // namespace
@@ -56,7 +80,7 @@ void GraphPatcher::rebuild(const mesh::Mesh& mesh, const char* reason) {
   stats_.patched = false;
   stats_.rebuild_reason = reason == nullptr ? "initial build" : reason;
   dirty_tasks_.assign(static_cast<std::size_t>(graph_.num_tasks()), 1);
-  TAMP_METRIC_COUNT("taskgraph.patch.rebuilds", 1);
+  obs::counter("taskgraph.patch.rebuilds").add(1);
 }
 
 const PatchStats& GraphPatcher::apply(
@@ -96,15 +120,14 @@ const PatchStats& GraphPatcher::apply(
   }
   stats_.dirty_fraction =
       static_cast<double>(changed.size()) / static_cast<double>(ncells);
-  TAMP_METRIC_GAUGE_SET("taskgraph.patch.dirty_fraction",
-                        stats_.dirty_fraction);
+  obs::gauge("taskgraph.patch.dirty_fraction").set(stats_.dirty_fraction);
 
   if (changed.empty()) {
     // Classification is a pure function of (levels, domains): nothing
     // changed, the graph is already exact.
     stats_.patched = true;
     std::fill(dirty_tasks_.begin(), dirty_tasks_.end(), char{0});
-    TAMP_METRIC_COUNT("taskgraph.patch.noop", 1);
+    obs::counter("taskgraph.patch.noop").add(1);
     if (opts_.oracle) run_oracle(mesh);
     return stats_;
   }
@@ -171,31 +194,34 @@ const PatchStats& GraphPatcher::apply(
   levels_ = mesh.cell_levels();
   const Classifier cf{mesh, domains_, ClassIndexer{ndomains_, nlev_}};
   std::fill(dirty_classes_.begin(), dirty_classes_.end(), char{0});
-  // Move one object between the class lists and populations.
+  // Move one object between the class populations; its class-list move
+  // is recorded and applied with the others by apply_moves.
   auto reclassify = [&](index_t x, index_t new_k, std::vector<index_t>& cls,
-                        std::vector<index_t>& count,
-                        std::vector<std::vector<index_t>>& lists) {
+                        std::vector<index_t>& count, std::vector<Move>& moves) {
     const auto sx = static_cast<std::size_t>(x);
     const index_t old_k = cls[sx];
     if (new_k == old_k) return;
     --count[static_cast<std::size_t>(old_k)];
     ++count[static_cast<std::size_t>(new_k)];
-    sorted_erase(lists[static_cast<std::size_t>(old_k)], x);
-    sorted_insert(lists[static_cast<std::size_t>(new_k)], x);
+    moves.push_back({old_k, new_k, x});
     cls[sx] = new_k;
     dirty_classes_[static_cast<std::size_t>(old_k)] = 1;
     dirty_classes_[static_cast<std::size_t>(new_k)] = 1;
   };
+  std::vector<Move> cell_moves;
   for (const index_t c : dirty_cells)
     reclassify(c, cf.cell_class(c), agg_.cell_class, agg_.cell_count,
-               classes_.class_cells);
+               cell_moves);
+  std::vector<Move> face_moves;
   for (const index_t f : dirty_faces) {
     reclassify(f, cf.face_class(f), agg_.face_class, agg_.face_count,
-               classes_.class_faces);
+               face_moves);
     const index_t fc = agg_.face_class[static_cast<std::size_t>(f)];
     inc_pair(fc, cell_class_at(f, 0));
     if (!mesh.is_boundary_face(f)) inc_pair(fc, cell_class_at(f, 1));
   }
+  apply_moves(cell_moves, agg_.cell_class, classes_.class_cells);
+  apply_moves(face_moves, agg_.face_class, classes_.class_faces);
 
   // --- re-emit from the patched aggregates ---------------------------------
   if (pair_set_changed_) {
@@ -238,9 +264,9 @@ const PatchStats& GraphPatcher::apply(
   stats_.dirty_faces = static_cast<index_t>(dirty_faces.size());
   stats_.dirty_classes = ndirty_classes;
   stats_.patched = true;
-  TAMP_METRIC_COUNT("taskgraph.patch.applied", 1);
-  TAMP_METRIC_COUNT("taskgraph.patch.dirty_cells", stats_.dirty_cells);
-  TAMP_METRIC_COUNT("taskgraph.patch.dirty_faces", stats_.dirty_faces);
+  obs::counter("taskgraph.patch.applied").add(1);
+  obs::counter("taskgraph.patch.dirty_cells").add(stats_.dirty_cells);
+  obs::counter("taskgraph.patch.dirty_faces").add(stats_.dirty_faces);
 
   if (opts_.oracle) run_oracle(mesh);
   return stats_;

@@ -122,7 +122,7 @@ simtime_t TaskGraph::critical_path() const {
         start + tasks_[static_cast<std::size_t>(t)].cost;
     best = std::max(best, finish[static_cast<std::size_t>(t)]);
   }
-  TAMP_METRIC_GAUGE_SET("taskgraph.critical_path", best);
+  obs::gauge("taskgraph.critical_path").set(best);
   return best;
 }
 

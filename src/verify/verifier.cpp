@@ -92,15 +92,15 @@ RaceReport check_races(const taskgraph::TaskGraph& graph,
   }
   report.dfs_fallbacks = reach.dfs_fallbacks();
 
-  TAMP_METRIC_COUNT("verify.accesses",
-                    static_cast<std::int64_t>(report.accesses));
-  TAMP_METRIC_COUNT("verify.pairs_checked",
-                    static_cast<std::int64_t>(report.pairs_checked));
-  TAMP_METRIC_COUNT("verify.conflicts",
-                    static_cast<std::int64_t>(report.conflicts.size()));
-  TAMP_METRIC_COUNT("verify.reachability.dfs_fallbacks",
-                    static_cast<std::int64_t>(report.dfs_fallbacks));
-  TAMP_METRIC_GAUGE_SET("verify.clean", report.clean() ? 1.0 : 0.0);
+  obs::counter("verify.accesses")
+      .add(static_cast<std::int64_t>(report.accesses));
+  obs::counter("verify.pairs_checked")
+      .add(static_cast<std::int64_t>(report.pairs_checked));
+  obs::counter("verify.conflicts")
+      .add(static_cast<std::int64_t>(report.conflicts.size()));
+  obs::counter("verify.reachability.dfs_fallbacks")
+      .add(static_cast<std::int64_t>(report.dfs_fallbacks));
+  obs::gauge("verify.clean").set(report.clean() ? 1.0 : 0.0);
   return report;
 }
 
@@ -168,8 +168,8 @@ RegionReport check_races_region(const taskgraph::TaskGraph& graph,
   }
   report.races = check_races(graph, log);
 
-  TAMP_METRIC_COUNT("verify.region.dirty_tasks", report.dirty_tasks);
-  TAMP_METRIC_COUNT("verify.region.replayed_tasks", report.region_tasks);
+  obs::counter("verify.region.dirty_tasks").add(report.dirty_tasks);
+  obs::counter("verify.region.replayed_tasks").add(report.region_tasks);
   return report;
 }
 

@@ -138,8 +138,6 @@ TaskGraph diamond2p() {
                     {{}, {0}, {0}, {1, 2}, {3}, {3}});
 }
 
-#if defined(TAMP_TRACING_ENABLED)
-
 runtime::ExecutionReport run_recorded(const TaskGraph& g,
                                       std::size_t ring_capacity =
                                           FlightRecorder::kDefaultRingCapacity) {
@@ -204,8 +202,6 @@ TEST(FlightRuntime, DisabledConfigRecordsNothing) {
       runtime::execute(g, {0, 1}, cfg, [](index_t) {});
   EXPECT_EQ(rep.flight, nullptr);
 }
-
-#endif  // TAMP_TRACING_ENABLED
 
 // --- measured-run doctor ---------------------------------------------------
 

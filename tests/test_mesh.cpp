@@ -238,6 +238,10 @@ TEST(MeshIo, RejectsMalformedInput) {
   EXPECT_THROW(read_mesh(bad2), runtime_failure);
   std::istringstream bad3("tamp-mesh 1\ncells 1\n1.0 0 0 0 0\nfaces 1\n0 9 1.0 1 0 0\n");
   EXPECT_THROW(read_mesh(bad3), precondition_error);
+  // A header that claims 2^31 - 1 cells, followed by one record: the
+  // missing records are the error, not a ~73 GB allocation.
+  std::istringstream bad4("tamp-mesh 1\ncells 2147483647\n1.0 0 0 0 0\n");
+  EXPECT_THROW(read_mesh(bad4), runtime_failure);
 }
 
 }  // namespace

@@ -224,8 +224,8 @@ TEST_F(ObsTest, NestedScopesTrackDepthAndContainment) {
 }
 
 TEST_F(ObsTest, InstantAndCounterEvents) {
-  TAMP_TRACE_INSTANT("unit/note", "hello");
-  TAMP_TRACE_COUNTER("unit/depth", 42);
+  TraceSession::instance().record_instant("unit/note", "hello");
+  TraceSession::instance().record_counter("unit/depth", 42);
   const auto events = TraceSession::instance().snapshot();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].kind, EventKind::instant);
@@ -238,8 +238,8 @@ TEST_F(ObsTest, RuntimeDisabledRecordsNothing) {
   set_tracing_enabled(false);
   {
     TAMP_TRACE_SCOPE("unit/should_not_appear");
-    TAMP_TRACE_INSTANT("unit/neither", "x");
-    TAMP_TRACE_COUNTER("unit/nor", 1);
+    TraceSession::instance().record_instant("unit/neither", "x");
+    TraceSession::instance().record_counter("unit/nor", 1);
   }
   EXPECT_TRUE(TraceSession::instance().snapshot().empty());
 }
@@ -449,8 +449,9 @@ TEST_F(ObsTest, JsonEscape) {
 TEST_F(ObsTest, SessionExportIsValidJson) {
   {
     TAMP_TRACE_SCOPE("unit/export \"tricky\"\nname");
-    TAMP_TRACE_INSTANT("unit/note", "payload with \\ and \"");
-    TAMP_TRACE_COUNTER("unit/gaugey", 1.25);
+    TraceSession::instance().record_instant("unit/note",
+                                            "payload with \\ and \"");
+    TraceSession::instance().record_counter("unit/gaugey", 1.25);
   }
   const std::string doc =
       to_chrome_trace(TraceSession::instance().snapshot());
@@ -573,6 +574,9 @@ TEST(JsonParser, RejectsMalformedInput) {
   EXPECT_THROW((void)JsonValue::parse("nul"), runtime_failure);
   EXPECT_THROW((void)JsonValue::parse(R"({"a" 1})"), runtime_failure);
   EXPECT_THROW((void)JsonValue::parse("").as_number(), runtime_failure);
+  // 100,000 open brackets: a typed error, not a stack overflow.
+  EXPECT_THROW((void)JsonValue::parse(std::string(100000, '[')),
+               runtime_failure);
 }
 
 TEST(JsonParser, KindMismatchThrows) {

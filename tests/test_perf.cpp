@@ -135,8 +135,6 @@ TEST(TaskClass, DenseIdRoundTrips) {
   EXPECT_EQ(c.label(), "t2:face:int");
 }
 
-#if defined(TAMP_TRACING_ENABLED)
-
 TaskGraph two_class_graph() {
   std::vector<Task> tasks(4);
   for (std::size_t i = 0; i < tasks.size(); ++i) {
@@ -303,8 +301,6 @@ TEST(RuntimePerf, EnvOffForcesFallbackThroughRealRuntime) {
   else
     unsetenv("TAMP_PERF");
 }
-
-#endif  // TAMP_TRACING_ENABLED
 
 TEST(PerfProfileRow, DerivedQuantities) {
   runtime::PerfProfileRow row;

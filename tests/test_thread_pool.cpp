@@ -237,8 +237,6 @@ TEST(ThreadPoolStats, FreshPoolReportsNoWork) {
   EXPECT_EQ(s.steal_success_rate(), 0.0);
 }
 
-#if defined(TAMP_TRACING_ENABLED)
-
 TEST(ThreadPoolStats, CountsSubmissionsAndExecutions) {
   ThreadPool pool(4);
   std::vector<ThreadPool::TaskHandle> handles;
@@ -305,8 +303,6 @@ TEST(ThreadPoolStats, PublishMetricsExportsTotals) {
   EXPECT_EQ(obs::counter("test_pool.executed").value(), 8);
   EXPECT_GE(obs::gauge("test_pool.queue.max_depth").value(), 1.0);
 }
-
-#endif  // TAMP_TRACING_ENABLED
 
 }  // namespace
 }  // namespace tamp

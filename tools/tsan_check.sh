@@ -21,7 +21,6 @@ BUILD="${ROOT}/build-tsan"
 cmake -S "${ROOT}" -B "${BUILD}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DTAMP_SANITIZE=thread \
-  -DTAMP_ENABLE_TRACING=ON \
   "$@"
 cmake --build "${BUILD}" -j "$(nproc)" --target \
   test_obs test_runtime test_flight test_thread_pool test_partition \
