@@ -83,11 +83,12 @@ int main(int argc, char** argv) {
 
   const std::string dir = bench::artifact_dir(cli);
   write_gantt_comparison_svg(
-      report.gantt(out.graph, "runtime execution (threads)"),
+      sim::to_sim_result(report).gantt(out.graph, /*per_worker=*/true,
+                                       "runtime execution (threads)"),
       out.sim.gantt(out.graph, true, "FLUSIM prediction"),
       dir + "/fig5_traces.svg");
-  sim::save_chrome_trace(sim::to_chrome_trace(out.graph, report),
-                         dir + "/fig5_runtime.trace.json");
+  obs::save_text(sim::to_chrome_trace_merged(out.graph, report),
+                 dir + "/fig5_runtime.trace.json");
   std::cout << "Traces written to " << dir << "/fig5_traces.svg and "
             << dir << "/fig5_runtime.trace.json\n";
   bench::dump_bench_metrics("fig5_sim_vs_runtime");

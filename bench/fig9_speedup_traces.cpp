@@ -51,10 +51,10 @@ int main(int argc, char** argv) {
         tl.sim.gantt(tl.graph, false, std::string(mesh::paper_stats(kind).name) + " MC_TL"),
         base + ".svg");
     // Full per-worker schedules for chrome://tracing / Perfetto.
-    sim::save_chrome_trace(sim::to_chrome_trace(oc.graph, oc.sim),
-                           base + "_scoc.trace.json");
-    sim::save_chrome_trace(sim::to_chrome_trace(tl.graph, tl.sim),
-                           base + "_mctl.trace.json");
+    obs::save_text(sim::to_chrome_trace(oc.graph, oc.sim),
+                   base + "_scoc.trace.json");
+    obs::save_text(sim::to_chrome_trace(tl.graph, tl.sim),
+                   base + "_mctl.trace.json");
   }
   t.print(std::cout);
   std::cout << "Shape check: speedup well above 1 on both meshes (paper: "

@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
   cli.option("execute-chrome-trace", "",
              "write the measured run's chrome://tracing JSON here (task "
              "spans plus flight counter tracks: ready-queue depth, idle "
-             "workers, steals)");
+             "workers)");
   cli.option("perf", "on",
              "hardware-counter attribution for --execute: on | clock | off. "
              "Degrades to clock-only or nothing where perf_event is denied; "
@@ -547,19 +547,21 @@ int main(int argc, char** argv) {
       }
 
       if (!cli.get("execute-svg").empty())
-        write_gantt_svg(report.gantt(graph, "flusim --execute (measured)"),
+        write_gantt_svg(sim::to_sim_result(report).gantt(
+                            graph, /*per_worker=*/true,
+                            "flusim --execute (measured)"),
                         cli.get("execute-svg"));
       if (!cli.get("execute-chrome-trace").empty())
-        sim::save_chrome_trace(sim::to_chrome_trace_merged(graph, report),
-                               cli.get("execute-chrome-trace"));
+        obs::save_text(sim::to_chrome_trace_merged(graph, report),
+                       cli.get("execute-chrome-trace"));
     }
 
     if (!cli.get("svg").empty())
       write_gantt_svg(result.gantt(graph, cli.get_flag("per-worker"), "flusim"),
                       cli.get("svg"));
     if (!cli.get("chrome-trace").empty())
-      sim::save_chrome_trace(sim::to_chrome_trace_merged(graph, result),
-                             cli.get("chrome-trace"));
+      obs::save_text(sim::to_chrome_trace_merged(graph, result),
+                     cli.get("chrome-trace"));
     if (!cli.get("metrics").empty())
       obs::save_text(obs::metrics_to_json(obs::Registry::instance().snapshot()),
                      cli.get("metrics"));

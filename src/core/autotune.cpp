@@ -1,5 +1,7 @@
 #include "core/autotune.hpp"
 
+#include "sim/messages.hpp"
+
 namespace tamp::core {
 
 namespace {
@@ -34,8 +36,9 @@ AutotuneRow score_candidate(const RunPlan& plan, const AutotuneOptions& opts,
   row.ndomains = nd;
   row.makespan = with_comm.makespan;
   row.ideal_makespan = ideal_sim.makespan;
-  row.cross_process_edges = cross_process_edges(plan.graph,
-                                                plan.domain_to_process);
+  row.cross_process_edges =
+      sim::message_statistics(plan.graph, plan.domain_to_process)
+          .crossing_edges;
   row.occupancy = with_comm.occupancy();
   return row;
 }

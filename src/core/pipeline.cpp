@@ -13,6 +13,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "partition/repair.hpp"
+#include "sim/messages.hpp"
 #include "solver/euler.hpp"
 #include "solver/transport.hpp"
 #include "support/hash.hpp"
@@ -22,26 +23,8 @@
 
 namespace tamp::core {
 
-weight_t cross_process_edges(const taskgraph::TaskGraph& graph,
-                             const std::vector<part_t>& domain_to_process) {
-  // The paper's estimate (§VI, Fig 11b): "a communication is considered
-  // to be an edge of the task graph connecting two nodes whose domains
-  // are distributed across two different processes".
-  weight_t edges = 0;
-  for (index_t t = 0; t < graph.num_tasks(); ++t) {
-    const part_t pt =
-        domain_to_process[static_cast<std::size_t>(graph.task(t).domain)];
-    for (const index_t s : graph.successors(t)) {
-      const part_t ps =
-          domain_to_process[static_cast<std::size_t>(graph.task(s).domain)];
-      if (ps != pt) ++edges;
-    }
-  }
-  return edges;
-}
-
 weight_t RunOutcome::comm_volume() const {
-  return cross_process_edges(graph, domain_to_process);
+  return sim::message_statistics(graph, domain_to_process).crossing_edges;
 }
 
 RunPlan prepare_on_mesh(const mesh::Mesh& mesh, const RunConfig& config) {

@@ -73,7 +73,8 @@ struct RunOutcome {
   [[nodiscard]] simtime_t makespan() const { return sim.makespan; }
   [[nodiscard]] double occupancy() const { return sim.occupancy(); }
   /// Cross-process communication estimate (paper Fig 11b): the number of
-  /// task dependency edges whose endpoints run on different processes.
+  /// task dependency edges whose endpoints run on different processes
+  /// (sim::message_statistics' crossing_edges).
   [[nodiscard]] weight_t comm_volume() const;
 };
 
@@ -94,12 +95,6 @@ RunPlan prepare_on_mesh(const mesh::Mesh& mesh, const RunConfig& config);
 /// The scoring half: simulate a prepared plan under `config`'s cluster /
 /// policy / communication knobs.
 sim::SimResult simulate_plan(const RunPlan& plan, const RunConfig& config);
-
-/// Dependency edges whose endpoints run on different processes (the
-/// paper's Fig 11b communication estimate; RunOutcome::comm_volume()).
-[[nodiscard]] weight_t cross_process_edges(
-    const taskgraph::TaskGraph& graph,
-    const std::vector<part_t>& domain_to_process);
 
 /// One-line human summary ("SC_OC: makespan=…, occupancy=…%").
 std::string summarize(const RunOutcome& outcome);

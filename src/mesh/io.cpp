@@ -1,9 +1,11 @@
 #include "mesh/io.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <string>
 #include <vector>
 
 namespace tamp::mesh {
@@ -36,6 +38,12 @@ Mesh read_mesh(std::istream& is) {
   auto fail = [](const std::string& what) -> Mesh {
     throw runtime_failure("malformed tamp-mesh input: " + what);
   };
+  // Validate every record here, so a malformed file is a runtime_failure
+  // naming the record, never a MeshBuilder precondition_error.
+  const auto positive = [](double v) { return std::isfinite(v) && v > 0.0; };
+  const auto record = [](const char* kind, index_t i) {
+    return std::string(kind) + " record " + std::to_string(i);
+  };
 
   std::string magic;
   int version = 0;
@@ -57,8 +65,12 @@ Mesh read_mesh(std::istream& is) {
     double vol = 0;
     Vec3 p;
     int level = 0;
-    if (!(is >> vol >> p.x >> p.y >> p.z >> level)) return fail("cell record");
-    if (level < 0 || level > 127) return fail("level out of range");
+    if (!(is >> vol >> p.x >> p.y >> p.z >> level))
+      return fail(record("cell", c));
+    if (level < 0 || level > 127)
+      return fail(record("cell", c) + ": level out of range");
+    if (!positive(vol))
+      return fail(record("cell", c) + ": volume not finite and positive");
     volumes.push_back(vol);
     centroids.push_back(p);
     levels.push_back(static_cast<level_t>(level));
@@ -75,7 +87,13 @@ Mesh read_mesh(std::istream& is) {
     index_t a = 0, b = 0;
     double area = 0;
     Vec3 n;
-    if (!(is >> a >> b >> area >> n.x >> n.y >> n.z)) return fail("face record");
+    if (!(is >> a >> b >> area >> n.x >> n.y >> n.z))
+      return fail(record("face", f));
+    if (a < 0 || a >= ncells || (b != invalid_index && (b < 0 || b >= ncells)))
+      return fail(record("face", f) + ": cell id out of range");
+    if (a == b) return fail(record("face", f) + ": joins a cell to itself");
+    if (!positive(area))
+      return fail(record("face", f) + ": area not finite and positive");
     if (b == invalid_index)
       mb.add_boundary_face(a, area, n);
     else

@@ -57,6 +57,8 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
+namespace {
+
 void append_chrome_events(std::ostream& os, bool& first,
                           const std::vector<TraceEvent>& events, int pid) {
   for (const TraceEvent& ev : events) {
@@ -98,6 +100,8 @@ void append_chrome_events(std::ostream& os, bool& first,
   }
 }
 
+}  // namespace
+
 void append_process_name(std::ostream& os, bool& first, int pid,
                          std::string_view name) {
   begin_event(os, first);
@@ -112,19 +116,24 @@ void append_thread_name(std::ostream& os, bool& first, int pid, int tid,
      << tid << R"(,"args":{"name":")" << json_escape(name) << "\"}}";
 }
 
-std::string to_chrome_trace(const std::vector<TraceEvent>& events, int pid) {
-  std::ostringstream body;
-  bool first = true;
-  append_process_name(body, first, pid, "tamp pipeline");
+void append_session_trace(std::ostream& os, bool& first,
+                          const std::vector<TraceEvent>& events, int pid) {
+  append_process_name(os, first, pid, "tamp pipeline");
   if (!events.empty()) {
     std::uint32_t max_thread = 0;
     for (const TraceEvent& ev : events)
       max_thread = std::max(max_thread, ev.thread);
     for (std::uint32_t t = 0; t <= max_thread; ++t)
-      append_thread_name(body, first, pid, static_cast<int>(t),
+      append_thread_name(os, first, pid, static_cast<int>(t),
                          t == 0 ? "main" : "worker " + std::to_string(t));
   }
-  append_chrome_events(body, first, events, pid);
+  append_chrome_events(os, first, events, pid);
+}
+
+std::string to_chrome_trace(const std::vector<TraceEvent>& events, int pid) {
+  std::ostringstream body;
+  bool first = true;
+  append_session_trace(body, first, events, pid);
   std::ostringstream os;
   os << "{\"traceEvents\":[\n" << body.str() << "\n]}\n";
   return os.str();

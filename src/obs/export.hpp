@@ -22,12 +22,14 @@ namespace tamp::obs {
 /// simulated process rank so the two timelines never collide in Perfetto.
 inline constexpr int kPipelineTracePid = 1'000'000;
 
-/// Append one Chrome trace-event object per session event (comma
-/// separated, honouring/updating `first`). Spans become ph:"X" complete
-/// events, instants ph:"i", counters ph:"C"; timestamps are converted
-/// from session nanoseconds to trace microseconds. All events are placed
-/// under `pid` with tid = the session's dense thread id.
-void append_chrome_events(std::ostream& os, bool& first,
+/// Append session events as Chrome trace-event objects (comma separated,
+/// honouring/updating `first`): a "tamp pipeline" process_name for `pid`,
+/// one thread_name per session thread ("main", "worker N"), then one
+/// object per event. Spans become ph:"X" complete events, instants
+/// ph:"i", counters ph:"C"; timestamps are converted from session
+/// nanoseconds to trace microseconds, and tid = the session's dense
+/// thread id.
+void append_session_trace(std::ostream& os, bool& first,
                           const std::vector<TraceEvent>& events, int pid);
 
 /// Append a ph:"M" process_name metadata event.
@@ -38,8 +40,8 @@ void append_thread_name(std::ostream& os, bool& first, int pid, int tid,
                         std::string_view name);
 
 /// Serialise session events into a complete standalone Chrome trace
-/// document (with process/thread metadata), for use outside the merged
-/// task-trace path.
+/// document (append_session_trace wrapped in a traceEvents array), for
+/// use outside the merged task-trace path.
 [[nodiscard]] std::string to_chrome_trace(const std::vector<TraceEvent>& events,
                                           int pid = kPipelineTracePid);
 

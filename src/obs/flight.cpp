@@ -13,8 +13,6 @@ const char* to_string(FlightEventKind k) {
     case FlightEventKind::dep_release: return "dep_release";
     case FlightEventKind::idle_begin: return "idle_begin";
     case FlightEventKind::idle_end: return "idle_end";
-    case FlightEventKind::steal_attempt: return "steal_attempt";
-    case FlightEventKind::steal_success: return "steal_success";
   }
   return "?";
 }
@@ -101,11 +99,6 @@ FlightSummary summarize(const FlightRecorder& recorder) {
       }
     }
   }
-  const std::uint64_t attempts = s.count(FlightEventKind::steal_attempt);
-  s.steal_success_rate =
-      attempts > 0 ? static_cast<double>(s.count(FlightEventKind::steal_success)) /
-                         static_cast<double>(attempts)
-                   : 0.0;
   return s;
 }
 

@@ -17,8 +17,8 @@
 //    worker), no atomics on the hot path. Readers (merge, stats) run
 //    after the execution quiesces (thread join publishes everything).
 //  * near-zero overhead when off — an instrumentation site in
-//    runtime::execute or ThreadPool costs one null-pointer test per
-//    event while no recorder is attached.
+//    runtime::execute costs one null-pointer test per event while no
+//    recorder is attached.
 //
 // Event schema (see DESIGN.md "Flight recorder"): every event is a POD
 // {kind, t_seconds, a, b}. The meaning of a/b depends on the kind:
@@ -30,8 +30,6 @@
 //   dep_release     released task id   releasing task id
 //   idle_begin      —                  —
 //   idle_end        —                  —
-//   steal_attempt   victim slot        —
-//   steal_success   victim slot        —
 //
 // Timestamps are seconds on the caller's clock (runtime::execute uses
 // its launch-relative Stopwatch, so flight events line up with
@@ -51,10 +49,8 @@ enum class FlightEventKind : std::uint8_t {
   dep_release = 3,
   idle_begin = 4,
   idle_end = 5,
-  steal_attempt = 6,
-  steal_success = 7,
 };
-inline constexpr int kNumFlightEventKinds = 8;
+inline constexpr int kNumFlightEventKinds = 6;
 [[nodiscard]] const char* to_string(FlightEventKind k);
 
 /// One recorded event. POD by design: pushing is a bounded array store.
@@ -108,8 +104,8 @@ struct WorkerFlightEvent {
 };
 
 /// Per-worker rings plus merge/summary helpers. One recorder per
-/// execution (runtime::execute) or per pool; ring i belongs exclusively
-/// to worker i while running.
+/// execution (runtime::execute); ring i belongs exclusively to worker i
+/// while running.
 class FlightRecorder {
 public:
   /// Default ring capacity: 16Ki events ≈ 512 KiB per worker — several
@@ -151,7 +147,6 @@ struct FlightSummary {
   std::uint64_t recorded = 0;         ///< ever pushed
   std::uint64_t dropped = 0;
   std::uint64_t counts[kNumFlightEventKinds] = {};
-  double steal_success_rate = 0;      ///< successes / attempts (0 if none)
   /// Σ idle-interval time over workers (well-paired begin/end only).
   double idle_seconds = 0;
 

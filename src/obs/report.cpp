@@ -280,7 +280,6 @@ MetricAnnotation annotate_metric(const std::string& name) {
   if (has("_per_s") || has("per_second")) return {"1/s", +1};
   if (has("seconds_per_unit")) return {"s/unit", 0};
   if (has("occupancy")) return {"share", +1};
-  if (has("success_rate")) return {"share", +1};
   if (has("speedup")) return {"x", +1};
   if (has("idle") || has("blame") || has("starvation"))
     return {has("seconds") ? "s" : "share", -1};
@@ -295,9 +294,7 @@ MetricAnnotation annotate_metric(const std::string& name) {
   if (has("share") || has("fraction") || has("imbalance"))
     return {"share", 0};
   if (has("count") || has("events") || has("tasks") || has("steps") ||
-      has("moves") || has("attempts") || has("successes") ||
-      has("handoffs") || has("submitted") || has("executed") ||
-      has("pops"))
+      has("moves") || has("handoffs") || has("executed"))
     return {"count", 0};
   return a;
 }

@@ -108,7 +108,7 @@ struct MetricAnnotation {
 };
 
 /// Name-based annotation heuristics covering the repo's metric families
-/// (doctor.*, divergence.*, runtime.*, pool.*, solver.*, obs.flight.*).
+/// (doctor.*, divergence.*, runtime.*, solver.*, obs.flight.*).
 [[nodiscard]] MetricAnnotation annotate_metric(const std::string& name);
 
 }  // namespace tamp::obs

@@ -100,4 +100,31 @@ double BalanceSpec::violation(const std::vector<weight_t>& loads0) const {
   return v;
 }
 
+std::vector<weight_t> kway_allowances(const graph::Csr& g, part_t nparts,
+                                      double slack) {
+  const int nc = g.num_constraints();
+  const auto totals = g.total_weights();
+  std::vector<weight_t> max_vwgt(static_cast<std::size_t>(nc), 0);
+  for (index_t v = 0; v < g.num_vertices(); ++v) {
+    const auto w = g.vertex_weights(v);
+    for (int c = 0; c < nc; ++c)
+      max_vwgt[static_cast<std::size_t>(c)] =
+          std::max(max_vwgt[static_cast<std::size_t>(c)],
+                   w[static_cast<std::size_t>(c)]);
+  }
+  std::vector<weight_t> allowed(static_cast<std::size_t>(nparts) *
+                                static_cast<std::size_t>(nc));
+  for (part_t p = 0; p < nparts; ++p) {
+    for (int c = 0; c < nc; ++c) {
+      const double ideal =
+          static_cast<double>(totals[static_cast<std::size_t>(c)]) /
+          static_cast<double>(nparts);
+      allowed[static_cast<std::size_t>(p) * nc + static_cast<std::size_t>(c)] =
+          static_cast<weight_t>(std::llround(ideal * (1.0 + slack))) +
+          max_vwgt[static_cast<std::size_t>(c)];
+    }
+  }
+  return allowed;
+}
+
 }  // namespace tamp::partition

@@ -10,8 +10,13 @@
 // where slack[c] is one maximum vertex weight — without it, constraints
 // whose total weight is a handful of units (e.g. the paper's CUBE mesh,
 // where τ=2 holds 0.3 % of cells) would make every bisection infeasible.
+//
+// k-way stages (direct k-way refinement, incremental repartitioning,
+// fragment repair) share one allowance table and one fit check over
+// part-major tables, table[p·ncon + c], the layout of part_loads().
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -64,5 +69,33 @@ private:
   std::vector<weight_t> target0_;
   std::vector<weight_t> allowed_;  // [side][c]
 };
+
+/// Per-part allowances of a k-way split: allowed[p·ncon + c] =
+/// round(total_c / nparts · (1 + slack)) + the largest vertex weight of
+/// constraint c (the same one vertex of absolute slack as BalanceSpec).
+[[nodiscard]] std::vector<weight_t> kway_allowances(const graph::Csr& g,
+                                                    part_t nparts,
+                                                    double slack);
+
+/// True if adding weights `w` (one per constraint) to part q keeps q
+/// within its allowance on every constraint.
+[[nodiscard]] inline bool fits_part(const std::vector<weight_t>& loads,
+                                    const std::vector<weight_t>& allowed,
+                                    part_t q, std::span<const weight_t> w) {
+  const std::size_t base = static_cast<std::size_t>(q) * w.size();
+  for (std::size_t c = 0; c < w.size(); ++c)
+    if (loads[base + c] + w[c] > allowed[base + c]) return false;
+  return true;
+}
+
+/// Move weights `w` from part `from` to part `to` in a load table.
+inline void move_load(std::vector<weight_t>& loads, part_t from, part_t to,
+                      std::span<const weight_t> w) {
+  const std::size_t nc = w.size();
+  for (std::size_t c = 0; c < nc; ++c) {
+    loads[static_cast<std::size_t>(from) * nc + c] -= w[c];
+    loads[static_cast<std::size_t>(to) * nc + c] += w[c];
+  }
+}
 
 }  // namespace tamp::partition

@@ -1,10 +1,11 @@
 #include "partition/incremental.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <limits>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "partition/balance.hpp"
 #include "partition/partition.hpp"
 #include "partition/refine.hpp"
 
@@ -37,27 +38,8 @@ IncrementalReport incremental_repartition(const graph::Csr& g,
   report.imbalance_before = max_imbalance(g, part, nparts);
 
   // Allowances on the *new* weights.
-  const auto totals = g.total_weights();
-  std::vector<weight_t> max_vwgt(static_cast<std::size_t>(nc), 0);
-  for (index_t v = 0; v < n; ++v) {
-    const auto w = g.vertex_weights(v);
-    for (int c = 0; c < nc; ++c)
-      max_vwgt[static_cast<std::size_t>(c)] =
-          std::max(max_vwgt[static_cast<std::size_t>(c)],
-                   w[static_cast<std::size_t>(c)]);
-  }
-  std::vector<weight_t> allowed(static_cast<std::size_t>(nparts) *
-                                static_cast<std::size_t>(nc));
-  for (part_t p = 0; p < nparts; ++p) {
-    for (int c = 0; c < nc; ++c) {
-      const double ideal =
-          static_cast<double>(totals[static_cast<std::size_t>(c)]) /
-          static_cast<double>(nparts);
-      allowed[static_cast<std::size_t>(p) * nc + static_cast<std::size_t>(c)] =
-          static_cast<weight_t>(std::llround(ideal * (1.0 + opts.tolerance))) +
-          max_vwgt[static_cast<std::size_t>(c)];
-    }
-  }
+  const std::vector<weight_t> allowed =
+      kway_allowances(g, nparts, opts.tolerance);
 
   std::vector<weight_t> loads = part_loads(g, part, nparts);
   auto overshoot = [&](part_t p, int c) {
@@ -105,17 +87,7 @@ IncrementalReport incremental_repartition(const graph::Csr& g,
             internal += wgts[i];
         for (std::size_t i = 0; i < nbrs.size(); ++i) {
           const part_t q = part[static_cast<std::size_t>(nbrs[i])];
-          if (q == worst_p) continue;
-          bool fits = true;
-          for (int c = 0; c < nc; ++c) {
-            const auto idx =
-                static_cast<std::size_t>(q) * nc + static_cast<std::size_t>(c);
-            if (loads[idx] + w[static_cast<std::size_t>(c)] > allowed[idx]) {
-              fits = false;
-              break;
-            }
-          }
-          if (!fits) continue;
+          if (q == worst_p || !fits_part(loads, allowed, q, w)) continue;
           weight_t external = 0;
           for (std::size_t j = 0; j < nbrs.size(); ++j)
             if (part[static_cast<std::size_t>(nbrs[j])] == q)
@@ -129,12 +101,7 @@ IncrementalReport incremental_repartition(const graph::Csr& g,
         }
       }
       if (best_v == invalid_index) break;  // no feasible rebalancing move
-      const auto w = g.vertex_weights(best_v);
-      for (int c = 0; c < nc; ++c) {
-        const auto sc = static_cast<std::size_t>(c);
-        loads[static_cast<std::size_t>(worst_p) * nc + sc] -= w[sc];
-        loads[static_cast<std::size_t>(best_dest) * nc + sc] += w[sc];
-      }
+      move_load(loads, worst_p, best_dest, g.vertex_weights(best_v));
       part[static_cast<std::size_t>(best_v)] = best_dest;
     }
   }

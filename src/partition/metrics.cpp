@@ -70,25 +70,4 @@ double max_imbalance(const graph::Csr& g, const std::vector<part_t>& part,
   return r.max_imbalance();
 }
 
-weight_t interprocess_comm(const graph::Csr& g, const std::vector<part_t>& part,
-                           const std::vector<part_t>& domain_to_process) {
-  weight_t volume = 0;
-  for (index_t v = 0; v < g.num_vertices(); ++v) {
-    const auto nbrs = g.neighbors(v);
-    const auto wgts = g.edge_weights(v);
-    const part_t dv = part[static_cast<std::size_t>(v)];
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const part_t du = part[static_cast<std::size_t>(nbrs[i])];
-      if (dv == du) continue;
-      TAMP_EXPECTS(static_cast<std::size_t>(dv) < domain_to_process.size() &&
-                       static_cast<std::size_t>(du) < domain_to_process.size(),
-                   "domain id outside process map");
-      if (domain_to_process[static_cast<std::size_t>(dv)] !=
-          domain_to_process[static_cast<std::size_t>(du)])
-        volume += wgts[i];
-    }
-  }
-  return volume / 2;
-}
-
 }  // namespace tamp::partition

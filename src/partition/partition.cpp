@@ -212,27 +212,8 @@ Result partition_graph(const graph::Csr& g, const Options& opts) {
       // stream does not depend on traversal order.
       Rng kway_rng(mix_seed(opts.seed, 0x6b776179ULL /* "kway" */,
                             static_cast<std::uint64_t>(opts.nparts)));
-      const int nc = g.num_constraints();
-      const auto totals = g.total_weights();
-      std::vector<weight_t> max_vwgt(static_cast<std::size_t>(nc), 0);
-      for (index_t v = 0; v < g.num_vertices(); ++v) {
-        const auto w = g.vertex_weights(v);
-        for (int c = 0; c < nc; ++c)
-          max_vwgt[static_cast<std::size_t>(c)] = std::max(
-              max_vwgt[static_cast<std::size_t>(c)], w[static_cast<std::size_t>(c)]);
-      }
-      std::vector<weight_t> allowed(
-          static_cast<std::size_t>(opts.nparts) * static_cast<std::size_t>(nc));
-      for (part_t p = 0; p < opts.nparts; ++p) {
-        for (int c = 0; c < nc; ++c) {
-          const double target = static_cast<double>(totals[static_cast<std::size_t>(c)]) /
-                                static_cast<double>(opts.nparts);
-          allowed[static_cast<std::size_t>(p) * nc + static_cast<std::size_t>(c)] =
-              static_cast<weight_t>(std::llround(target * (1.0 + opts.tolerance))) +
-              max_vwgt[static_cast<std::size_t>(c)];
-        }
-      }
-      kway_refine(g, result.part, opts.nparts, allowed, kway_rng,
+      kway_refine(g, result.part, opts.nparts,
+                  kway_allowances(g, opts.nparts, opts.tolerance), kway_rng,
                   opts.refine_passes);
     }
   }

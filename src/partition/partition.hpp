@@ -84,10 +84,4 @@ std::vector<weight_t> part_loads(const graph::Csr& g,
 double max_imbalance(const graph::Csr& g, const std::vector<part_t>& part,
                      part_t nparts);
 
-/// Communication volume between *processes* when domains are mapped to
-/// processes round-robin (paper Fig 11b: an edge crossing two domains on
-/// different processes counts as interprocess communication).
-weight_t interprocess_comm(const graph::Csr& g, const std::vector<part_t>& part,
-                           const std::vector<part_t>& domain_to_process);
-
 }  // namespace tamp::partition

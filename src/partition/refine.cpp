@@ -318,27 +318,14 @@ weight_t kway_refine(const graph::Csr& g, std::vector<part_t>& part,
           if (b == a) continue;
           const weight_t gain = conn[static_cast<std::size_t>(b)] - internal;
           if (gain <= best_gain) continue;
-          bool fits = true;
-          for (int c = 0; c < nc; ++c) {
-            const auto idx = static_cast<std::size_t>(b) * nc +
-                             static_cast<std::size_t>(c);
-            if (loads[idx] + w[static_cast<std::size_t>(c)] > allowed[idx]) {
-              fits = false;
-              break;
-            }
-          }
-          if (fits) {
+          if (fits_part(loads, allowed, b, w)) {
             best = b;
             best_gain = gain;
           }
         }
         if (best != invalid_part) {
           part[static_cast<std::size_t>(v)] = best;
-          for (int c = 0; c < nc; ++c) {
-            const auto sc = static_cast<std::size_t>(c);
-            loads[static_cast<std::size_t>(a) * nc + sc] -= w[sc];
-            loads[static_cast<std::size_t>(best) * nc + sc] += w[sc];
-          }
+          move_load(loads, a, best, w);
           any_move = true;
           ++kway_moves;
         }

@@ -1,11 +1,12 @@
 #include "partition/repair.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <span>
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "partition/balance.hpp"
 #include "partition/partition.hpp"
 
 namespace tamp::partition {
@@ -87,26 +88,8 @@ RepairReport repair_fragments(const graph::Csr& g, std::vector<part_t>& part,
   }
 
   // Allowances: ideal share + headroom + one max vertex weight.
-  const auto totals = g.total_weights();
-  std::vector<weight_t> max_vwgt(static_cast<std::size_t>(nc), 0);
-  for (index_t v = 0; v < g.num_vertices(); ++v) {
-    const auto w = g.vertex_weights(v);
-    for (int c = 0; c < nc; ++c)
-      max_vwgt[static_cast<std::size_t>(c)] =
-          std::max(max_vwgt[static_cast<std::size_t>(c)],
-                   w[static_cast<std::size_t>(c)]);
-  }
-  std::vector<weight_t> allowed(static_cast<std::size_t>(nparts) *
-                                static_cast<std::size_t>(nc));
-  for (part_t p = 0; p < nparts; ++p) {
-    for (int c = 0; c < nc; ++c) {
-      const double ideal = static_cast<double>(totals[static_cast<std::size_t>(c)]) /
-                           static_cast<double>(nparts);
-      allowed[static_cast<std::size_t>(p) * nc + static_cast<std::size_t>(c)] =
-          static_cast<weight_t>(std::llround(ideal * (1.0 + opts.headroom))) +
-          max_vwgt[static_cast<std::size_t>(c)];
-    }
-  }
+  const std::vector<weight_t> allowed =
+      kway_allowances(g, nparts, opts.headroom);
 
   std::vector<weight_t> loads = part_loads(g, part, nparts);
 
@@ -175,31 +158,16 @@ RepairReport repair_fragments(const graph::Csr& g, std::vector<part_t>& part,
       order.reserve(contact.size());
       for (const auto& [q, w] : contact) order.emplace_back(w, q);
       std::sort(order.rbegin(), order.rend());
+      const auto fw = std::span<const weight_t>(frag_loads).subspan(
+          static_cast<std::size_t>(f) * static_cast<std::size_t>(nc),
+          static_cast<std::size_t>(nc));
       for (const auto& [w, dest] : order) {
-        bool fits = true;
-        for (int c = 0; c < nc; ++c) {
-          const auto idx = static_cast<std::size_t>(dest) * nc +
-                           static_cast<std::size_t>(c);
-          if (loads[idx] + frag_loads[static_cast<std::size_t>(f) * nc +
-                                      static_cast<std::size_t>(c)] >
-              allowed[idx]) {
-            fits = false;
-            break;
-          }
-        }
-        if (!fits) continue;
+        if (!fits_part(loads, allowed, dest, fw)) continue;
         for (const index_t v : members[static_cast<std::size_t>(f)]) {
           part[static_cast<std::size_t>(v)] = dest;
           ++report.vertices_moved;
         }
-        for (int c = 0; c < nc; ++c) {
-          const weight_t fw = frag_loads[static_cast<std::size_t>(f) * nc +
-                                         static_cast<std::size_t>(c)];
-          loads[static_cast<std::size_t>(home) * nc +
-                static_cast<std::size_t>(c)] -= fw;
-          loads[static_cast<std::size_t>(dest) * nc +
-                static_cast<std::size_t>(c)] += fw;
-        }
+        move_load(loads, home, dest, fw);
         part_size[static_cast<std::size_t>(home)] -=
             frags.size_of[static_cast<std::size_t>(f)];
         part_size[static_cast<std::size_t>(dest)] +=

@@ -40,31 +40,6 @@ double ExecutionReport::occupancy() const {
           static_cast<double>(workers_per_process));
 }
 
-GanttTrace ExecutionReport::gantt(const taskgraph::TaskGraph& graph,
-                                  const std::string& title) const {
-  TAMP_EXPECTS(spans.size() == static_cast<std::size_t>(graph.num_tasks()),
-               "execution report does not match the task graph");
-  GanttTrace trace;
-  trace.title = title;
-  trace.makespan = wall_seconds;
-  trace.resource_names.resize(static_cast<std::size_t>(num_processes) *
-                              static_cast<std::size_t>(workers_per_process));
-  for (part_t p = 0; p < num_processes; ++p)
-    for (int w = 0; w < workers_per_process; ++w)
-      trace.resource_names[static_cast<std::size_t>(p) *
-                               static_cast<std::size_t>(workers_per_process) +
-                           static_cast<std::size_t>(w)] =
-          "p" + std::to_string(p) + ".w" + std::to_string(w);
-  for (index_t t = 0; t < graph.num_tasks(); ++t) {
-    const Span& s = spans[static_cast<std::size_t>(t)];
-    trace.spans.push_back(
-        {static_cast<int>(s.process) * workers_per_process + s.worker, s.start,
-         s.end, static_cast<int>(graph.task(t).subiteration),
-         graph.task(t).label()});
-  }
-  return trace;
-}
-
 namespace {
 
 /// Shared ready queue of one emulated process.

@@ -8,9 +8,11 @@
 // load balancing StarPU provides). Dependencies are enforced with atomic
 // pending counters, so the observable ordering is exactly the DAG's.
 //
-// The runtime records per-task wall-clock spans and per-worker busy time,
-// from which the same Gantt traces and occupancy statistics as FLUSIM's
-// can be derived (paper Fig 5: FLUSEPA trace vs FLUSIM trace).
+// The runtime records per-task wall-clock spans and per-worker busy time;
+// sim::to_sim_result lifts them into FLUSIM's SimResult, so the Gantt
+// traces, Chrome traces and occupancy statistics of a measured run come
+// from the same code as the simulator's (paper Fig 5: FLUSEPA trace vs
+// FLUSIM trace).
 #pragma once
 
 #include <cstdint>
@@ -20,7 +22,6 @@
 
 #include "obs/flight.hpp"
 #include "obs/perf.hpp"
-#include "support/gantt.hpp"
 #include "taskgraph/taskgraph.hpp"
 
 namespace tamp::runtime {
@@ -120,11 +121,6 @@ struct ExecutionReport {
   /// capacity has no meaningful occupancy and returns NaN — "no capacity"
   /// must stay distinguishable from "all workers idle" (0.0).
   [[nodiscard]] double occupancy() const;
-  /// Gantt trace (rows = workers grouped by process, colours =
-  /// subiteration), comparable to SimResult::gantt(). Throws
-  /// precondition_error when the report's spans do not match the graph.
-  [[nodiscard]] GanttTrace gantt(const taskgraph::TaskGraph& graph,
-                                 const std::string& title) const;
 };
 
 /// The task body: called once per task id, possibly concurrently for

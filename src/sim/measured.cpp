@@ -22,6 +22,10 @@ SimResult to_sim_result(const runtime::ExecutionReport& report) {
   out.timing.reserve(report.spans.size());
   simtime_t latest = 0;
   for (const runtime::ExecutionReport::Span& span : report.spans) {
+    TAMP_EXPECTS(span.process >= 0 && span.process < report.num_processes &&
+                     span.worker >= 0 &&
+                     span.worker < report.workers_per_process,
+                 "span names a worker outside the execution report");
     TaskTiming t;
     t.start = span.start;
     t.end = span.end;

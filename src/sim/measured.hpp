@@ -20,8 +20,12 @@ namespace tamp::sim {
 /// timing from the report's spans, busy_per_process summed from span
 /// durations, makespan = wall_seconds, and — when the report carries
 /// flight events — queue-depth samples reconstructed from task_dequeue
-/// events. The result feeds diagnose()/gantt()/to_chrome_trace directly.
-/// Throws precondition_error when the report is empty of span data.
+/// events. This is the only path from a measured run to a view: the
+/// doctor, the divergence report, the what-if replay, the measured Gantt
+/// (`to_sim_result(report).gantt(graph, true, title)`) and the measured
+/// Chrome trace all read it.
+/// Throws precondition_error when the report has no worker capacity or a
+/// span names a worker outside it.
 [[nodiscard]] SimResult to_sim_result(const runtime::ExecutionReport& report);
 
 /// Run the schedule doctor on a measured execution. Blame shares still

@@ -52,6 +52,8 @@ double SimResult::idle_fraction(part_t p) const {
 
 GanttTrace SimResult::gantt(const taskgraph::TaskGraph& graph, bool per_worker,
                             const std::string& title) const {
+  TAMP_EXPECTS(timing.size() == static_cast<std::size_t>(graph.num_tasks()),
+               "result does not match the task graph");
   GanttTrace trace;
   trace.title = title;
   trace.makespan = makespan;

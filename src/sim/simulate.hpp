@@ -95,7 +95,8 @@ struct SimResult {
   /// Build a Gantt trace. One row per worker when `per_worker`, else one
   /// aggregated row per process (a process row is busy when ≥1 of its
   /// workers is, the paper's Fig 6 view). Spans are coloured by
-  /// subiteration.
+  /// subiteration. Throws precondition_error when `timing` does not match
+  /// the graph.
   [[nodiscard]] GanttTrace gantt(const taskgraph::TaskGraph& graph,
                                  bool per_worker,
                                  const std::string& title) const;

@@ -1,10 +1,10 @@
 #include "sim/trace_json.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 
 #include "obs/export.hpp"
+#include "sim/measured.hpp"
 
 namespace tamp::sim {
 
@@ -43,16 +43,6 @@ void append_task_metadata(std::ostringstream& os, bool& first,
   }
 }
 
-void append_task_metadata(std::ostringstream& os, bool& first,
-                          const std::vector<runtime::ExecutionReport::Span>&
-                              spans) {
-  std::vector<TaskTiming> timing;
-  timing.reserve(spans.size());
-  for (const auto& s : spans)
-    timing.push_back({s.start, s.end, s.process, s.worker});
-  append_task_metadata(os, first, timing);
-}
-
 std::string finish(std::ostringstream& body) {
   std::ostringstream os;
   os << "{\"traceEvents\":[\n" << body.str() << "\n]}\n";
@@ -65,35 +55,8 @@ std::string finish(std::ostringstream& body) {
 /// one Perfetto timeline.
 void append_session_events(std::ostringstream& os, bool& first) {
   const auto events = obs::TraceSession::instance().snapshot();
-  if (events.empty()) return;
-  obs::append_process_name(os, first, obs::kPipelineTracePid, "tamp pipeline");
-  std::uint32_t max_thread = 0;
-  for (const auto& ev : events) max_thread = std::max(max_thread, ev.thread);
-  for (std::uint32_t t = 0; t <= max_thread; ++t)
-    obs::append_thread_name(os, first, obs::kPipelineTracePid,
-                            static_cast<int>(t),
-                            t == 0 ? "main" : "worker " + std::to_string(t));
-  obs::append_chrome_events(os, first, events, obs::kPipelineTracePid);
-}
-
-/// Shared body of the plain and merged SimResult exporters: metadata,
-/// task spans, and ready-queue depth counter tracks (one per process).
-void append_sim_body(std::ostringstream& body, bool& first,
-                     const taskgraph::TaskGraph& graph,
-                     const SimResult& result) {
-  append_task_metadata(body, first, result.timing);
-  for (index_t t = 0; t < graph.num_tasks(); ++t) {
-    const TaskTiming& tt = result.timing[static_cast<std::size_t>(t)];
-    append_event(body, first, graph.task(t).label(), tt.process, tt.worker,
-                 tt.start, tt.end - tt.start, graph.task(t));
-  }
-  for (const QueueDepthSample& s : result.queue_depth) {
-    if (!first) body << ",\n";
-    first = false;
-    body << R"(  {"name":"ready_queue","ph":"C","pid":)" << s.process
-         << R"(,"tid":0,"ts":)" << s.time << R"(,"args":{"depth":)" << s.depth
-         << "}}";
-  }
+  if (!events.empty())
+    obs::append_session_trace(os, first, events, obs::kPipelineTracePid);
 }
 
 void append_counter(std::ostringstream& os, bool& first, const char* name,
@@ -106,65 +69,42 @@ void append_counter(std::ostringstream& os, bool& first, const char* name,
      << value << "}}";
 }
 
-/// Render the flight recorder's event stream as per-process counter
-/// tracks: ready-queue depth (sampled at each dequeue), concurrently
-/// idle workers (from idle_begin/idle_end pairing), and steal activity
-/// (cumulative attempts/successes plus attempts − successes in flight).
-void append_flight_counters(std::ostringstream& body, bool& first,
-                            const runtime::ExecutionReport& report) {
+/// Shared body of every exporter: metadata, task spans, and ready-queue
+/// depth counter tracks (one per process). `scale` maps the result's time
+/// unit to trace microseconds: 1 for simulated work units, 1e6 for the
+/// seconds of a measured run.
+void append_body(std::ostringstream& body, bool& first,
+                 const taskgraph::TaskGraph& graph, const SimResult& result,
+                 double scale) {
+  append_task_metadata(body, first, result.timing);
+  for (index_t t = 0; t < graph.num_tasks(); ++t) {
+    const TaskTiming& tt = result.timing[static_cast<std::size_t>(t)];
+    append_event(body, first, graph.task(t).label(), tt.process, tt.worker,
+                 tt.start * scale, (tt.end - tt.start) * scale, graph.task(t));
+  }
+  for (const QueueDepthSample& s : result.queue_depth)
+    append_counter(body, first, "ready_queue", s.process, s.time * scale,
+                   "depth", s.depth);
+}
+
+/// The flight recorder's idle_workers track: per process, how many
+/// workers sit between an idle_begin and its idle_end, sampled at each.
+void append_idle_workers(std::ostringstream& body, bool& first,
+                         const runtime::ExecutionReport& report) {
   if (!report.flight || report.workers_per_process <= 0) return;
   const auto np = static_cast<std::size_t>(report.num_processes);
   std::vector<std::int64_t> idle(np, 0);
-  std::vector<std::int64_t> attempts(np, 0), successes(np, 0);
   for (const obs::WorkerFlightEvent& we : report.flight->merged()) {
+    const bool begin = we.event.kind == obs::FlightEventKind::idle_begin;
+    if (!begin && we.event.kind != obs::FlightEventKind::idle_end) continue;
     const int p = we.worker / report.workers_per_process;
     const auto up = static_cast<std::size_t>(p);
     if (up >= np) continue;  // defensive: ring count vs report mismatch
-    const double ts = we.event.t_seconds * 1e6;
-    switch (we.event.kind) {
-      case obs::FlightEventKind::task_dequeue:
-        append_counter(body, first, "ready_queue", p, ts, "depth",
-                       we.event.b < 0 ? 0 : we.event.b);
-        break;
-      case obs::FlightEventKind::idle_begin:
-      case obs::FlightEventKind::idle_end:
-        idle[up] += we.event.kind == obs::FlightEventKind::idle_begin ? 1 : -1;
-        if (idle[up] < 0) idle[up] = 0;  // ring overwrote the begin
-        append_counter(body, first, "idle_workers", p, ts, "idle", idle[up]);
-        break;
-      case obs::FlightEventKind::steal_attempt:
-      case obs::FlightEventKind::steal_success: {
-        if (we.event.kind == obs::FlightEventKind::steal_attempt)
-          ++attempts[up];
-        else
-          ++successes[up];
-        if (!first) body << ",\n";
-        first = false;
-        body << R"(  {"name":"steals","ph":"C","pid":)" << p
-             << R"(,"tid":0,"ts":)" << ts << R"(,"args":{"attempts":)"
-             << attempts[up] << R"(,"successes":)" << successes[up] << "}}";
-        append_counter(body, first, "steals_inflight", p, ts, "inflight",
-                       attempts[up] - successes[up]);
-        break;
-      }
-      default:
-        break;
-    }
+    idle[up] += begin ? 1 : -1;
+    if (idle[up] < 0) idle[up] = 0;  // ring overwrote the begin
+    append_counter(body, first, "idle_workers", p, we.event.t_seconds * 1e6,
+                   "idle", idle[up]);
   }
-}
-
-/// Shared body of the plain and merged ExecutionReport exporters.
-void append_measured_body(std::ostringstream& body, bool& first,
-                          const taskgraph::TaskGraph& graph,
-                          const runtime::ExecutionReport& report) {
-  append_task_metadata(body, first, report.spans);
-  for (index_t t = 0; t < graph.num_tasks(); ++t) {
-    const auto& span = report.spans[static_cast<std::size_t>(t)];
-    append_event(body, first, graph.task(t).label(), span.process,
-                 span.worker, span.start * 1e6, (span.end - span.start) * 1e6,
-                 graph.task(t));
-  }
-  append_flight_counters(body, first, report);
 }
 
 }  // namespace
@@ -176,18 +116,7 @@ std::string to_chrome_trace(const taskgraph::TaskGraph& graph,
                "result does not match graph");
   std::ostringstream body;
   bool first = true;
-  append_sim_body(body, first, graph, result);
-  return finish(body);
-}
-
-std::string to_chrome_trace(const taskgraph::TaskGraph& graph,
-                            const runtime::ExecutionReport& report) {
-  TAMP_EXPECTS(report.spans.size() ==
-                   static_cast<std::size_t>(graph.num_tasks()),
-               "report does not match graph");
-  std::ostringstream body;
-  bool first = true;
-  append_measured_body(body, first, graph, report);
+  append_body(body, first, graph, result, 1.0);
   return finish(body);
 }
 
@@ -198,7 +127,8 @@ std::string to_chrome_trace_merged(const taskgraph::TaskGraph& graph,
                "report does not match graph");
   std::ostringstream body;
   bool first = true;
-  append_measured_body(body, first, graph, report);
+  append_body(body, first, graph, to_sim_result(report), 1e6);
+  append_idle_workers(body, first, report);
   append_session_events(body, first);
   return finish(body);
 }
@@ -210,16 +140,9 @@ std::string to_chrome_trace_merged(const taskgraph::TaskGraph& graph,
                "result does not match graph");
   std::ostringstream body;
   bool first = true;
-  append_sim_body(body, first, graph, result);
+  append_body(body, first, graph, result, 1.0);
   append_session_events(body, first);
   return finish(body);
-}
-
-void save_chrome_trace(const std::string& json, const std::string& path) {
-  std::ofstream out(path);
-  if (!out.good()) throw runtime_failure("cannot open trace output: " + path);
-  out << json;
-  if (!out.good()) throw runtime_failure("error writing trace to: " + path);
 }
 
 }  // namespace tamp::sim

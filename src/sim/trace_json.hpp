@@ -19,11 +19,6 @@ namespace tamp::sim {
 std::string to_chrome_trace(const taskgraph::TaskGraph& graph,
                             const SimResult& result);
 
-/// Serialise a real runtime execution (times in seconds mapped to
-/// microseconds).
-std::string to_chrome_trace(const taskgraph::TaskGraph& graph,
-                            const runtime::ExecutionReport& report);
-
 /// Serialise a simulation result together with the global TraceSession's
 /// pipeline-phase spans (partition/coarsen, taskgraph/generate, …) into
 /// one document: task spans keep their simulated-time pids, pipeline
@@ -31,18 +26,15 @@ std::string to_chrome_trace(const taskgraph::TaskGraph& graph,
 std::string to_chrome_trace_merged(const taskgraph::TaskGraph& graph,
                                    const SimResult& result);
 
-/// Merged measured trace: the execution's task spans plus — when the
-/// report carries flight events — per-process counter tracks
-/// (ready_queue depth at each dequeue, idle_workers from idle intervals,
-/// cumulative/in-flight steals), plus the pipeline-phase spans under
+/// Merged measured trace: the simulated exporter's body run over
+/// to_sim_result(report) with seconds mapped to microseconds (task spans,
+/// and — when the report carries flight events — the per-process
+/// ready_queue depth at each dequeue), plus the flight recorder's
+/// per-process idle_workers track, plus the pipeline-phase spans under
 /// obs::kPipelineTracePid. The counter tracks are what make starvation
 /// visible: a ready_queue flatline at 0 under a rising idle_workers
 /// curve is the level-imbalance signature, on real threads.
 std::string to_chrome_trace_merged(const taskgraph::TaskGraph& graph,
                                    const runtime::ExecutionReport& report);
-
-/// Write either serialisation to a file; throws runtime_failure on I/O
-/// error.
-void save_chrome_trace(const std::string& json, const std::string& path);
 
 }  // namespace tamp::sim

@@ -11,10 +11,7 @@
 #include <utility>
 #include <vector>
 
-#include "obs/flight.hpp"
-#include "obs/metrics.hpp"
 #include "support/check.hpp"
-#include "support/stopwatch.hpp"
 
 namespace tamp {
 
@@ -60,47 +57,18 @@ struct ThreadPool::Impl {
   struct Slot {
     std::mutex mutex;
     std::deque<TaskHandle> queue;
-    // Scheduling telemetry. Each counter is written only by the thread
-    // occupying this slot (relaxed increments on an owned line); stats()
-    // reads them from outside.
-    std::atomic<std::uint64_t> executed{0};
-    std::atomic<std::uint64_t> local_pops{0};
-    std::atomic<std::uint64_t> steal_attempts{0};
-    std::atomic<std::uint64_t> steal_successes{0};
   };
   std::vector<std::unique_ptr<Slot>> slots;  ///< 0 = client, 1.. = workers
   std::vector<std::thread> workers;
   std::mutex sleep_mutex;
   std::condition_variable sleep_cv;
   std::atomic<std::int64_t> pending{0};  ///< queued, not-yet-popped tasks
+  std::atomic<std::int64_t> outstanding{0};  ///< submitted, not finished
   std::atomic<bool> stop{false};
   /// Global FIFO of submit_background() tasks, polled only after the
   /// local deque and every steal victim came up empty.
   std::mutex background_mutex;
   std::deque<TaskHandle> background;
-  std::atomic<std::uint64_t> submitted{0};
-  std::atomic<std::uint64_t> background_submitted{0};
-  std::atomic<std::uint64_t> max_queue_depth{0};
-  // Workers read the recorder through `flight` on every dequeue while
-  // the client may attach one at any time (they scan even before the
-  // first submit), so the hot-path pointer is an acquire/release atomic.
-  // `flight_owners` keeps every recorder ever attached alive until the
-  // pool is destroyed, so a stale pointer loaded concurrently with a
-  // replacement can never dangle.
-  std::atomic<obs::FlightRecorder*> flight{nullptr};
-  std::vector<std::shared_ptr<obs::FlightRecorder>> flight_owners;
-  Stopwatch clock;  ///< flight-event timestamps, seconds since creation
-
-  obs::FlightRing* ring(int slot) const {
-    obs::FlightRecorder* rec = flight.load(std::memory_order_acquire);
-    return rec != nullptr ? &rec->ring(slot) : nullptr;
-  }
-  void note_queue_depth(std::uint64_t depth) {
-    std::uint64_t cur = max_queue_depth.load(std::memory_order_relaxed);
-    while (depth > cur && !max_queue_depth.compare_exchange_weak(
-                              cur, depth, std::memory_order_relaxed)) {
-    }
-  }
 
   TaskHandle pop(int slot, bool lifo) {
     Slot& s = *slots[static_cast<std::size_t>(slot)];
@@ -154,13 +122,13 @@ ThreadPool::TaskHandle ThreadPool::submit(std::function<void()> fn) {
   auto task = std::make_shared<TaskState>();
   task->fn = std::move(fn);
   const int slot = local_slot();
+  // Counted before it becomes poppable, so the count never dips below 0.
+  impl_->outstanding.fetch_add(1, std::memory_order_relaxed);
   {
     Impl::Slot& s = *impl_->slots[static_cast<std::size_t>(slot)];
     const std::lock_guard<std::mutex> lock(s.mutex);
     s.queue.push_back(task);
-    impl_->note_queue_depth(static_cast<std::uint64_t>(s.queue.size()));
   }
-  impl_->submitted.fetch_add(1, std::memory_order_relaxed);
   impl_->pending.fetch_add(1, std::memory_order_relaxed);
   impl_->sleep_cv.notify_one();
   return task;
@@ -170,11 +138,11 @@ ThreadPool::TaskHandle ThreadPool::submit_background(std::function<void()> fn) {
   auto task = std::make_shared<TaskState>();
   task->fn = std::move(fn);
   task->background = true;
+  impl_->outstanding.fetch_add(1, std::memory_order_relaxed);
   {
     const std::lock_guard<std::mutex> lock(impl_->background_mutex);
     impl_->background.push_back(task);
   }
-  impl_->background_submitted.fetch_add(1, std::memory_order_relaxed);
   impl_->pending.fetch_add(1, std::memory_order_relaxed);
   impl_->sleep_cv.notify_one();
   return task;
@@ -184,86 +152,22 @@ bool ThreadPool::run_one(int slot, bool background) {
   // Own deque first (LIFO: depth-first on locally forked subtrees, hot
   // in cache), then steal oldest-first from the other slots.
   TaskHandle task = impl_->pop(slot, /*lifo=*/true);
-  Impl::Slot& me = *impl_->slots[static_cast<std::size_t>(slot)];
-  if (task != nullptr) me.local_pops.fetch_add(1, std::memory_order_relaxed);
-  int stolen_from = -1;
-  for (int i = 1; task == nullptr && i <= num_threads_; ++i) {
-    const int victim = (slot + i) % num_threads_;
-    if (victim != slot) {
-      me.steal_attempts.fetch_add(1, std::memory_order_relaxed);
-      obs::FlightRing* ring = impl_->ring(slot);
-      TAMP_FLIGHT_RECORD(ring, obs::FlightEventKind::steal_attempt,
-                         impl_->clock.seconds(), victim);
-    }
-    task = impl_->pop(victim, /*lifo=*/false);
-    if (task != nullptr && victim != slot) {
-      me.steal_successes.fetch_add(1, std::memory_order_relaxed);
-      stolen_from = victim;
-    }
-  }
+  for (int i = 1; task == nullptr && i <= num_threads_; ++i)
+    task = impl_->pop((slot + i) % num_threads_, /*lifo=*/false);
   // Background class last: a queued prep task only runs on a worker that
   // proved it had no fork/join work anywhere to pop or steal.
   if (task == nullptr && background) task = impl_->pop_background();
   if (task == nullptr) return false;
-  // Read the ring only now that a task is in hand: a scan that started
-  // before set_flight_recorder() must still record the task it got.
-  obs::FlightRing* ring = impl_->ring(slot);
-  if (stolen_from >= 0)
-    TAMP_FLIGHT_RECORD(ring, obs::FlightEventKind::steal_success,
-                       impl_->clock.seconds(), stolen_from);
-  TAMP_FLIGHT_RECORD(ring, obs::FlightEventKind::task_begin,
-                     impl_->clock.seconds());
   run(task);
-  // Count and record before publishing completion, so everything a
-  // caller reads after wait() returns already includes this task.
-  me.executed.fetch_add(1, std::memory_order_relaxed);
-  TAMP_FLIGHT_RECORD(ring, obs::FlightEventKind::task_end,
-                     impl_->clock.seconds());
+  // Leave the count before publishing completion, so a caller that
+  // returns from wait() never still sees its own task as outstanding.
+  impl_->outstanding.fetch_sub(1, std::memory_order_relaxed);
   publish_done(task);
   return true;
 }
 
-ThreadPool::Stats ThreadPool::stats() const {
-  Stats out;
-  out.submitted = impl_->submitted.load(std::memory_order_relaxed);
-  out.background_submitted =
-      impl_->background_submitted.load(std::memory_order_relaxed);
-  out.max_queue_depth = impl_->max_queue_depth.load(std::memory_order_relaxed);
-  for (const auto& slot : impl_->slots) {
-    out.executed += slot->executed.load(std::memory_order_relaxed);
-    out.local_pops += slot->local_pops.load(std::memory_order_relaxed);
-    out.steal_attempts += slot->steal_attempts.load(std::memory_order_relaxed);
-    out.steal_successes +=
-        slot->steal_successes.load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
-void ThreadPool::publish_metrics(const std::string& prefix) const {
-  const Stats s = stats();
-  auto set_counter = [&](const char* name, std::uint64_t v) {
-    obs::Counter& c = obs::counter(prefix + name);
-    c.reset();
-    c.add(static_cast<std::int64_t>(v));
-  };
-  set_counter("submitted", s.submitted);
-  set_counter("background_submitted", s.background_submitted);
-  set_counter("executed", s.executed);
-  set_counter("local_pops", s.local_pops);
-  set_counter("steal.attempts", s.steal_attempts);
-  set_counter("steal.successes", s.steal_successes);
-  obs::gauge(prefix + "steal.success_rate").set(s.steal_success_rate());
-  obs::gauge(prefix + "queue.max_depth")
-      .set(static_cast<double>(s.max_queue_depth));
-}
-
-void ThreadPool::set_flight_recorder(
-    std::shared_ptr<obs::FlightRecorder> recorder) {
-  TAMP_EXPECTS(recorder == nullptr || recorder->num_workers() >= num_threads_,
-               "flight recorder needs one ring per pool slot");
-  obs::FlightRecorder* raw = recorder.get();
-  if (recorder != nullptr) impl_->flight_owners.push_back(std::move(recorder));
-  impl_->flight.store(raw, std::memory_order_release);
+std::int64_t ThreadPool::outstanding() const {
+  return impl_->outstanding.load(std::memory_order_relaxed);
 }
 
 void ThreadPool::worker_main(int slot) {

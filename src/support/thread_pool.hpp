@@ -22,6 +22,8 @@
 // ThreadSanitizer over shaving nanoseconds off steals; tasks here are
 // whole bisections, microseconds at minimum). Task completion is
 // published with a release store observed by an acquire load in wait().
+// The pool keeps no scheduling telemetry; its one counter,
+// outstanding(), is the leak check of the pipeline's fault tests.
 //
 // Determinism contract: the pool never makes scheduling guarantees, so
 // any caller that needs bit-identical results must make every task's
@@ -33,13 +35,8 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 
 namespace tamp {
-
-namespace obs {
-class FlightRecorder;
-}
 
 class ThreadPool {
 public:
@@ -90,41 +87,11 @@ public:
   /// have work in flight when asking for a different size.
   static ThreadPool* shared(int num_threads);
 
-  /// Lifetime telemetry of the pool's scheduling behaviour. Counters are
-  /// maintained with per-slot relaxed atomics (each worker touches only
-  /// its own cache line).
-  struct Stats {
-    std::uint64_t submitted = 0;        ///< tasks pushed via submit()
-    std::uint64_t background_submitted = 0;  ///< via submit_background()
-    std::uint64_t executed = 0;         ///< tasks run to completion
-    std::uint64_t local_pops = 0;       ///< LIFO pops from the own deque
-    std::uint64_t steal_attempts = 0;   ///< foreign-deque probes
-    std::uint64_t steal_successes = 0;  ///< probes that yielded a task
-    std::uint64_t max_queue_depth = 0;  ///< deepest single deque observed
-
-    /// Fraction of steal probes that found work (0 when none attempted).
-    [[nodiscard]] double steal_success_rate() const {
-      return steal_attempts > 0
-                 ? static_cast<double>(steal_successes) /
-                       static_cast<double>(steal_attempts)
-                 : 0.0;
-    }
-  };
-  [[nodiscard]] Stats stats() const;
-
-  /// Publish stats() into the global metrics registry under `prefix`
-  /// (counters pool.submitted/executed/local_pops/steal.attempts/
-  /// steal.successes are *set* to the lifetime totals; gauges
-  /// pool.steal.success_rate and pool.queue.max_depth).
-  void publish_metrics(const std::string& prefix = "pool.") const;
-
-  /// Attach a flight recorder with one ring per pool slot (slot 0 = the
-  /// client thread); pass nullptr to detach. Workers then record
-  /// task_begin/task_end, steal_attempt/steal_success events. Safe to
-  /// call while workers are scanning (every recorder ever attached stays
-  /// alive until the pool is destroyed), but the rings must only be
-  /// *read* once the pool is quiescent.
-  void set_flight_recorder(std::shared_ptr<obs::FlightRecorder> recorder);
+  /// Tasks submitted (either class) whose body has not finished yet. A
+  /// task leaves the count before its completion is published, so once
+  /// every handle has been waited on this reads 0; a non-zero value then
+  /// means a task was queued and never joined.
+  [[nodiscard]] std::int64_t outstanding() const;
 
 private:
   struct Impl;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <fstream>
 
+#include "obs/export.hpp"
 #include "sim/analysis.hpp"
 #include "sim/trace_json.hpp"
 
@@ -116,7 +117,7 @@ TEST(ChromeTrace, SavesToDisk) {
   const TaskGraph g = two_proc_graph();
   const SimResult r = run(g);
   const std::string path = testing::TempDir() + "/tamp_trace.json";
-  save_chrome_trace(to_chrome_trace(g, r), path);
+  obs::save_text(to_chrome_trace(g, r), path);
   std::ifstream in(path);
   EXPECT_TRUE(in.good());
   std::string first_line;

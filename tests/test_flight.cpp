@@ -6,11 +6,15 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
+#include "obs/export.hpp"
 #include "obs/flight.hpp"
+#include "obs/json.hpp"
 #include "runtime/runtime.hpp"
 #include "sim/measured.hpp"
 #include "sim/simulate.hpp"
@@ -103,16 +107,11 @@ TEST(FlightSummary, CountsKindsAndPairsIdleIntervals) {
   FlightRing& ring = rec.ring(0);
   ring.push(ev(FlightEventKind::idle_begin, 0.0));
   ring.push(ev(FlightEventKind::idle_end, 0.5));
-  ring.push(ev(FlightEventKind::steal_attempt, 0.6, 1));
-  ring.push(ev(FlightEventKind::steal_attempt, 0.7, 1));
-  ring.push(ev(FlightEventKind::steal_success, 0.7, 1));
   ring.push(ev(FlightEventKind::idle_begin, 0.8));
   ring.push(ev(FlightEventKind::idle_end, 1.0));
   const obs::FlightSummary s = obs::summarize(rec);
-  EXPECT_EQ(s.events, 7u);
+  EXPECT_EQ(s.events, 4u);
   EXPECT_EQ(s.count(FlightEventKind::idle_begin), 2u);
-  EXPECT_EQ(s.count(FlightEventKind::steal_attempt), 2u);
-  EXPECT_DOUBLE_EQ(s.steal_success_rate, 0.5);
   EXPECT_NEAR(s.idle_seconds, 0.7, 1e-12);
 }
 
@@ -226,6 +225,17 @@ TEST(Measured, AdapterPreservesSpansAndCapacity) {
   }
 }
 
+TEST(Measured, AdapterRejectsSpansOutsideTheReportsWorkers) {
+  runtime::ExecutionReport rep;
+  rep.num_processes = 1;
+  rep.workers_per_process = 2;
+  rep.wall_seconds = 1.0;
+  rep.spans = {{0.0, 0.5, 0, 1}, {0.5, 1.0, 1, 0}};  // process 1 of 1
+  EXPECT_THROW((void)sim::to_sim_result(rep), precondition_error);
+  rep.spans[1] = {0.5, 1.0, 0, 2};  // worker 2 of 2
+  EXPECT_THROW((void)sim::to_sim_result(rep), precondition_error);
+}
+
 TEST(Measured, BlameSharesSumExactlyToIdleFraction) {
   // The property the doctor's accounting promises, now on a *measured*
   // execution: for every process, the three blame shares sum to its idle
@@ -293,15 +303,11 @@ TEST(Measured, DivergenceAutoCalibratesSecondsPerUnit) {
 }
 
 TEST(FlightTrace, MergedExporterRendersCounterTracks) {
-  // Synthetic recorder: runtime::execute never steals (shared per-process
-  // queue), so the steal tracks are pinned here with hand-made events.
   const TaskGraph g = make_graph({0, 0}, {}, {{}, {0}});
   auto rec = std::make_shared<obs::FlightRecorder>(1, 16);
   using K = FlightEventKind;
   rec->ring(0).push({K::task_dequeue, 0.0, 0, 2});
   rec->ring(0).push({K::idle_begin, 0.15, -1, -1});
-  rec->ring(0).push({K::steal_attempt, 0.2, 0, -1});
-  rec->ring(0).push({K::steal_success, 0.25, 0, -1});
   rec->ring(0).push({K::idle_end, 0.3, -1, -1});
   rec->ring(0).push({K::task_dequeue, 0.4, 1, 0});
 
@@ -317,14 +323,53 @@ TEST(FlightTrace, MergedExporterRendersCounterTracks) {
             std::string::npos);
   EXPECT_NE(trace.find(R"("name":"idle_workers","ph":"C")"),
             std::string::npos);
-  EXPECT_NE(trace.find(R"("name":"steals","ph":"C")"), std::string::npos);
-  EXPECT_NE(trace.find(R"("attempts":1,"successes":0)"), std::string::npos);
-  EXPECT_NE(trace.find(R"("attempts":1,"successes":1)"), std::string::npos);
-  EXPECT_NE(trace.find(R"("name":"steals_inflight","ph":"C")"),
-            std::string::npos);
   // Queue depth samples carry the recorded post-dequeue depths.
   EXPECT_NE(trace.find(R"("args":{"depth":2})"), std::string::npos);
   EXPECT_NE(trace.find(R"("args":{"depth":0})"), std::string::npos);
+}
+
+/// A double as the trace prints it (default stream precision), read back.
+double as_printed(double v) {
+  std::ostringstream os;
+  os << v;
+  return std::strtod(os.str().c_str(), nullptr);
+}
+
+TEST(FlightTrace, MeasuredExporterRendersARecordedExecution) {
+  // The measured trace is the simulated exporter's body over
+  // to_sim_result(report) in microseconds, plus the idle_workers track.
+  const TaskGraph g = diamond2p();
+  const runtime::ExecutionReport rep = run_recorded(g);
+  ASSERT_NE(rep.flight, nullptr);
+  const obs::JsonValue doc =
+      obs::JsonValue::parse(sim::to_chrome_trace_merged(g, rep));
+  const obs::JsonValue* events = doc.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  std::size_t tasks = 0, ready_queue = 0, idle_workers = 0;
+  for (const obs::JsonValue& e : events->as_array()) {
+    // Pipeline spans (recorded when TAMP_TRACE is set) live on their own pid.
+    if (e.number_or("pid", -1) == obs::kPipelineTracePid) continue;
+    const std::string& name = e.find("name")->as_string();
+    const std::string& ph = e.find("ph")->as_string();
+    if (ph == "X") {
+      // Task events come in task-id order.
+      ASSERT_LT(tasks, rep.spans.size());
+      const auto& span = rep.spans[tasks++];
+      EXPECT_EQ(e.number_or("pid", -1), span.process);
+      EXPECT_EQ(e.number_or("tid", -1), span.worker);
+      EXPECT_EQ(e.number_or("ts", -1), as_printed(span.start * 1e6));
+      EXPECT_EQ(e.number_or("dur", -1),
+                as_printed((span.end - span.start) * 1e6));
+    } else if (name == "ready_queue") {
+      ++ready_queue;
+    } else if (name == "idle_workers") {
+      ++idle_workers;
+    }
+  }
+  EXPECT_EQ(tasks, static_cast<std::size_t>(g.num_tasks()));
+  EXPECT_EQ(ready_queue, obs::summarize(*rep.flight)
+                             .count(FlightEventKind::task_dequeue));
+  EXPECT_GT(idle_workers, 0u);
 }
 
 }  // namespace

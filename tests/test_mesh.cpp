@@ -236,8 +236,24 @@ TEST(MeshIo, RejectsMalformedInput) {
   EXPECT_THROW(read_mesh(bad1), runtime_failure);
   std::istringstream bad2("tamp-mesh 2\ncells 1");
   EXPECT_THROW(read_mesh(bad2), runtime_failure);
-  std::istringstream bad3("tamp-mesh 1\ncells 1\n1.0 0 0 0 0\nfaces 1\n0 9 1.0 1 0 0\n");
-  EXPECT_THROW(read_mesh(bad3), precondition_error);
+  // Records the builder would refuse are rejected as malformed input.
+  const char* bad_records[] = {
+      // face naming cell 9 in a 1-cell mesh, as either cell
+      "tamp-mesh 1\ncells 1\n1.0 0 0 0 0\nfaces 1\n0 9 1.0 1 0 0\n",
+      "tamp-mesh 1\ncells 1\n1.0 0 0 0 0\nfaces 1\n9 -1 1.0 1 0 0\n",
+      // boundary marker other than -1
+      "tamp-mesh 1\ncells 2\n1.0 0 0 0 0\n1.0 1 0 0 0\nfaces 1\n0 -5 1.0 1 0 0\n",
+      // face joining a cell to itself
+      "tamp-mesh 1\ncells 2\n1.0 0 0 0 0\n1.0 1 0 0 0\nfaces 1\n1 1 1.0 1 0 0\n",
+      // non-positive cell volume
+      "tamp-mesh 1\ncells 1\n0.0 0 0 0 0\nfaces 0\n",
+      // non-positive face area
+      "tamp-mesh 1\ncells 2\n1.0 0 0 0 0\n1.0 1 0 0 0\nfaces 1\n0 1 -1.0 1 0 0\n",
+  };
+  for (const char* text : bad_records) {
+    std::istringstream bad(text);
+    EXPECT_THROW(read_mesh(bad), runtime_failure) << text;
+  }
   // A header that claims 2^31 - 1 cells, followed by one record: the
   // missing records are the error, not a ~73 GB allocation.
   std::istringstream bad4("tamp-mesh 1\ncells 2147483647\n1.0 0 0 0 0\n");

@@ -700,7 +700,6 @@ TEST(Report, AnnotationsCoverTheMetricFamilies) {
             -1);
   EXPECT_EQ(annotate_metric("gauges.divergence.makespan.abs_rel_gap").direction,
             -1);
-  EXPECT_EQ(annotate_metric("gauges.pool.steal.success_rate").direction, +1);
   EXPECT_EQ(annotate_metric("counters.runtime.flight.dropped").direction, -1);
   EXPECT_EQ(annotate_metric("histograms.runtime.task_seconds.p99").unit, "s");
   EXPECT_EQ(annotate_metric("gauges.solver.flux_gcells_per_s").direction, +1);

@@ -135,17 +135,6 @@ TEST(Partition, KwayDirectAlsoBalances) {
   EXPECT_LE(r.max_imbalance(), 1.2);
 }
 
-TEST(Partition, InterprocessCommMetric) {
-  const auto g = graph::make_grid_graph(4, 1);  // path of 4
-  const std::vector<part_t> part{0, 1, 2, 3};
-  // All domains on one process: no interprocess communication.
-  EXPECT_EQ(interprocess_comm(g, part, {0, 0, 0, 0}), 0);
-  // Two processes split 0,1 | 2,3: single crossing edge 1-2.
-  EXPECT_EQ(interprocess_comm(g, part, {0, 0, 1, 1}), 1);
-  // Each domain its own process: all 3 edges cross.
-  EXPECT_EQ(interprocess_comm(g, part, {0, 1, 2, 3}), 3);
-}
-
 TEST(Partition, LargerGridManyParts) {
   const auto g = graph::make_grid_graph(48, 48);
   Options o;

@@ -175,18 +175,14 @@ TEST(PipelineAsync, FaultInjectionAtEveryStageBoundaryDrainsAndRethrowsOnce) {
         cfg.fault.stage = stage;
         cfg.fault.iteration = iter;
 
-        // Lifetime balance of the shared pool: every task ever queued has
-        // been run. A worker publishes task completion before bumping its
-        // executed counter, so poll briefly for the counters to settle.
+        // Every task ever queued on the shared pool has finished running.
+        // Poll briefly before calling it a leak: only a task that stays
+        // queued or never returns keeps the count above zero.
         ThreadPool* pool = ThreadPool::shared(4);
-        const auto balanced = [pool] {
-          const ThreadPool::Stats s = pool->stats();
-          return s.submitted + s.background_submitted == s.executed;
-        };
-        const auto settle = [&balanced] {
-          for (int spin = 0; spin < 2000 && !balanced(); ++spin)
+        const auto settle = [pool] {
+          for (int spin = 0; spin < 2000 && pool->outstanding() != 0; ++spin)
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          return balanced();
+          return pool->outstanding() == 0;
         };
         ASSERT_TRUE(settle()) << "pool not quiescent before the run";
         try {

@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "runtime/runtime.hpp"
+#include "sim/measured.hpp"
 
 namespace tamp::runtime {
 namespace {
@@ -114,7 +115,8 @@ TEST(Runtime, ReportAccountingConsistent) {
             rep.wall_seconds * 2 /*workers*/ * 1.5 /*scheduling noise*/);
   EXPECT_GT(rep.occupancy(), 0.0);
   EXPECT_LE(rep.occupancy(), 1.01);
-  const GanttTrace trace = rep.gantt(g, "trace");
+  const GanttTrace trace =
+      sim::to_sim_result(rep).gantt(g, /*per_worker=*/true, "trace");
   EXPECT_EQ(trace.spans.size(), 4u);
   EXPECT_EQ(trace.resource_names.size(), 2u);
 }
@@ -283,7 +285,9 @@ TEST(Runtime, GanttRejectsMismatchedReport) {
   rep.num_processes = 1;
   rep.workers_per_process = 1;
   rep.spans.resize(1);  // graph has 2 tasks
-  EXPECT_THROW(rep.gantt(g, "mismatch"), precondition_error);
+  EXPECT_THROW(
+      (void)sim::to_sim_result(rep).gantt(g, /*per_worker=*/true, "mismatch"),
+      precondition_error);
 }
 
 }  // namespace

@@ -13,8 +13,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "obs/flight.hpp"
-#include "obs/metrics.hpp"
 #include "support/check.hpp"
 
 namespace tamp {
@@ -225,83 +223,24 @@ TEST(ThreadPool, BackgroundDoesNotStarveForkJoinWork) {
   EXPECT_EQ(total, 99 * 100 / 2);
 }
 
-TEST(ThreadPoolStats, FreshPoolReportsNoWork) {
-  // Workers may already have done an empty initial scan (steal attempts
-  // are schedule-dependent), but no task can have been submitted or run.
+TEST(ThreadPool, OutstandingCountsTasksUntilTheirBodyFinished) {
+  // Both submission classes count; a task leaves the count before wait()
+  // can return on it, so a joined pool reads exactly 0.
   ThreadPool pool(2);
-  const ThreadPool::Stats s = pool.stats();
-  EXPECT_EQ(s.submitted, 0u);
-  EXPECT_EQ(s.executed, 0u);
-  EXPECT_EQ(s.steal_successes, 0u);
-  EXPECT_EQ(s.max_queue_depth, 0u);
-  EXPECT_EQ(s.steal_success_rate(), 0.0);
-}
-
-TEST(ThreadPoolStats, CountsSubmissionsAndExecutions) {
-  ThreadPool pool(4);
-  std::vector<ThreadPool::TaskHandle> handles;
-  for (int i = 0; i < 64; ++i) handles.push_back(pool.submit([] {}));
-  for (const auto& h : handles) pool.wait(h);
-  const ThreadPool::Stats s = pool.stats();
-  EXPECT_EQ(s.submitted, 64u);
-  EXPECT_EQ(s.executed, 64u);
-  // Every executed task was either popped locally or stolen.
-  EXPECT_EQ(s.local_pops + s.steal_successes, s.executed);
-  EXPECT_LE(s.steal_successes, s.steal_attempts);
-  EXPECT_GE(s.max_queue_depth, 1u);
-  EXPECT_GE(s.steal_success_rate(), 0.0);
-  EXPECT_LE(s.steal_success_rate(), 1.0);
-}
-
-TEST(ThreadPoolStats, EveryExecutionIsAPopOrASteal) {
-  // Whether the helping client drains its own deque (local pops) or the
-  // workers win the race (steals from slot 0) is schedule-dependent; the
-  // accounting identity is not.
-  ThreadPool pool(3);
-  std::vector<ThreadPool::TaskHandle> handles;
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 32; ++i)
-    handles.push_back(pool.submit([&ran] { ++ran; }));
-  for (const auto& h : handles) pool.wait(h);
-  EXPECT_EQ(ran.load(), 32);
-  const ThreadPool::Stats s = pool.stats();
-  EXPECT_EQ(s.executed, 32u);
-  EXPECT_EQ(s.local_pops + s.steal_successes, 32u);
-}
-
-TEST(ThreadPoolStats, FlightRecorderCapturesPoolEvents) {
-  auto rec = std::make_shared<obs::FlightRecorder>(4, 1024);
-  ThreadPool::Stats stats;
-  {
-    ThreadPool pool(4);
-    pool.set_flight_recorder(rec);
-    std::vector<ThreadPool::TaskHandle> handles;
-    for (int i = 0; i < 16; ++i) handles.push_back(pool.submit([] {}));
-    for (const auto& h : handles) pool.wait(h);
-    stats = pool.stats();
-  }  // destructor joins the workers: rings are quiescent below
-  const obs::FlightSummary s = obs::summarize(*rec);
-  EXPECT_EQ(s.count(obs::FlightEventKind::task_begin), 16u);
-  EXPECT_EQ(s.count(obs::FlightEventKind::task_end), 16u);
-  EXPECT_EQ(s.count(obs::FlightEventKind::steal_success),
-            stats.steal_successes);
-}
-
-TEST(ThreadPoolStats, RecorderMustCoverEverySlot) {
-  ThreadPool pool(4);
-  auto small = std::make_shared<obs::FlightRecorder>(2, 64);
-  EXPECT_THROW(pool.set_flight_recorder(small), precondition_error);
-}
-
-TEST(ThreadPoolStats, PublishMetricsExportsTotals) {
-  ThreadPool pool(2);
-  std::vector<ThreadPool::TaskHandle> handles;
-  for (int i = 0; i < 8; ++i) handles.push_back(pool.submit([] {}));
-  for (const auto& h : handles) pool.wait(h);
-  pool.publish_metrics("test_pool.");
-  EXPECT_EQ(obs::counter("test_pool.submitted").value(), 8);
-  EXPECT_EQ(obs::counter("test_pool.executed").value(), 8);
-  EXPECT_GE(obs::gauge("test_pool.queue.max_depth").value(), 1.0);
+  EXPECT_EQ(pool.outstanding(), 0);
+  std::atomic<bool> release{false};
+  const auto hold = [&release] {
+    while (!release.load(std::memory_order_acquire))
+      std::this_thread::yield();
+  };
+  const auto fork_join = pool.submit(hold);
+  const auto background = pool.submit_background(hold);
+  // Neither body can return before the release, wherever it runs.
+  EXPECT_EQ(pool.outstanding(), 2);
+  release.store(true, std::memory_order_release);
+  pool.wait(fork_join);
+  pool.wait(background);
+  EXPECT_EQ(pool.outstanding(), 0);
 }
 
 }  // namespace

@@ -42,13 +42,25 @@ grep -q "sim vs reality" "${OUT}/fig5.txt" || {
   exit 1
 }
 
-# The measured run's Chrome trace must have materialised (CI uploads it).
+# The measured run's Gantt and Chrome trace must have materialised (CI
+# uploads both). Both are drawn through sim::to_sim_result; the trace must
+# parse and carry the flight recorder's two counter tracks.
+[[ -s "${ARTIFACTS}/fig5_traces.svg" ]] || {
+  echo "divergence_smoke: FAIL — missing or empty fig5_traces.svg"
+  exit 1
+}
 [[ -s "${ARTIFACTS}/fig5_runtime.trace.json" ]] || {
   echo "divergence_smoke: FAIL — missing fig5_runtime.trace.json"
   exit 1
 }
-grep -q '"ph"' "${ARTIFACTS}/fig5_runtime.trace.json" || {
-  echo "divergence_smoke: FAIL — Chrome trace has no events"
+python3 - "${ARTIFACTS}/fig5_runtime.trace.json" <<'PY' || {
+import json, sys
+names = {e.get("name") for e in json.load(open(sys.argv[1]))["traceEvents"]}
+missing = {"ready_queue", "idle_workers"} - names
+if missing:
+    sys.exit("no %s events" % ", ".join(sorted(missing)))
+PY
+  echo "divergence_smoke: FAIL — Chrome trace does not parse or lacks counter tracks"
   exit 1
 }
 
