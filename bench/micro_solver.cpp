@@ -1,10 +1,13 @@
 // Solver kernel microbenchmark: flux and cell-update sweep throughput,
-// mesh-order layout (per-object index-list kernels) vs the locality
-// layout (class-contiguous renumbering + streaming range kernels, see
-// DESIGN.md "Locality renumbering"). Runs the real Euler task bodies —
-// the same code run_iteration_tasks() executes — over every face task
+// mesh-order input vs the locality-renumbered mesh (partition/reorder,
+// see DESIGN.md "Locality renumbering"). Runs the real Euler task bodies
+// — the same code run_iteration_tasks() executes — over every face task
 // and every cell task of one full temporal-adaptive iteration, on the
-// nozzle and cube meshes.
+// nozzle and cube meshes. The solver lays its kernel data out class by
+// class whatever the mesh numbering (solver/fv_driver.hpp), so the
+// mesh-order row streams through the solver's own layout too and
+// layout_speedup ≈ 1 is expected; it was the per-object list walk's
+// cost before the solver owned its layout.
 //
 // Emits solver.flux_gcells_per_s / solver.update_gcells_per_s /
 // solver.layout gauges (headline = nozzle, locality layout, scalar
@@ -141,10 +144,8 @@ void bench_mesh(mesh::TestMeshKind kind, const CliParser& cli,
                              mesh::permute_mesh(
                                  m, mesh::identity_permutation(m)),
                              mesh::identity_permutation(m), dd.domain_of_cell};
-    // Lane sweep rides the locality layout only (SIMD targets the
-    // streaming range kernels, which the mesh-order rows barely enter);
-    // the mesh-order row stays scalar so `baseline` keeps meaning "the
-    // PR-5 per-object path".
+    // Lane sweep rides the locality layout only; the mesh-order row
+    // stays scalar, the baseline layout_speedup divides by.
     const std::vector<simd::Level> levels =
         permuted ? simd::runnable_levels()
                  : std::vector<simd::Level>{simd::Level::scalar};

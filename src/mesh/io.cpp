@@ -1,5 +1,6 @@
 #include "mesh/io.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <istream>
@@ -83,6 +84,7 @@ Mesh read_mesh(std::istream& is) {
   index_t nfaces = 0;
   if (!(is >> token >> nfaces) || token != "faces" || nfaces < 0)
     return fail("bad face count");
+  std::vector<char> named(static_cast<std::size_t>(ncells), 0);
   for (index_t f = 0; f < nfaces; ++f) {
     index_t a = 0, b = 0;
     double area = 0;
@@ -94,11 +96,23 @@ Mesh read_mesh(std::istream& is) {
     if (a == b) return fail(record("face", f) + ": joins a cell to itself");
     if (!positive(area))
       return fail(record("face", f) + ": area not finite and positive");
-    if (b == invalid_index)
+    // MeshBuilder normalises the normal, falling back to (1, 0, 0) for a
+    // zero one: accept only a normal that normalises to unit length.
+    const double length = norm(n);
+    if (!positive(length) || !(std::abs(norm(n / length) - 1.0) < 1e-9))
+      return fail(record("face", f) + ": normal not finite and non-zero");
+    named[static_cast<std::size_t>(a)] = 1;
+    if (b == invalid_index) {
       mb.add_boundary_face(a, area, n);
-    else
+    } else {
+      named[static_cast<std::size_t>(b)] = 1;
       mb.add_interior_face(a, b, area, n);
+    }
   }
+  const auto faceless = std::find(named.begin(), named.end(), char{0});
+  if (faceless != named.end())
+    return fail(record("cell", static_cast<index_t>(faceless - named.begin())) +
+                ": named by no face");
 
   Mesh mesh = mb.build();
   mesh.set_cell_levels(std::move(levels));

@@ -130,13 +130,18 @@ void append_session_trace(std::ostream& os, bool& first,
   append_chrome_events(os, first, events, pid);
 }
 
+std::string chrome_trace_document(std::string_view events) {
+  std::string doc = "{\"traceEvents\":[\n";
+  doc += events;
+  doc += "\n]}\n";
+  return doc;
+}
+
 std::string to_chrome_trace(const std::vector<TraceEvent>& events, int pid) {
   std::ostringstream body;
   bool first = true;
   append_session_trace(body, first, events, pid);
-  std::ostringstream os;
-  os << "{\"traceEvents\":[\n" << body.str() << "\n]}\n";
-  return os.str();
+  return chrome_trace_document(body.str());
 }
 
 std::string metrics_to_json(const MetricsSnapshot& snap) {

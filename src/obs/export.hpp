@@ -39,6 +39,11 @@ void append_process_name(std::ostream& os, bool& first, int pid,
 void append_thread_name(std::ostream& os, bool& first, int pid, int tid,
                         std::string_view name);
 
+/// Wrap comma-separated trace events (the append_* output) in the one
+/// Chrome trace document envelope every exporter writes:
+/// {"traceEvents":[\n<events>\n]}\n.
+[[nodiscard]] std::string chrome_trace_document(std::string_view events);
+
 /// Serialise session events into a complete standalone Chrome trace
 /// document (append_session_trace wrapped in a traceEvents array), for
 /// use outside the merged task-trace path.

@@ -43,12 +43,6 @@ void append_task_metadata(std::ostringstream& os, bool& first,
   }
 }
 
-std::string finish(std::ostringstream& body) {
-  std::ostringstream os;
-  os << "{\"traceEvents\":[\n" << body.str() << "\n]}\n";
-  return os.str();
-}
-
 /// Append the global TraceSession's pipeline-phase events under a distinct
 /// high pid. Pipeline wall-clock time and simulated task time are
 /// different time bases; separate pids keep both readable side by side on
@@ -117,7 +111,7 @@ std::string to_chrome_trace(const taskgraph::TaskGraph& graph,
   std::ostringstream body;
   bool first = true;
   append_body(body, first, graph, result, 1.0);
-  return finish(body);
+  return obs::chrome_trace_document(body.str());
 }
 
 std::string to_chrome_trace_merged(const taskgraph::TaskGraph& graph,
@@ -130,7 +124,7 @@ std::string to_chrome_trace_merged(const taskgraph::TaskGraph& graph,
   append_body(body, first, graph, to_sim_result(report), 1e6);
   append_idle_workers(body, first, report);
   append_session_events(body, first);
-  return finish(body);
+  return obs::chrome_trace_document(body.str());
 }
 
 std::string to_chrome_trace_merged(const taskgraph::TaskGraph& graph,
@@ -142,7 +136,7 @@ std::string to_chrome_trace_merged(const taskgraph::TaskGraph& graph,
   bool first = true;
   append_body(body, first, graph, result, 1.0);
   append_session_events(body, first);
-  return finish(body);
+  return obs::chrome_trace_document(body.str());
 }
 
 }  // namespace tamp::sim

@@ -5,7 +5,6 @@
 
 #include "solver/fv_driver_impl.hpp"
 #include "support/stopwatch.hpp"
-#include "verify/access.hpp"
 
 namespace tamp::solver {
 
@@ -37,11 +36,12 @@ void EulerSolver::initialize_uniform(double rho, Vec3 velocity,
       pressure / (config_.gamma - 1.0) +
       0.5 * rho * dot(velocity, velocity);
   for (index_t c = 0; c < mesh_.num_cells(); ++c) {
-    u_.at(0, c) = rho;
-    u_.at(1, c) = rho * velocity.x;
-    u_.at(2, c) = rho * velocity.y;
-    u_.at(3, c) = rho * velocity.z;
-    u_.at(4, c) = energy;
+    const index_t k = kernel_cell(c);
+    u_.at(0, k) = rho;
+    u_.at(1, k) = rho * velocity.x;
+    u_.at(2, k) = rho * velocity.y;
+    u_.at(3, k) = rho * velocity.z;
+    u_.at(4, k) = energy;
   }
   acc_.fill(0.0);
   time_ = 0.0;
@@ -57,8 +57,9 @@ void EulerSolver::add_pulse(Vec3 center, double radius,
     if (bump == 0.0) continue;
     // Scale density and energy together (roughly isentropic perturbation).
     const double factor = 1.0 + bump;
-    u_.at(0, c) *= factor;
-    u_.at(4, c) *= factor;
+    const index_t k = kernel_cell(c);
+    u_.at(0, k) *= factor;
+    u_.at(4, k) *= factor;
   }
 }
 
@@ -109,27 +110,13 @@ State EulerSolver::wall_flux(const State& inside, Vec3 n) const {
 }
 
 void EulerSolver::flux_face(index_t f, double dtf) {
-  const auto sf = static_cast<std::size_t>(f);
-  const index_t a = mesh_.face_cell(f, 0);
-  const State ua{u_.at(0, a), u_.at(1, a), u_.at(2, a), u_.at(3, a),
-                 u_.at(4, a)};
+  const auto sf = static_cast<std::size_t>(kernel_face(f));
+  const State ua = cell_state(mesh_.face_cell(f, 0));
   const Vec3 n = mesh_.face_normal(f);
-  // Access annotations for the race verifier (no-ops when no
-  // TaskRecordScope is active): a face flux reads both adjacent cell
-  // states and writes both accumulator sides of its face.
-  verify::record_read(verify::ObjectKind::cell_state, a);
-  verify::record_write(verify::ObjectKind::face_acc_side0, f);
-  verify::record_write(verify::ObjectKind::face_acc_side1, f);
-  State flux;
-  if (mesh_.is_boundary_face(f)) {
-    flux = wall_flux(ua, n);
-  } else {
-    const index_t b = mesh_.face_cell(f, 1);
-    verify::record_read(verify::ObjectKind::cell_state, b);
-    const State ub{u_.at(0, b), u_.at(1, b), u_.at(2, b), u_.at(3, b),
-                   u_.at(4, b)};
-    flux = interior_flux(ua, ub, n);
-  }
+  const State flux = mesh_.is_boundary_face(f)
+                         ? wall_flux(ua, n)
+                         : interior_flux(ua, cell_state(mesh_.face_cell(f, 1)),
+                                         n);
   const double scale = mesh_.face_area(f) * dtf;
   for (int v = 0; v < kNumVars; ++v) {
     const double amount = flux[static_cast<std::size_t>(v)] * scale;
@@ -145,15 +132,20 @@ void EulerSolver::run_iteration_heun() {
   const index_t n = mesh_.num_cells();
 
   // L(U): net flux divergence divided by volume; synchronous evaluation.
+  // `state` is in kernel order, `out` in mesh order.
   auto rhs = [&](const PaddedVars& state,
                  std::array<std::vector<double>, kNumVars>& out) {
+    const auto at = [&](index_t c) {
+      const index_t k = kernel_cell(c);
+      return State{state.at(0, k), state.at(1, k), state.at(2, k),
+                   state.at(3, k), state.at(4, k)};
+    };
     for (int v = 0; v < kNumVars; ++v)
       out[static_cast<std::size_t>(v)].assign(static_cast<std::size_t>(n), 0.0);
     for (index_t f = 0; f < mesh_.num_faces(); ++f) {
       const index_t a = mesh_.face_cell(f, 0);
       const auto sa = static_cast<std::size_t>(a);
-      const State ua{state.at(0, a), state.at(1, a), state.at(2, a),
-                     state.at(3, a), state.at(4, a)};
+      const State ua = at(a);
       const Vec3 nrm = mesh_.face_normal(f);
       State flux;
       std::size_t sb = 0;
@@ -161,9 +153,7 @@ void EulerSolver::run_iteration_heun() {
       if (interior) {
         const index_t b = mesh_.face_cell(f, 1);
         sb = static_cast<std::size_t>(b);
-        const State ub{state.at(0, b), state.at(1, b), state.at(2, b),
-                       state.at(3, b), state.at(4, b)};
-        flux = interior_flux(ua, ub, nrm);
+        flux = interior_flux(ua, at(b), nrm);
       } else {
         flux = wall_flux(ua, nrm);
       }
@@ -186,15 +176,18 @@ void EulerSolver::run_iteration_heun() {
   PaddedVars predictor(n, kNumVars);
   for (int v = 0; v < kNumVars; ++v) {
     const auto sv = static_cast<std::size_t>(v);
-    for (index_t c = 0; c < n; ++c)
-      predictor.at(v, c) = u_.at(v, c) + dt0_ * k1[sv][static_cast<std::size_t>(c)];
+    for (index_t c = 0; c < n; ++c) {
+      const index_t k = kernel_cell(c);
+      predictor.at(v, k) =
+          u_.at(v, k) + dt0_ * k1[sv][static_cast<std::size_t>(c)];
+    }
   }
   rhs(predictor, k2);
   for (int v = 0; v < kNumVars; ++v) {
     const auto sv = static_cast<std::size_t>(v);
     for (index_t c = 0; c < n; ++c) {
       const auto sc = static_cast<std::size_t>(c);
-      u_.at(v, c) += 0.5 * dt0_ * (k1[sv][sc] + k2[sv][sc]);
+      u_.at(v, kernel_cell(c)) += 0.5 * dt0_ * (k1[sv][sc] + k2[sv][sc]);
     }
   }
   time_ += dt0_;
@@ -202,33 +195,36 @@ void EulerSolver::run_iteration_heun() {
 
 State EulerSolver::conserved_totals() const {
   State total{};
+  // Summed in mesh order, so the totals do not depend on the layout.
   for (index_t c = 0; c < mesh_.num_cells(); ++c) {
     const double vol = mesh_.cell_volume(c);
+    const index_t k = kernel_cell(c);
     for (int v = 0; v < kNumVars; ++v)
-      total[static_cast<std::size_t>(v)] += vol * u_.at(v, c);
+      total[static_cast<std::size_t>(v)] += vol * u_.at(v, k);
   }
   // In-flight flux: deposited but not yet consumed. Side 0 will subtract
   // its accumulator; side 1 will add its own.
   for (index_t f = 0; f < mesh_.num_faces(); ++f) {
     const bool interior = !mesh_.is_boundary_face(f);
+    const index_t k = kernel_face(f);
     for (int v = 0; v < kNumVars; ++v) {
-      total[static_cast<std::size_t>(v)] -= acc_.at(acc_col(0, v), f);
+      total[static_cast<std::size_t>(v)] -= acc_.at(acc_col(0, v), k);
       if (interior)
-        total[static_cast<std::size_t>(v)] += acc_.at(acc_col(1, v), f);
+        total[static_cast<std::size_t>(v)] += acc_.at(acc_col(1, v), k);
     }
   }
   return total;
 }
 
 double EulerSolver::cell_pressure(index_t c) const {
-  const State u{u_.at(0, c), u_.at(1, c), u_.at(2, c), u_.at(3, c),
-                u_.at(4, c)};
+  const State u = cell_state(c);
   return (config_.gamma - 1.0) * (u[4] - kinetic(u));
 }
 
 Vec3 EulerSolver::cell_velocity(index_t c) const {
-  const double rho = std::max(u_.at(0, c), 1e-12);
-  return {u_.at(1, c) / rho, u_.at(2, c) / rho, u_.at(3, c) / rho};
+  const State u = cell_state(c);
+  const double rho = std::max(u[0], 1e-12);
+  return {u[1] / rho, u[2] / rho, u[3] / rho};
 }
 
 double EulerSolver::max_density() const {

@@ -78,10 +78,13 @@ public:
   /// momentum through wall pressure).
   [[nodiscard]] State conserved_totals() const;
 
-  [[nodiscard]] double cell_density(index_t c) const { return u_.at(0, c); }
+  [[nodiscard]] double cell_density(index_t c) const {
+    return u_.at(0, kernel_cell(c));
+  }
   /// Raw conserved state of one cell (for bitwise-equality assertions).
   [[nodiscard]] State cell_state(index_t c) const {
-    return {u_.at(0, c), u_.at(1, c), u_.at(2, c), u_.at(3, c), u_.at(4, c)};
+    const index_t k = kernel_cell(c);
+    return {u_.at(0, k), u_.at(1, k), u_.at(2, k), u_.at(3, k), u_.at(4, k)};
   }
   [[nodiscard]] double cell_pressure(index_t c) const;
   [[nodiscard]] mesh::Vec3 cell_velocity(index_t c) const;
@@ -102,8 +105,7 @@ private:
 
   /// CFL · h / (|u| + c) with h the cube root of the cell volume.
   [[nodiscard]] double stable_step(index_t c) const;
-  /// Per-object reference flux (serial path, scattered-class fallback;
-  /// records its accesses inline when instrumented).
+  /// Per-object reference flux of mesh face f (serial path).
   void flux_face(index_t f, double dtf);
   /// Euler tracks no boundary tally (its boundary kernels return 0).
   void add_boundary_tally(double /*tally*/) {}

@@ -8,8 +8,7 @@
 // from the per-width tables), the level quantisation, the serial
 // reference iteration, the task plan and body, and the per-object cell
 // update. A solver derives from FvDriver<Solver> and supplies only its
-// physics, resolved statically (the scattered task loop makes no
-// virtual or indirect call per object):
+// physics, resolved statically:
 //
 //   static constexpr int kVars;         state variables per cell
 //   static constexpr auto kKernels;     its row of simdk::KernelTable
@@ -20,8 +19,20 @@
 // plus the physics constants of ctx_, set in its constructor. Member
 // definitions live in fv_driver_impl.hpp; each solver's translation unit
 // instantiates its own driver.
+//
+// Kernel layout. The driver keeps its kernel data — geometry pack,
+// gather tables, state u_ and accumulators acc_ — in a class-contiguous
+// order it chooses and owns (layout.hpp class_layout), so every task
+// streams its class as a few runs of kernel ids through the kernel
+// table. The caller's mesh, the task graph and its class map, and every
+// public accessor keep mesh ids; layout_ maps them. Each bind cuts the
+// class lists into runs under the current layout and relays the data out
+// when those runs exceed a fresh layout's by more than one per
+// kObjectsPerExtraRun objects — the construction-time mesh order falls
+// under the same rule at the first bind.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -33,6 +44,28 @@
 #include "taskgraph/generate.hpp"
 
 namespace tamp::solver {
+
+/// A bind relays the kernel data out when its class map's runs exceed a
+/// fresh layout's by more than one per this many objects (cells +
+/// faces). Chosen by measurement: on the 200k-cell cylinder drifting 5 %
+/// per iteration, 8 gave the lowest bind + solve time per iteration of
+/// {4, 6, 8, 12, 16, 32, 64}, relaying out every ~4 iterations; 16 and
+/// above relay out so often that the ~37 ms relayouts outweigh the
+/// faster solve.
+inline constexpr std::int64_t kObjectsPerExtraRun = 8;
+
+/// The kernel layout as of the last bind.
+struct LayoutStats {
+  std::uint64_t relayouts = 0;  ///< relayouts since construction
+  std::size_t runs = 0;         ///< runs the bound class map streams as
+  std::size_t fresh_runs = 0;   ///< runs a layout built from it would give
+  index_t objects = 0;          ///< cells + faces
+
+  [[nodiscard]] double objects_per_run() const {
+    return runs == 0 ? 0.0
+                     : static_cast<double>(objects) / static_cast<double>(runs);
+  }
+};
 
 template <class Physics>
 class FvDriver {
@@ -68,8 +101,9 @@ public:
   /// slicing. Running `body` once per task in any DAG-consistent order
   /// advances this solver exactly like run_iteration_tasks(); call
   /// note_tasks_complete() afterwards to advance the clock. The body
-  /// shares ownership of its object lists and stays valid as long as the
-  /// solver does, independent of the struct or graph.
+  /// shares ownership of its run lists, independent of the struct or
+  /// graph, and stays valid until the solver relays its data out (see
+  /// make_iteration_body).
   struct IterationTasks {
     taskgraph::TaskGraph graph;
     runtime::TaskBody body;
@@ -82,9 +116,12 @@ public:
   /// binds it here at the iteration boundary, without regenerating
   /// anything. `graph` and `*classes` must come from one
   /// generate_task_graph call on a mesh whose topology and temporal
-  /// levels match this solver's mesh at bind time. Tasks whose class is
-  /// one contiguous id run stream it through the kernel table; scattered
-  /// classes walk their object list with the per-object kernels.
+  /// levels match this solver's mesh at bind time, and its lists must
+  /// cover every cell and face once. Every task streams its class as
+  /// kernel-id runs through the kernel table. The bind may relay the
+  /// kernel data out (see the file comment); a body is valid until the
+  /// next relayout, and one run after it throws precondition_error — so
+  /// run each body before binding the next.
   runtime::TaskBody make_iteration_body(
       const taskgraph::TaskGraph& graph,
       std::shared_ptr<const taskgraph::ClassMap> classes);
@@ -97,15 +134,25 @@ public:
   /// resolved against the CPU at construction).
   [[nodiscard]] simd::Level simd_level() const { return simd_level_; }
 
+  [[nodiscard]] const LayoutStats& layout_stats() const { return stats_; }
+
 protected:
   /// Binds to `mesh` (whose temporal levels assign_temporal_levels()
   /// rewrites). The mesh must outlive the solver.
   FvDriver(mesh::Mesh& mesh, level_t max_levels, simd::Request simd);
 
-  /// Per-object reference cell update: gathers and resets the cell's
-  /// side of every adjacent face accumulator, in mesh.cell_faces order,
-  /// recording its accesses inline when instrumented.
+  /// Per-object reference cell update of mesh cell c: gathers and
+  /// resets the cell's side of every adjacent face accumulator, in
+  /// mesh.cell_faces order.
   void update_cell(index_t c);
+
+  /// Kernel id of mesh cell c / mesh face f under the current layout.
+  [[nodiscard]] index_t kernel_cell(index_t c) const {
+    return layout_.cell_old_to_new[static_cast<std::size_t>(c)];
+  }
+  [[nodiscard]] index_t kernel_face(index_t f) const {
+    return layout_.face_old_to_new[static_cast<std::size_t>(f)];
+  }
 
   /// Column of the combined accumulator holding side `side` of variable v.
   [[nodiscard]] static int acc_col(int side, int v) {
@@ -113,11 +160,12 @@ protected:
   }
 
   mesh::Mesh& mesh_;
-  /// Cell state, padded SoA: u_.var(v)[cell].
+  /// Cell state in kernel order, padded SoA: u_.var(v)[kernel_cell(c)].
   PaddedVars u_;
-  /// Face accumulators, both sides folded into one buffer so the update
-  /// gather reaches either side from one base pointer per variable: side
-  /// s of variable v is acc_.var(acc_col(s, v))[face].
+  /// Face accumulators in kernel order, both sides folded into one
+  /// buffer so the update gather reaches either side from one base
+  /// pointer per variable: side s of variable v is
+  /// acc_.var(acc_col(s, v))[kernel_face(f)].
   PaddedVars acc_;
   /// Pointers into the buffers above for the streaming kernels; the
   /// solver fills in its physics constants.
@@ -128,14 +176,29 @@ protected:
 private:
   Physics& physics() { return static_cast<Physics&>(*this); }
 
+  /// Point ctx_'s arrays at the kernel data.
+  void point_kernel_ctx();
+  /// Cut the class lists into runs under the current layout, relaying
+  /// the data out first when the rule says so; reuses the previous
+  /// bind's runs when the lists equal its lists.
+  void bind_layout(std::shared_ptr<const taskgraph::ClassMap> classes);
+  /// Move the kernel data into class_layout(classes) order; returns the
+  /// map's runs under it.
+  ClassRuns relayout(const taskgraph::ClassMap& classes);
+
   level_t max_levels_;
+  /// old = mesh id, new = kernel id.
+  mesh::MeshPermutation layout_;
   KernelGeometry geom_;
-  /// Gather addressing (layout.hpp): per-CSR-entry combined-buffer slot
-  /// and ±1 side sign.
-  std::vector<index_t> gather_slot_;
-  std::vector<double> gather_sign_;
   simd::Level simd_level_;
   simdk::KernelSet kernels_;
+  /// The last bind's class map and its runs under layout_ (the bodies
+  /// bound since share the runs).
+  std::shared_ptr<const taskgraph::ClassMap> bound_classes_;
+  std::shared_ptr<const ClassRuns> runs_;
+  /// Bumped by every relayout; a body runs only at its bind's epoch.
+  std::uint64_t layout_epoch_ = 0;
+  LayoutStats stats_;
 };
 
 }  // namespace tamp::solver

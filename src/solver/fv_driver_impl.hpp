@@ -1,8 +1,7 @@
 // Member definitions of FvDriver (fv_driver.hpp). Included only by the
 // solver translation units: each explicitly instantiates its own
 // FvDriver<Solver> after defining its physics, so the per-object flux is
-// a direct, inlinable call in the serial loop and the scattered task
-// loop.
+// a direct, inlinable call in the serial loop.
 #pragma once
 
 #include <algorithm>
@@ -10,6 +9,7 @@
 #include <limits>
 #include <memory>
 
+#include "obs/metrics.hpp"
 #include "solver/fv_driver.hpp"
 #include "taskgraph/scheme.hpp"
 #include "verify/access.hpp"
@@ -21,16 +21,21 @@ FvDriver<Physics>::FvDriver(mesh::Mesh& mesh, level_t max_levels,
                             simd::Request simd)
     : mesh_(mesh), u_(mesh.num_cells(), Physics::kVars),
       acc_(mesh.num_faces(), 2 * Physics::kVars), max_levels_(max_levels),
-      geom_(build_kernel_geometry(mesh)),
-      gather_slot_(build_gather_slots(
-          geom_, static_cast<eindex_t>(Physics::kVars) *
-                     static_cast<eindex_t>(acc_.stride()))),
-      gather_sign_(build_gather_signs(geom_)),
+      layout_(mesh::identity_permutation(mesh)),
       simd_level_(simd::resolve(simd)),
       kernels_(simdk::kernel_table(simd_level_).*Physics::kKernels) {
   static_assert(Physics::kVars >= 1 && Physics::kVars <= simdk::kMaxVars,
                 "kernel context columns cannot hold this physics");
   TAMP_EXPECTS(max_levels >= 1, "need at least one temporal level");
+  fill_kernel_geometry(mesh_, layout_,
+                       static_cast<eindex_t>(Physics::kVars) *
+                           static_cast<eindex_t>(acc_.stride()),
+                       geom_);
+  point_kernel_ctx();
+}
+
+template <class Physics>
+void FvDriver<Physics>::point_kernel_ctx() {
   for (int v = 0; v < Physics::kVars; ++v) {
     ctx_.u[v] = u_.var(v);
     ctx_.acc0[v] = acc_.var(acc_col(0, v));
@@ -45,8 +50,8 @@ FvDriver<Physics>::FvDriver(mesh::Mesh& mesh, level_t max_levels,
   ctx_.dist = geom_.dist.data();
   ctx_.inv_vol = geom_.inv_vol.data();
   ctx_.xadj = geom_.gather_xadj.data();
-  ctx_.slot = gather_slot_.data();
-  ctx_.sign = gather_sign_.data();
+  ctx_.slot = geom_.gather_slot.data();
+  ctx_.sign = geom_.gather_sign.data();
 }
 
 template <class Physics>
@@ -74,22 +79,16 @@ std::vector<level_t> FvDriver<Physics>::assign_temporal_levels() {
 
 template <class Physics>
 void FvDriver<Physics>::update_cell(index_t c) {
-  const auto sc = static_cast<std::size_t>(c);
-  const double inv_v = geom_.inv_vol[sc];
-  // A cell update reads+writes its own state and gathers-and-resets its
-  // side of every adjacent face accumulator (writes subsume the reads).
-  verify::record_write(verify::ObjectKind::cell_state, c);
+  const auto k = static_cast<std::size_t>(kernel_cell(c));
+  const double inv_v = geom_.inv_vol[k];
   for (const index_t f : mesh_.cell_faces(c)) {
-    const auto sf = static_cast<std::size_t>(f);
+    const auto kf = static_cast<std::size_t>(kernel_face(f));
     const int side = mesh_.face_cell(f, 0) == c ? 0 : 1;
-    verify::record_write(side == 0 ? verify::ObjectKind::face_acc_side0
-                                   : verify::ObjectKind::face_acc_side1,
-                         f);
     const double sign = side == 0 ? -1.0 : 1.0;
     for (int v = 0; v < Physics::kVars; ++v) {
       double* accv = acc_.var(acc_col(side, v));
-      u_.var(v)[sc] += sign * accv[sf] * inv_v;
-      accv[sf] = 0.0;
+      u_.var(v)[k] += sign * accv[kf] * inv_v;
+      accv[kf] = 0.0;
     }
   }
 }
@@ -124,64 +123,107 @@ FvDriver<Physics>::make_iteration_tasks(
 }
 
 template <class Physics>
+ClassRuns FvDriver<Physics>::relayout(const taskgraph::ClassMap& classes) {
+  ClassRuns runs;
+  mesh::MeshPermutation next = class_layout(mesh_, classes, &runs);
+  // State and accumulators carry values the mesh does not (a finer face
+  // fluxes after a coarser cell's last update, so accumulators are not
+  // all zero between iterations): move them, one column at a time. The
+  // geometry is the mesh's, refilled in place in the new order.
+  std::vector<double> scratch;
+  permute_vars(u_, layout_.cell_old_to_new, next.cell_new_to_old, scratch);
+  permute_vars(acc_, layout_.face_old_to_new, next.face_new_to_old, scratch);
+  layout_ = std::move(next);
+  fill_kernel_geometry(mesh_, layout_, geom_.side_offset, geom_);
+  point_kernel_ctx();
+  ++layout_epoch_;
+  ++stats_.relayouts;
+  obs::counter("solver.layout.relayouts").add();
+  return runs;
+}
+
+template <class Physics>
+void FvDriver<Physics>::bind_layout(
+    std::shared_ptr<const taskgraph::ClassMap> classes) {
+  const bool same_lists =
+      bound_classes_ != nullptr &&
+      (bound_classes_ == classes ||
+       (bound_classes_->class_cells == classes->class_cells &&
+        bound_classes_->class_faces == classes->class_faces));
+  if (!same_lists) {
+    auto runs = std::make_shared<ClassRuns>(
+        build_class_runs(mesh_, *classes, layout_));
+    const index_t objects = mesh_.num_cells() + mesh_.num_faces();
+    const auto extra = static_cast<std::int64_t>(runs->runs.size()) -
+                       static_cast<std::int64_t>(runs->fresh_runs());
+    if (extra * kObjectsPerExtraRun > static_cast<std::int64_t>(objects))
+      *runs = relayout(*classes);
+    stats_.runs = runs->runs.size();
+    stats_.fresh_runs = runs->fresh_runs();
+    stats_.objects = objects;
+    runs_ = std::move(runs);
+  }
+  bound_classes_ = std::move(classes);
+  obs::gauge("solver.layout.objects_per_run").set(stats_.objects_per_run());
+}
+
+template <class Physics>
 runtime::TaskBody FvDriver<Physics>::make_iteration_body(
     const taskgraph::TaskGraph& graph,
     std::shared_ptr<const taskgraph::ClassMap> classes) {
   TAMP_EXPECTS(dt0_ > 0, "call assign_temporal_levels() first");
   TAMP_EXPECTS(classes != nullptr, "iteration body needs a class map");
-  auto access = std::make_shared<ClassAccessTable>(
-      build_class_access_ranges(mesh_, *classes));
+  TAMP_EXPECTS(classes->task_class.size() ==
+                   static_cast<std::size_t>(graph.num_tasks()),
+               "class map does not match the graph");
+  bind_layout(classes);
 
   // Per-task execution plan, self-contained so the body outlives both the
-  // caller's structs and the graph. A task whose class list is one
-  // contiguous id run carries the run and streams it; scattered classes
-  // keep the per-object list walk.
+  // caller's structs and the graph: the task's slice of the run list.
   struct Plan {
     double dt;
-    index_t cls;
     bool face;
-    bool ranged;
-    index_t begin, mid, end;  ///< faces: [begin,mid) interior, [mid,end) boundary
+    std::size_t begin, mid, end;  ///< faces: [begin,mid) interior runs,
+                                  ///< [mid,end) boundary runs
   };
   auto plans = std::make_shared<std::vector<Plan>>();
   plans->reserve(static_cast<std::size_t>(graph.num_tasks()));
+  const std::vector<std::size_t>& offset = runs_->offset;
   for (index_t t = 0; t < graph.num_tasks(); ++t) {
     const taskgraph::Task& task = graph.task(t);
-    const index_t cls = classes->task_class[static_cast<std::size_t>(t)];
-    Plan plan{dt0_ * std::exp2(static_cast<double>(task.level)), cls,
-              task.type == taskgraph::ObjectType::face, false, 0, 0, 0};
-    if (plan.face) {
-      const auto& r = classes->face_range[static_cast<std::size_t>(cls)];
-      if (r.valid())
-        plan = {plan.dt, cls, true, true, r.begin, r.boundary_begin, r.end};
-    } else {
-      const auto& r = classes->cell_range[static_cast<std::size_t>(cls)];
-      if (r.valid()) plan = {plan.dt, cls, false, true, r.begin, r.end, r.end};
-    }
-    plans->push_back(plan);
+    const auto cls = static_cast<std::size_t>(
+        classes->task_class[static_cast<std::size_t>(t)]);
+    TAMP_EXPECTS(3 * cls + 3 < offset.size(), "task class out of range");
+    const double dt = dt0_ * std::exp2(static_cast<double>(task.level));
+    if (task.type == taskgraph::ObjectType::face)
+      plans->push_back(
+          {dt, true, offset[3 * cls + 1], offset[3 * cls + 2],
+           offset[3 * cls + 3]});
+    else
+      plans->push_back(
+          {dt, false, offset[3 * cls], offset[3 * cls + 1],
+           offset[3 * cls + 1]});
   }
-  return [this, classes, plans, access](index_t t) {
+  return [this, plans, runs = runs_, epoch = layout_epoch_](index_t t) {
+    TAMP_EXPECTS(epoch == layout_epoch_,
+                 "task body bound before a relayout; bind a new one");
     const Plan& plan = (*plans)[static_cast<std::size_t>(t)];
-    const auto scls = static_cast<std::size_t>(plan.cls);
+    const IdRange* r = runs->runs.data();
     if (plan.face) {
-      if (plan.ranged) {
-        if (verify::recording_active())
-          record_class_ranges(access->face[scls], /*face_task=*/true);
-        kernels_.interior(ctx_, plan.begin, plan.mid, plan.dt);
-        physics().add_boundary_tally(
-            kernels_.boundary(ctx_, plan.mid, plan.end, plan.dt));
-      } else {
-        for (const index_t f : classes->class_faces[scls])
-          physics().flux_face(f, plan.dt);
-      }
+      if (verify::recording_active())
+        record_face_runs(geom_, {r + plan.begin, r + plan.mid},
+                         {r + plan.mid, r + plan.end});
+      for (std::size_t i = plan.begin; i < plan.mid; ++i)
+        kernels_.interior(ctx_, r[i].begin, r[i].end, plan.dt);
+      double tally = 0.0;
+      for (std::size_t i = plan.mid; i < plan.end; ++i)
+        tally += kernels_.boundary(ctx_, r[i].begin, r[i].end, plan.dt);
+      physics().add_boundary_tally(tally);
     } else {
-      if (plan.ranged) {
-        if (verify::recording_active())
-          record_class_ranges(access->cell[scls], /*face_task=*/false);
-        kernels_.update(ctx_, plan.begin, plan.end);
-      } else {
-        for (const index_t c : classes->class_cells[scls]) update_cell(c);
-      }
+      if (verify::recording_active())
+        record_cell_runs(geom_, {r + plan.begin, r + plan.end});
+      for (std::size_t i = plan.begin; i < plan.end; ++i)
+        kernels_.update(ctx_, r[i].begin, r[i].end);
     }
   };
 }

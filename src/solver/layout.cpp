@@ -1,6 +1,7 @@
 #include "solver/layout.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 
 #include "taskgraph/generate.hpp"
@@ -8,13 +9,25 @@
 
 namespace tamp::solver {
 
-KernelGeometry build_kernel_geometry(const mesh::Mesh& mesh) {
+void fill_kernel_geometry(const mesh::Mesh& mesh,
+                          const mesh::MeshPermutation& layout,
+                          eindex_t side_offset, KernelGeometry& g) {
   const index_t ncells = mesh.num_cells();
   const index_t nfaces = mesh.num_faces();
   const auto sc = static_cast<std::size_t>(ncells);
   const auto sf = static_cast<std::size_t>(nfaces);
+  TAMP_EXPECTS(layout.cell_new_to_old.size() == sc &&
+                   layout.cell_old_to_new.size() == sc &&
+                   layout.face_new_to_old.size() == sf &&
+                   layout.face_old_to_new.size() == sf,
+               "layout does not match the mesh");
+  TAMP_EXPECTS(side_offset >= 0, "side offset must be non-negative");
+  const auto kcell = [&](index_t c) {
+    return c == invalid_index
+               ? invalid_index
+               : layout.cell_old_to_new[static_cast<std::size_t>(c)];
+  };
 
-  KernelGeometry g;
   g.face_a.resize(sf);
   g.face_b.resize(sf);
   g.nx.resize(sf);
@@ -22,19 +35,19 @@ KernelGeometry build_kernel_geometry(const mesh::Mesh& mesh) {
   g.nz.resize(sf);
   g.area.resize(sf);
   g.dist.resize(sf);
-  for (index_t f = 0; f < nfaces; ++f) {
-    const auto i = static_cast<std::size_t>(f);
+  for (std::size_t i = 0; i < sf; ++i) {
+    const index_t f = layout.face_new_to_old[i];
     const index_t a = mesh.face_cell(f, 0);
     const index_t b = mesh.face_cell(f, 1);
-    g.face_a[i] = a;
-    g.face_b[i] = b;
+    g.face_a[i] = kcell(a);
+    g.face_b[i] = kcell(b);
     const mesh::Vec3 n = mesh.face_normal(f);
     g.nx[i] = n.x;
     g.ny[i] = n.y;
     g.nz[i] = n.z;
     g.area[i] = mesh.face_area(f);
     // The same clamped two-point distance the transport diffusive flux
-    // computed inline; 1.0 at boundaries where no kernel reads it.
+    // computes inline; 1.0 at boundaries where no kernel reads it.
     g.dist[i] = b == invalid_index
                     ? 1.0
                     : std::max(distance(mesh.cell_centroid(a),
@@ -43,47 +56,33 @@ KernelGeometry build_kernel_geometry(const mesh::Mesh& mesh) {
   }
 
   g.inv_vol.resize(sc);
-  for (index_t c = 0; c < ncells; ++c)
-    g.inv_vol[static_cast<std::size_t>(c)] = 1.0 / mesh.cell_volume(c);
-
   g.gather_xadj.resize(sc + 1);
   g.gather_xadj[0] = 0;
-  for (index_t c = 0; c < ncells; ++c)
-    g.gather_xadj[static_cast<std::size_t>(c) + 1] =
-        g.gather_xadj[static_cast<std::size_t>(c)] +
-        static_cast<eindex_t>(mesh.cell_faces(c).size());
-  g.gather_face.resize(static_cast<std::size_t>(g.gather_xadj[sc]));
-  g.gather_side.resize(g.gather_face.size());
+  for (std::size_t i = 0; i < sc; ++i) {
+    const index_t c = layout.cell_new_to_old[i];
+    g.inv_vol[i] = 1.0 / mesh.cell_volume(c);
+    g.gather_xadj[i + 1] =
+        g.gather_xadj[i] + static_cast<eindex_t>(mesh.cell_faces(c).size());
+  }
+  g.side_offset = side_offset;
+  g.gather_slot.resize(static_cast<std::size_t>(g.gather_xadj[sc]));
+  g.gather_sign.resize(g.gather_slot.size());
   std::size_t k = 0;
-  for (index_t c = 0; c < ncells; ++c)
+  for (std::size_t i = 0; i < sc; ++i) {
+    const index_t c = layout.cell_new_to_old[i];
     for (const index_t f : mesh.cell_faces(c)) {
-      g.gather_face[k] = f;
-      g.gather_side[k] = mesh.face_cell(f, 0) == c ? 0 : 1;
+      const bool side1 = mesh.face_cell(f, 0) != c;
+      const eindex_t slot =
+          static_cast<eindex_t>(
+              layout.face_old_to_new[static_cast<std::size_t>(f)]) +
+          (side1 ? side_offset : 0);
+      TAMP_EXPECTS(slot <= std::numeric_limits<index_t>::max(),
+                   "accumulator slot overflows 32-bit gather index");
+      g.gather_slot[k] = static_cast<index_t>(slot);
+      g.gather_sign[k] = side1 ? 1.0 : -1.0;
       ++k;
     }
-  return g;
-}
-
-std::vector<index_t> build_gather_slots(const KernelGeometry& geom,
-                                        eindex_t side_offset) {
-  TAMP_EXPECTS(side_offset >= 0, "side offset must be non-negative");
-  std::vector<index_t> slots(geom.gather_face.size());
-  for (std::size_t k = 0; k < slots.size(); ++k) {
-    const eindex_t slot =
-        static_cast<eindex_t>(geom.gather_face[k]) +
-        (geom.gather_side[k] != 0 ? side_offset : 0);
-    TAMP_EXPECTS(slot <= std::numeric_limits<index_t>::max(),
-                 "accumulator slot overflows 32-bit gather index");
-    slots[k] = static_cast<index_t>(slot);
   }
-  return slots;
-}
-
-std::vector<double> build_gather_signs(const KernelGeometry& geom) {
-  std::vector<double> signs(geom.gather_side.size());
-  for (std::size_t k = 0; k < signs.size(); ++k)
-    signs[k] = geom.gather_side[k] == 0 ? -1.0 : 1.0;
-  return signs;
 }
 
 std::vector<IdRange> compress_to_ranges(std::vector<index_t> ids) {
@@ -99,62 +98,168 @@ std::vector<IdRange> compress_to_ranges(std::vector<index_t> ids) {
   return runs;
 }
 
-ClassAccessTable build_class_access_ranges(
-    const mesh::Mesh& mesh, const taskgraph::ClassMap& classes) {
-  const std::size_t nclasses = classes.class_cells.size();
-  TAMP_EXPECTS(classes.class_faces.size() == nclasses &&
-                   classes.cell_range.size() == nclasses &&
-                   classes.face_range.size() == nclasses,
-               "inconsistent ClassMap");
-  ClassAccessTable table;
-  table.face.resize(nclasses);
-  table.cell.resize(nclasses);
-  std::vector<index_t> scratch;
-  for (std::size_t k = 0; k < nclasses; ++k) {
-    const taskgraph::ClassMap::FaceRange& fr = classes.face_range[k];
-    if (fr.valid()) {
-      // Face task: reads the adjacent cells, writes its faces' slots.
-      ClassAccessRanges& entry = table.face[k];
-      scratch.clear();
-      for (index_t f = fr.begin; f < fr.end; ++f) {
-        scratch.push_back(mesh.face_cell(f, 0));
-        if (f < fr.boundary_begin) scratch.push_back(mesh.face_cell(f, 1));
-      }
-      entry.cells = compress_to_ranges(scratch);
-      entry.acc[0] = {{fr.begin, fr.end}};
-      if (fr.boundary_begin > fr.begin)
-        entry.acc[1] = {{fr.begin, fr.boundary_begin}};
-    }
-    const taskgraph::ClassMap::CellRange& cr = classes.cell_range[k];
-    if (cr.valid()) {
-      // Cell task: writes its cells, gathers-and-resets its exact side
-      // of each adjacent face.
-      ClassAccessRanges& entry = table.cell[k];
-      entry.cells = {{cr.begin, cr.end}};
-      std::array<std::vector<index_t>, 2> slots;
-      for (index_t c = cr.begin; c < cr.end; ++c)
-        for (const index_t f : mesh.cell_faces(c))
-          slots[mesh.face_cell(f, 0) == c ? 0 : 1].push_back(f);
-      entry.acc[0] = compress_to_ranges(std::move(slots[0]));
-      entry.acc[1] = compress_to_ranges(std::move(slots[1]));
-    }
-  }
-  return table;
+std::size_t ClassRuns::fresh_runs() const {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i + 1 < offset.size(); ++i)
+    n += offset[i + 1] > offset[i] ? 1 : 0;
+  return n;
 }
 
-void record_class_ranges(const ClassAccessRanges& ranges, bool face_task) {
-  const verify::AccessMode cell_mode =
-      face_task ? verify::AccessMode::read : verify::AccessMode::write;
-  for (const IdRange& r : ranges.cells)
-    verify::record_access_range(verify::ObjectKind::cell_state, r.begin, r.end,
-                                cell_mode);
-  for (const IdRange& r : ranges.acc[0])
-    verify::record_write_range(verify::ObjectKind::face_acc_side0, r.begin,
-                               r.end);
-  for (const IdRange& r : ranges.acc[1])
+mesh::MeshPermutation class_layout(const mesh::Mesh& mesh,
+                                   const taskgraph::ClassMap& classes,
+                                   ClassRuns* runs) {
+  const index_t nfaces = mesh.num_faces();
+  const std::size_t nclasses = classes.class_cells.size();
+  TAMP_EXPECTS(classes.class_faces.size() == nclasses, "inconsistent ClassMap");
+  mesh::MeshPermutation p;
+  p.cell_new_to_old.reserve(static_cast<std::size_t>(mesh.num_cells()));
+  p.face_new_to_old.reserve(static_cast<std::size_t>(nfaces));
+  ClassRuns out;
+  out.offset.reserve(3 * nclasses + 1);
+  out.offset.push_back(0);
+  // Close the list that `order` holds from `begin` on: one run, none if
+  // it is empty.
+  const auto close = [&out](const std::vector<index_t>& order,
+                            std::size_t begin) {
+    if (order.size() > begin)
+      out.runs.push_back({static_cast<index_t>(begin),
+                          static_cast<index_t>(order.size())});
+    out.offset.push_back(out.runs.size());
+  };
+  std::vector<index_t> boundary;
+  for (std::size_t k = 0; k < nclasses; ++k) {
+    std::size_t begin = p.cell_new_to_old.size();
+    const std::vector<index_t>& cells = classes.class_cells[k];
+    p.cell_new_to_old.insert(p.cell_new_to_old.end(), cells.begin(),
+                             cells.end());
+    close(p.cell_new_to_old, begin);
+    begin = p.face_new_to_old.size();
+    boundary.clear();
+    for (const index_t f : classes.class_faces[k]) {
+      TAMP_EXPECTS(f >= 0 && f < nfaces, "class map names a face off the mesh");
+      (mesh.is_boundary_face(f) ? boundary : p.face_new_to_old).push_back(f);
+    }
+    close(p.face_new_to_old, begin);
+    begin = p.face_new_to_old.size();
+    p.face_new_to_old.insert(p.face_new_to_old.end(), boundary.begin(),
+                             boundary.end());
+    close(p.face_new_to_old, begin);
+  }
+  TAMP_EXPECTS(p.cell_new_to_old.size() ==
+                       static_cast<std::size_t>(mesh.num_cells()) &&
+                   p.face_new_to_old.size() == static_cast<std::size_t>(nfaces),
+               "class map does not cover the mesh");
+  // Throws unless the lists name every object exactly once.
+  p.cell_old_to_new = mesh::invert_permutation(p.cell_new_to_old);
+  p.face_old_to_new = mesh::invert_permutation(p.face_new_to_old);
+  if (runs != nullptr) *runs = std::move(out);
+  return p;
+}
+
+ClassRuns build_class_runs(const mesh::Mesh& mesh,
+                           const taskgraph::ClassMap& classes,
+                           const mesh::MeshPermutation& layout) {
+  const std::size_t nclasses = classes.class_cells.size();
+  TAMP_EXPECTS(classes.class_faces.size() == nclasses, "inconsistent ClassMap");
+  ClassRuns out;
+  out.offset.reserve(3 * nclasses + 1);
+  out.offset.push_back(0);
+  // Append kernel id k to `runs`, whose runs from `first` on are the
+  // current list's: extend the last run or open one.
+  const auto append = [](std::vector<IdRange>& runs, std::size_t first,
+                         index_t k) {
+    if (runs.size() > first && runs.back().end == k)
+      ++runs.back().end;
+    else
+      runs.push_back({k, k + 1});
+  };
+  const auto ncells = static_cast<index_t>(layout.cell_old_to_new.size());
+  const auto nfaces = static_cast<index_t>(layout.face_old_to_new.size());
+  std::vector<IdRange> boundary;
+  for (std::size_t k = 0; k < nclasses; ++k) {
+    std::size_t first = out.runs.size();
+    for (const index_t c : classes.class_cells[k]) {
+      TAMP_EXPECTS(c >= 0 && c < ncells, "class map names a cell off the mesh");
+      append(out.runs, first, layout.cell_old_to_new[static_cast<std::size_t>(c)]);
+    }
+    out.offset.push_back(out.runs.size());
+    first = out.runs.size();
+    boundary.clear();
+    for (const index_t f : classes.class_faces[k]) {
+      TAMP_EXPECTS(f >= 0 && f < nfaces, "class map names a face off the mesh");
+      const index_t kf = layout.face_old_to_new[static_cast<std::size_t>(f)];
+      if (mesh.is_boundary_face(f))
+        append(boundary, 0, kf);
+      else
+        append(out.runs, first, kf);
+    }
+    out.offset.push_back(out.runs.size());
+    out.runs.insert(out.runs.end(), boundary.begin(), boundary.end());
+    out.offset.push_back(out.runs.size());
+  }
+  return out;
+}
+
+void permute_vars(PaddedVars& vars,
+                  const std::vector<index_t>& old_kernel_of_mesh,
+                  const std::vector<index_t>& mesh_of_new_kernel,
+                  std::vector<double>& scratch) {
+  const auto n = static_cast<std::size_t>(vars.size());
+  TAMP_EXPECTS(old_kernel_of_mesh.size() == n && mesh_of_new_kernel.size() == n,
+               "permutation does not match the columns");
+  scratch.resize(n);
+  for (int v = 0; v < vars.num_vars(); ++v) {
+    double* col = vars.var(v);
+    for (std::size_t i = 0; i < n; ++i)
+      scratch[i] = col[static_cast<std::size_t>(
+          old_kernel_of_mesh[static_cast<std::size_t>(mesh_of_new_kernel[i])])];
+    std::copy(scratch.begin(), scratch.end(), col);
+  }
+}
+
+void record_face_runs(const KernelGeometry& geom,
+                      std::span<const IdRange> interior,
+                      std::span<const IdRange> boundary) {
+  std::vector<index_t> cells;
+  for (const IdRange& r : interior)
+    for (index_t f = r.begin; f < r.end; ++f) {
+      cells.push_back(geom.face_a[static_cast<std::size_t>(f)]);
+      cells.push_back(geom.face_b[static_cast<std::size_t>(f)]);
+    }
+  for (const IdRange& r : boundary)
+    for (index_t f = r.begin; f < r.end; ++f)
+      cells.push_back(geom.face_a[static_cast<std::size_t>(f)]);
+  for (const IdRange& r : compress_to_ranges(std::move(cells)))
+    verify::record_read_range(verify::ObjectKind::cell_state, r.begin, r.end);
+  for (const auto runs : {interior, boundary})
+    for (const IdRange& r : runs)
+      verify::record_write_range(verify::ObjectKind::face_acc_side0, r.begin,
+                                 r.end);
+  for (const IdRange& r : interior)
     verify::record_write_range(verify::ObjectKind::face_acc_side1, r.begin,
                                r.end);
 }
 
-}  // namespace tamp::solver
+void record_cell_runs(const KernelGeometry& geom,
+                      std::span<const IdRange> cells) {
+  std::array<std::vector<index_t>, 2> slots;
+  for (const IdRange& r : cells) {
+    verify::record_write_range(verify::ObjectKind::cell_state, r.begin, r.end);
+    for (index_t c = r.begin; c < r.end; ++c)
+      for (eindex_t k = geom.gather_xadj[static_cast<std::size_t>(c)];
+           k < geom.gather_xadj[static_cast<std::size_t>(c) + 1]; ++k) {
+        const auto sk = static_cast<std::size_t>(k);
+        const bool side1 = geom.gather_sign[sk] > 0.0;
+        slots[side1 ? 1 : 0].push_back(static_cast<index_t>(
+            geom.gather_slot[sk] - (side1 ? geom.side_offset : 0)));
+      }
+  }
+  for (int side = 0; side < 2; ++side)
+    for (const IdRange& r :
+         compress_to_ranges(std::move(slots[static_cast<std::size_t>(side)])))
+      verify::record_write_range(side == 0 ? verify::ObjectKind::face_acc_side0
+                                           : verify::ObjectKind::face_acc_side1,
+                                 r.begin, r.end);
+}
 
+}  // namespace tamp::solver

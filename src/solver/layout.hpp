@@ -1,16 +1,17 @@
 // Kernel data path for the solvers: padded structure-of-arrays state,
-// a precomputed per-face/per-cell geometry pack, and the range helpers
-// the streaming kernels and the range-granular race annotations share.
+// a precomputed per-face/per-cell geometry pack, the class-contiguous
+// kernel order the driver keeps them in, and the id runs the task bodies
+// stream and the race annotations record.
 //
 // The mesh interface (mesh::Mesh) is convenient but the wrong shape for
 // a hot sweep: face_cell() re-derives offsets per call, face_normal()
 // returns a Vec3 by value, cell_volume() costs a division per gather in
 // update_cell, and the Vec3 arrays interleave x/y/z. KernelGeometry
 // flattens everything a flux or update kernel touches into plain
-// unit-stride double/index arrays, computed once per solver. The values
-// are *copies* of the mesh quantities (and 1/V the exact same division
-// the per-object kernels performed), so kernels reading the pack are
-// bitwise identical to kernels reading the mesh.
+// unit-stride double/index arrays. Its order is not the mesh's: the
+// driver (solver/fv_driver.hpp) lays cells and faces out class by class
+// (class_layout), so each task's objects are a few consecutive runs of
+// kernel ids however the mesh numbers them.
 //
 // PaddedVars stores kNumVars-style multi-variable state in one buffer
 // with the per-variable stride rounded up to a cache line (8 doubles):
@@ -22,11 +23,12 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "mesh/mesh.hpp"
+#include "mesh/reorder.hpp"
 #include "support/check.hpp"
 #include "support/types.hpp"
 
@@ -52,12 +54,13 @@ class PaddedVars {
 public:
   PaddedVars() = default;
   PaddedVars(index_t size, int num_vars)
-      : size_(size), stride_(padded_stride(size)),
+      : size_(size), num_vars_(num_vars), stride_(padded_stride(size)),
         data_(stride_ * static_cast<std::size_t>(num_vars), 0.0) {
     TAMP_EXPECTS(size >= 0 && num_vars >= 1, "invalid PaddedVars shape");
   }
 
   [[nodiscard]] index_t size() const { return size_; }
+  [[nodiscard]] int num_vars() const { return num_vars_; }
   [[nodiscard]] std::size_t stride() const { return stride_; }
 
   [[nodiscard]] double* var(int v) {
@@ -78,11 +81,14 @@ public:
 
 private:
   index_t size_ = 0;
+  int num_vars_ = 0;
   std::size_t stride_ = 0;
   std::vector<double> data_;
 };
 
-/// Everything a flux or cell-update kernel needs, as flat arrays.
+/// Everything a flux or cell-update kernel needs, as flat arrays in one
+/// kernel order (see class_layout below): every id stored here, and
+/// every index into these arrays, is a kernel id, never a mesh id.
 ///
 /// Face arrays (size num_faces): adjacent cells a/b (b = invalid_index
 /// at a boundary), unit normal components, area, and the clamped
@@ -92,8 +98,13 @@ private:
 /// Cell arrays: inv_vol[c] = 1.0 / V(c), plus the gather CSR — the
 /// cell's adjacent faces in exactly mesh.cell_faces(c) order (the
 /// accumulator gather is order-sensitive floating-point addition, so
-/// this order is part of the bitwise contract) with the cell's side of
-/// each face precomputed.
+/// this order is part of the bitwise contract). The solvers fold both
+/// accumulator sides into one PaddedVars so a single base pointer per
+/// variable reaches either side: gather_slot[k] = face + side ·
+/// side_offset is the entry's offset from that base (side_offset =
+/// num_vars · stride of the combined buffer), and gather_sign[k] is the
+/// side as the update's signed weight, -1.0 for side 0 (flux leaves the
+/// cell), +1.0 for side 1.
 struct KernelGeometry {
   std::vector<index_t> face_a;
   std::vector<index_t> face_b;
@@ -101,40 +112,33 @@ struct KernelGeometry {
   std::vector<double> area;
   std::vector<double> dist;
   std::vector<double> inv_vol;
-  std::vector<eindex_t> gather_xadj;       ///< num_cells + 1
-  std::vector<index_t> gather_face;
-  std::vector<std::uint8_t> gather_side;   ///< 0 or 1, parallel to gather_face
+  std::vector<eindex_t> gather_xadj;  ///< num_cells + 1
+  std::vector<index_t> gather_slot;
+  std::vector<double> gather_sign;    ///< parallel to gather_slot
+  eindex_t side_offset = 0;
 };
 
-[[nodiscard]] KernelGeometry build_kernel_geometry(const mesh::Mesh& mesh);
-
-/// Flattened gather addressing for the SIMD cell-update kernels
-/// (solver/simd_kernels.hpp). The solvers fold both accumulator sides
-/// into one PaddedVars so a single base pointer per variable reaches
-/// either side; slot[k] = gather_face[k] + gather_side[k] * side_offset
-/// rewrites the CSR's (face, side) pairs into direct offsets from that
-/// base. `side_offset` is num_vars * stride of the combined buffer.
-/// Checked: every slot fits index_t, the 32-bit type the hardware
-/// gathers index with.
-[[nodiscard]] std::vector<index_t> build_gather_slots(
-    const KernelGeometry& geom, eindex_t side_offset);
-
-/// gather_side recoded as the update kernels' signed weight: -1.0 for
-/// side 0 (flux leaves the cell), +1.0 for side 1.
-[[nodiscard]] std::vector<double> build_gather_signs(
-    const KernelGeometry& geom);
+/// Fill `geom` with `mesh`'s geometry in the kernel order `layout` names
+/// (old = mesh id, new = kernel id), in place: a relayout reuses the
+/// storage, so it never holds two packs. The values are copies of the
+/// mesh quantities (1/V the same division the per-object update
+/// performs), so kernels reading the pack are bitwise identical to
+/// kernels reading the mesh. Checked: every gather slot fits index_t,
+/// the 32-bit type the hardware gathers index with.
+void fill_kernel_geometry(const mesh::Mesh& mesh,
+                          const mesh::MeshPermutation& layout,
+                          eindex_t side_offset, KernelGeometry& geom);
 
 /// Boundary-face accumulator contract: a boundary face has no side-1
 /// cell, so nothing ever gathers its side-1 slot — a side-1 deposit
 /// there is inert. Every streaming tier skips it, the scalar tier (the
 /// width-1 instantiation of the kernel templates) included, so skipping
-/// it does not differ between tiers, and build_class_access_ranges
-/// records side-1 writes on interior faces only. The per-object kernels
-/// are the one reference every tier is compared against, bitwise except
-/// for the transport boundary tally (a diagnostic compared within a
-/// tolerance). The per-object Euler flux_face deposits into the inert
-/// slot (matching the seed) and records that write inline; no cell
-/// reads it.
+/// it does not differ between tiers, and record_face_runs records
+/// side-1 writes on interior faces only. The per-object kernels are the
+/// one reference every tier is compared against, bitwise except for the
+/// transport boundary tally (a diagnostic compared within a tolerance).
+/// The per-object Euler flux_face deposits into the inert slot (matching
+/// the seed); no cell reads it.
 
 /// Nominal main-memory traffic of the streaming kernels, in bytes per
 /// object update, for converting measured counter totals into bandwidth
@@ -172,42 +176,65 @@ struct IdRange {
 /// (sorts and deduplicates its argument first).
 [[nodiscard]] std::vector<IdRange> compress_to_ranges(std::vector<index_t> ids);
 
-/// Precomputed race-verifier annotation for one ranged task: the exact
-/// object sets it touches, compressed to runs so recording costs
-/// O(ranges) per task execution instead of O(objects).
-///
-/// For a face task: `cells` are the adjacent cells the fluxes read
-/// (side 0 of every face, side 1 of interior faces) and `acc[s]` the
-/// accumulator-side slots written. For a cell task: `cells` is the
-/// single written run and `acc[s]` the exact side-s slots the gathers
-/// reset — exact, not the class's face range, because two unordered cell
-/// classes legitimately touch opposite sides of one face.
-struct ClassAccessRanges {
-  std::vector<IdRange> cells;
-  std::array<std::vector<IdRange>, 2> acc;
+/// A class map's object lists as kernel-id runs under one layout. Class
+/// k streams its cells as runs [offset[3k], offset[3k+1]), its interior
+/// faces as [offset[3k+1], offset[3k+2]) and its boundary faces as
+/// [offset[3k+2], offset[3k+3]).
+struct ClassRuns {
+  std::vector<IdRange> runs;
+  std::vector<std::size_t> offset;  ///< 3 · classes + 1
+
+  /// The runs the class_layout of the same map gives: one per non-empty
+  /// cell, interior-face and boundary-face list.
+  [[nodiscard]] std::size_t fresh_runs() const;
 };
 
-/// Per-class annotation tables, indexed by class id. One class id names
-/// both a face list and a cell list (its face task and its cell task),
-/// so the two task types get separate tables.
-struct ClassAccessTable {
-  std::vector<ClassAccessRanges> face;
-  std::vector<ClassAccessRanges> cell;
-};
+/// The class-contiguous kernel order of a class map (old = mesh id, new
+/// = kernel id), a pure function of the lists computed in O(objects)
+/// with no sort: cells are the class_cells lists concatenated in
+/// class-id order, and faces each class's interior faces followed by its
+/// boundary faces, both in list order (ascending mesh id on a generated
+/// map). When `runs` is given it receives the map's runs under the new
+/// order, fresh_runs() of them. Throws precondition_error unless the
+/// lists cover every cell and every face of `mesh` exactly once.
+[[nodiscard]] mesh::MeshPermutation class_layout(
+    const mesh::Mesh& mesh, const taskgraph::ClassMap& classes,
+    ClassRuns* runs = nullptr);
 
-/// Build the annotation tables for every class whose object list is a
-/// valid range in `classes`; scattered classes get empty entries (their
-/// tasks fall back to per-object kernels which record inline). A face
-/// task writes side 0 of all its faces and side 1 of its interior faces
-/// (see the boundary-face contract above).
-[[nodiscard]] ClassAccessTable build_class_access_ranges(
-    const mesh::Mesh& mesh, const taskgraph::ClassMap& classes);
+/// Walk each class list through `layout`'s mesh→kernel maps and cut a
+/// run wherever the next kernel id is not the previous one + 1 —
+/// interior faces first, then boundary faces. On class_layout(classes)
+/// itself this gives fresh_runs() runs. Order within a class is free
+/// (its objects are independent), so streaming the runs is bitwise the
+/// list walk.
+[[nodiscard]] ClassRuns build_class_runs(const mesh::Mesh& mesh,
+                                         const taskgraph::ClassMap& classes,
+                                         const mesh::MeshPermutation& layout);
 
-/// Record one ranged task's precomputed accesses into the active
-/// verify::TaskRecordScope: `cells` as reads for a face task and as
-/// writes for a cell task, accumulator slots always as writes. Callers
-/// guard on verify::recording_active() so the streaming kernels stay
-/// annotation-free.
-void record_class_ranges(const ClassAccessRanges& ranges, bool face_task);
+/// Move every column of `vars` from one kernel order to another: entry n
+/// becomes the old entry old_kernel_of_mesh[mesh_of_new_kernel[n]]. One
+/// column at a time through `scratch`, in place, so column pointers stay
+/// valid.
+void permute_vars(PaddedVars& vars,
+                  const std::vector<index_t>& old_kernel_of_mesh,
+                  const std::vector<index_t>& mesh_of_new_kernel,
+                  std::vector<double>& scratch);
+
+/// Record one streamed face task's accesses, in kernel ids, into the
+/// active verify::TaskRecordScope: it reads the adjacent cells (side 0
+/// of every face, side 1 of interior faces) and writes side 0 of every
+/// face and side 1 of its interior faces (see the boundary-face contract
+/// above). Callers guard on verify::recording_active() so the streaming
+/// kernels stay annotation-free.
+void record_face_runs(const KernelGeometry& geom,
+                      std::span<const IdRange> interior,
+                      std::span<const IdRange> boundary);
+
+/// Record one streamed cell task's accesses, in kernel ids: it writes
+/// its cells and gathers-and-resets its exact side of each adjacent face
+/// — exact, not the faces' runs, because two unordered cell classes
+/// legitimately touch opposite sides of one face.
+void record_cell_runs(const KernelGeometry& geom,
+                      std::span<const IdRange> cells);
 
 }  // namespace tamp::solver

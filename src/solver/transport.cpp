@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "solver/fv_driver_impl.hpp"
-#include "verify/access.hpp"
 
 namespace tamp::solver {
 
@@ -33,13 +32,14 @@ void TransportSolver::add_blob(Vec3 center, double radius, double amplitude) {
   TAMP_EXPECTS(radius > 0, "blob radius must be positive");
   for (index_t c = 0; c < mesh_.num_cells(); ++c) {
     const double d = distance(mesh_.cell_centroid(c), center);
-    u_.at(0, c) += amplitude * std::exp(-(d * d) / (radius * radius));
+    u_.at(0, kernel_cell(c)) +=
+        amplitude * std::exp(-(d * d) / (radius * radius));
   }
 }
 
 void TransportSolver::set_value(index_t cell, double value) {
   TAMP_EXPECTS(cell >= 0 && cell < mesh_.num_cells(), "cell out of range");
-  u_.at(0, cell) = value;
+  u_.at(0, kernel_cell(cell)) = value;
 }
 
 double TransportSolver::stable_step(index_t c) const {
@@ -56,17 +56,12 @@ double TransportSolver::stable_step(index_t c) const {
 }
 
 void TransportSolver::flux_face(index_t f, double dtf) {
-  const auto sf = static_cast<std::size_t>(f);
+  const auto sf = static_cast<std::size_t>(kernel_face(f));
   const index_t a = mesh_.face_cell(f, 0);
   const Vec3 n = mesh_.face_normal(f);
   const double area = mesh_.face_area(f);
-  const double phi_a = u_.at(0, a);
+  const double phi_a = value(a);
   const double un = dot(config_.velocity, n);
-  // Race-verifier annotations (no-ops unless instrumented). boundary_net_
-  // is deliberately NOT recorded: it is an atomic counter shared across
-  // otherwise-unordered boundary face tasks by design.
-  verify::record_read(verify::ObjectKind::cell_state, a);
-  verify::record_write(verify::ObjectKind::face_acc_side0, f);
 
   if (mesh_.is_boundary_face(f)) {
     // Upwind inflow/outflow; no diffusive wall flux (insulated).
@@ -78,9 +73,7 @@ void TransportSolver::flux_face(index_t f, double dtf) {
   }
 
   const index_t b = mesh_.face_cell(f, 1);
-  verify::record_read(verify::ObjectKind::cell_state, b);
-  verify::record_write(verify::ObjectKind::face_acc_side1, f);
-  const double phi_b = u_.at(0, b);
+  const double phi_b = value(b);
   // Upwind convection along the face normal.
   double flux = un * (un >= 0 ? phi_a : phi_b);
   // Two-point diffusion with the centroid distance.
@@ -96,22 +89,32 @@ void TransportSolver::flux_face(index_t f, double dtf) {
 }
 
 double TransportSolver::total_scalar() const {
+  // Summed in mesh order, so the total does not depend on the layout.
   double total = 0;
   for (index_t c = 0; c < mesh_.num_cells(); ++c)
-    total += mesh_.cell_volume(c) * u_.at(0, c);
+    total += mesh_.cell_volume(c) * value(c);
   for (index_t f = 0; f < mesh_.num_faces(); ++f) {
-    total -= acc_.at(0, f);  // side-0 pending (incl. boundary: already left)
-    if (!mesh_.is_boundary_face(f)) total += acc_.at(1, f);
+    const index_t k = kernel_face(f);
+    total -= acc_.at(0, k);  // side-0 pending (incl. boundary: already left)
+    if (!mesh_.is_boundary_face(f)) total += acc_.at(1, k);
   }
   return total;
 }
 
+// Min and max in mesh order: with a NaN present, which value the
+// comparison chain returns depends on the order.
 double TransportSolver::min_value() const {
-  return *std::min_element(u_.var(0), u_.var(0) + mesh_.num_cells());
+  double m = value(0);
+  for (index_t c = 1; c < mesh_.num_cells(); ++c)
+    if (value(c) < m) m = value(c);
+  return m;
 }
 
 double TransportSolver::max_value() const {
-  return *std::max_element(u_.var(0), u_.var(0) + mesh_.num_cells());
+  double m = value(0);
+  for (index_t c = 1; c < mesh_.num_cells(); ++c)
+    if (m < value(c)) m = value(c);
+  return m;
 }
 
 bool TransportSolver::values_finite() const {

@@ -60,7 +60,9 @@ public:
   [[nodiscard]] double net_boundary_outflow() const {
     return boundary_net_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] double value(index_t cell) const { return u_.at(0, cell); }
+  [[nodiscard]] double value(index_t cell) const {
+    return u_.at(0, kernel_cell(cell));
+  }
   [[nodiscard]] double min_value() const;
   [[nodiscard]] double max_value() const;
   [[nodiscard]] bool values_finite() const;
@@ -72,11 +74,10 @@ private:
 
   /// CFL · min(h/|u|, h²/(6D)) with h the cube root of the cell volume.
   [[nodiscard]] double stable_step(index_t c) const;
-  /// Per-object reference flux (serial path, scattered-class fallback;
-  /// records its accesses inline when instrumented).
+  /// Per-object reference flux of mesh face f (serial path).
   void flux_face(index_t f, double dtf);
-  /// One atomic add per ranged boundary sweep (the tally is a
-  /// diagnostic, compared within a tolerance, never bitwise).
+  /// One atomic add per face task (the tally is a diagnostic, compared
+  /// within a tolerance, never bitwise).
   void add_boundary_tally(double tally) {
     if (tally != 0.0)
       boundary_net_.fetch_add(tally, std::memory_order_relaxed);

@@ -48,14 +48,15 @@ struct GenerateOptions {
 /// Concrete object membership of each task, for executing real kernels:
 /// tasks of the same (domain, level, locality) class share one object
 /// list; `task_class[t]` indexes into the per-class lists, and the task's
-/// type selects faces vs cells.
+/// type selects faces vs cells. Lists hold mesh ids in ascending order.
 ///
-/// On a locality-renumbered mesh (partition/reorder.hpp) every class
-/// list is one consecutive id run; the generator detects this and fills
-/// the range vectors so solvers can stream `[begin, end)` instead of
-/// chasing the index vector. A class whose list is not contiguous gets
-/// an invalid range (begin == invalid_index) and callers fall back to
-/// the list.
+/// The solvers do not need the lists to be contiguous: they lay their
+/// kernel data out class by class from the lists themselves
+/// (solver/layout.hpp class_layout). On a locality-renumbered mesh
+/// (partition/reorder.hpp) every class list is one consecutive id run;
+/// the generator detects this and fills the range vectors, which
+/// describe the mesh numbering — a class whose list is not contiguous
+/// gets an invalid range (begin == invalid_index).
 struct ClassMap {
   /// Contiguous cell run of one class, or invalid when scattered.
   struct CellRange {

@@ -1,0 +1,321 @@
+// The solver-owned kernel layout (solver/layout.hpp, FvDriver): the
+// class-contiguous order is a bijection that streams every class as at
+// most one cell run and two face runs; relayouts move state and
+// accumulators so the pipeline stays bitwise the serial reference while
+// levels drift; a frozen mesh lays out once; a body bound before a
+// relayout refuses to run; and relaid-out bodies record race-free
+// accesses.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <memory>
+#include <vector>
+
+#include "core/pipeline.hpp"
+#include "mesh/generators.hpp"
+#include "partition/strategy.hpp"
+#include "solver/euler.hpp"
+#include "solver/layout.hpp"
+#include "solver/transport.hpp"
+#include "taskgraph/generate.hpp"
+#include "verify/verifier.hpp"
+
+namespace tamp::solver {
+namespace {
+
+struct Decomposition {
+  std::vector<part_t> domain_of_cell;
+  part_t ndomains = 0;
+};
+
+Decomposition decompose(const mesh::Mesh& m, partition::Strategy strategy,
+                        part_t ndomains) {
+  partition::StrategyOptions sopts;
+  sopts.strategy = strategy;
+  sopts.ndomains = ndomains;
+  const auto dd = partition::decompose(m, sopts);
+  return {dd.domain_of_cell, dd.ndomains};
+}
+
+/// A graded box with levels from an Euler pulse: several temporal
+/// levels, so classes interleave in mesh order.
+mesh::Mesh levelled_box() {
+  mesh::Mesh m = mesh::make_graded_box_mesh(10, 8, 6, 1.3);
+  EulerSolver s(m);
+  s.initialize_uniform(1.0, {0.1, 0.05, 0.0}, 1.0);
+  s.add_pulse({1.5, 1.2, 0.9}, 0.9, 0.3);
+  s.assign_temporal_levels();
+  return m;
+}
+
+/// The transport initial condition of flusim: a blob at the centroid
+/// mean, a fifth of the bounding-box diagonal wide.
+void add_central_blob(TransportSolver& s, const mesh::Mesh& m) {
+  mesh::Vec3 lo = m.cell_centroid(0), hi = lo, mean{};
+  for (index_t c = 0; c < m.num_cells(); ++c) {
+    const mesh::Vec3 p = m.cell_centroid(c);
+    lo = {std::min(lo.x, p.x), std::min(lo.y, p.y), std::min(lo.z, p.z)};
+    hi = {std::max(hi.x, p.x), std::max(hi.y, p.y), std::max(hi.z, p.z)};
+    mean = mean + p;
+  }
+  mean = (1.0 / static_cast<double>(m.num_cells())) * mean;
+  s.add_blob(mean, 0.2 * distance(lo, hi), 1.0);
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+// --- the layout rule ------------------------------------------------------------
+
+TEST(KernelLayout, ClassLayoutStreamsEachClassInAtMostThreeRuns) {
+  const mesh::Mesh m = levelled_box();
+  const Decomposition dd = decompose(m, partition::Strategy::mc_tl, 5);
+  taskgraph::ClassMap classes;
+  taskgraph::generate_task_graph(m, dd.domain_of_cell, dd.ndomains, {},
+                                 &classes);
+  const mesh::MeshPermutation layout = class_layout(m, classes);
+  mesh::validate_permutation(m, layout);
+
+  // Mesh order scatters the classes; their own layout streams them.
+  const ClassRuns scattered =
+      build_class_runs(m, classes, mesh::identity_permutation(m));
+  const ClassRuns runs = build_class_runs(m, classes, layout);
+  EXPECT_GT(scattered.runs.size(), scattered.fresh_runs());
+  EXPECT_EQ(runs.runs.size(), runs.fresh_runs());
+  EXPECT_EQ(runs.fresh_runs(), scattered.fresh_runs());
+
+  const std::size_t nclasses = classes.class_cells.size();
+  ASSERT_EQ(runs.offset.size(), 3 * nclasses + 1);
+  index_t next_cell = 0, next_face = 0;
+  for (std::size_t k = 0; k < nclasses; ++k) {
+    // Cells: the class list, in order, at the next kernel ids.
+    for (const index_t c : classes.class_cells[k])
+      EXPECT_EQ(layout.cell_old_to_new[static_cast<std::size_t>(c)],
+                next_cell++);
+    // Faces: interior ones first, then boundary ones.
+    for (const bool boundary : {false, true})
+      for (const index_t f : classes.class_faces[k]) {
+        if (m.is_boundary_face(f) != boundary) continue;
+        EXPECT_EQ(layout.face_old_to_new[static_cast<std::size_t>(f)],
+                  next_face++);
+      }
+    for (std::size_t kind = 0; kind < 3; ++kind)
+      EXPECT_LE(runs.offset[3 * k + kind + 1] - runs.offset[3 * k + kind], 1u);
+  }
+}
+
+TEST(KernelLayout, ClassLayoutRejectsAMapThatMissesAnObject) {
+  const mesh::Mesh m = levelled_box();
+  const Decomposition dd = decompose(m, partition::Strategy::sc_oc, 3);
+  taskgraph::ClassMap classes;
+  taskgraph::generate_task_graph(m, dd.domain_of_cell, dd.ndomains, {},
+                                 &classes);
+  taskgraph::ClassMap missing = classes;
+  missing.class_cells[0].pop_back();
+  EXPECT_THROW(static_cast<void>(class_layout(m, missing)),
+               precondition_error);
+  taskgraph::ClassMap doubled = classes;
+  doubled.class_faces[0].back() = doubled.class_faces[0].front();
+  EXPECT_THROW(static_cast<void>(class_layout(m, doubled)),
+               precondition_error);
+}
+
+TEST(KernelLayout, PermuteVarsMovesEveryColumn) {
+  PaddedVars vars(5, 2);
+  for (int v = 0; v < 2; ++v)
+    for (index_t i = 0; i < 5; ++i) vars.at(v, i) = 10.0 * v + i;
+  // Old kernel order = mesh order; the new one reverses it.
+  std::vector<double> scratch;
+  permute_vars(vars, {0, 1, 2, 3, 4}, {4, 3, 2, 1, 0}, scratch);
+  for (int v = 0; v < 2; ++v)
+    for (index_t i = 0; i < 5; ++i)
+      EXPECT_EQ(vars.at(v, i), 10.0 * v + (4 - i));
+}
+
+// --- the driver -------------------------------------------------------------------
+
+TEST(KernelLayout, BodyBoundBeforeARelayoutThrows) {
+  mesh::Mesh m = levelled_box();
+  EulerSolver s(m);
+  s.initialize_uniform(1.0, {0.1, 0.05, 0.0}, 1.0);
+  s.add_pulse({1.5, 1.2, 0.9}, 0.9, 0.3);
+  s.assign_temporal_levels();
+  const Decomposition d1 = decompose(m, partition::Strategy::mc_tl, 4);
+  const Decomposition d2 = decompose(m, partition::Strategy::sc_oc, 7);
+  const auto first = s.make_iteration_tasks(d1.domain_of_cell, d1.ndomains);
+  ASSERT_EQ(s.layout_stats().relayouts, 1u);  // away from mesh order
+  const auto second = s.make_iteration_tasks(d2.domain_of_cell, d2.ndomains);
+  ASSERT_EQ(s.layout_stats().relayouts, 2u);
+  EXPECT_THROW(first.body(0), precondition_error);
+  EXPECT_NO_THROW(second.body(0));
+  // Re-binding the first graph gives a body that runs again.
+  const auto again = s.make_iteration_tasks(d1.domain_of_cell, d1.ndomains);
+  EXPECT_NO_THROW(again.body(0));
+}
+
+TEST(KernelLayout, RelaidOutBodiesAreRaceFree) {
+  mesh::Mesh m = levelled_box();
+  TransportConfig tc;
+  tc.velocity = {1.0, 0.3, 0.1};
+  tc.diffusivity = 0.01;
+  TransportSolver s(m, tc);
+  s.initialize_uniform(0.5);
+  s.assign_temporal_levels();
+  const Decomposition dds[] = {
+      decompose(m, partition::Strategy::mc_tl, 4),
+      decompose(m, partition::Strategy::sc_oc, 6),
+      decompose(m, partition::Strategy::hybrid, 5)};
+  for (const Decomposition& dd : dds) {
+    const auto iter = s.make_iteration_tasks(dd.domain_of_cell, dd.ndomains);
+    verify::AccessLog log(iter.graph.num_tasks());
+    verify::collect_serial(iter.graph, iter.body, log);
+    const verify::RaceReport report = verify::check_races(iter.graph, log);
+    EXPECT_TRUE(report.clean()) << report.summary(iter.graph);
+    EXPECT_GT(report.accesses, 0u);
+    s.note_tasks_complete();
+  }
+  EXPECT_EQ(s.layout_stats().relayouts, 3u);
+}
+
+// --- through the pipeline, against the serial reference ---------------------------
+
+core::IterationPipelineConfig pipeline_config(double drift) {
+  core::IterationPipelineConfig cfg;
+  cfg.mode = core::PipelineMode::sync;
+  cfg.num_iterations = 12;
+  cfg.drift = drift;
+  cfg.ndomains = 6;
+  cfg.nprocesses = 1;
+  cfg.workers_per_process = 2;
+  cfg.threads = 1;
+  cfg.seed = 3;
+  return cfg;
+}
+
+/// Runs the pipeline on `solver` (bound to `live`) while stepping
+/// `reference` (bound to `ref_mesh`) with the serial run_iteration at
+/// each snapshot's levels, every body instrumented and race-checked.
+/// `equal` compares the two states bitwise after each iteration. Returns
+/// the relayouts counted after iteration 0's bind.
+template <class Solver, class Equal>
+std::uint64_t run_against_reference(Solver& solver, mesh::Mesh& live,
+                                    Solver& reference, mesh::Mesh& ref_mesh,
+                                    double drift, Equal equal,
+                                    core::SolverHooks (*make_hooks)(
+                                        Solver&,
+                                        std::function<runtime::TaskBody(
+                                            runtime::TaskBody,
+                                            const core::IterationSnapshot&)>)) {
+  std::shared_ptr<verify::AccessLog> log;
+  core::SolverHooks hooks = make_hooks(
+      solver, [&log](runtime::TaskBody body,
+                     const core::IterationSnapshot& snap) {
+        log = std::make_shared<verify::AccessLog>(snap.graph.num_tasks());
+        return verify::instrument(std::move(body), *log);
+      });
+  std::uint64_t after_first_bind = 0;
+  int iterations = 0;
+  hooks.observer = [&](const core::IterationSnapshot& snap,
+                       const runtime::ExecutionReport&) {
+    if (snap.iteration == 0)
+      after_first_bind = solver.layout_stats().relayouts;
+    const verify::RaceReport races = verify::check_races(snap.graph, *log);
+    EXPECT_TRUE(races.clean()) << "iteration " << snap.iteration << "\n"
+                               << races.summary(snap.graph);
+    ref_mesh.set_cell_levels(snap.levels);
+    reference.run_iteration();
+    for (index_t c = 0; c < live.num_cells(); ++c)
+      if (!equal(c)) {
+        ADD_FAILURE() << "iteration " << snap.iteration << ": cell " << c
+                      << " differs from the serial reference";
+        break;
+      }
+    ++iterations;
+  };
+  core::run_iteration_pipeline(live, pipeline_config(drift), hooks);
+  EXPECT_EQ(iterations, 12);
+  return solver.layout_stats().relayouts - after_first_bind;
+}
+
+TEST(KernelLayout, DriftingTransportPipelineIsBitwiseTheSerialReference) {
+  mesh::TestMeshSpec spec;
+  spec.target_cells = 3000;
+  mesh::Mesh live = mesh::make_test_mesh(mesh::TestMeshKind::cylinder, spec);
+  mesh::Mesh ref_mesh = live;
+  TransportSolver solver(live), reference(ref_mesh);
+  for (TransportSolver* s : {&solver, &reference}) {
+    s->initialize_uniform(0.0);
+    add_central_blob(*s, live);
+    s->assign_temporal_levels();
+  }
+  const std::uint64_t later = run_against_reference(
+      solver, live, reference, ref_mesh, 0.05,
+      [&](index_t c) {
+        return same_bits(solver.value(c), reference.value(c));
+      },
+      &core::transport_pipeline_hooks);
+  EXPECT_GE(later, 1u) << "drift never triggered a relayout";
+  // The boundary tally is summed per run, so it agrees within rounding.
+  const double invariant =
+      reference.total_scalar() + reference.net_boundary_outflow();
+  EXPECT_NEAR(solver.total_scalar() + solver.net_boundary_outflow(), invariant,
+              1e-12 * std::abs(invariant));
+}
+
+TEST(KernelLayout, DriftingEulerPipelineIsBitwiseTheSerialReference) {
+  mesh::Mesh live = levelled_box();
+  mesh::Mesh ref_mesh = live;
+  EulerSolver solver(live), reference(ref_mesh);
+  for (EulerSolver* s : {&solver, &reference}) {
+    s->initialize_uniform(1.0, {0.1, 0.05, 0.0}, 1.0);
+    s->add_pulse({1.5, 1.2, 0.9}, 0.9, 0.3);
+    s->assign_temporal_levels();
+  }
+  const std::uint64_t later = run_against_reference(
+      solver, live, reference, ref_mesh, 0.05,
+      [&](index_t c) {
+        const State a = solver.cell_state(c);
+        const State b = reference.cell_state(c);
+        return std::memcmp(a.data(), b.data(), sizeof a) == 0;
+      },
+      &core::euler_pipeline_hooks);
+  EXPECT_GE(later, 1u) << "drift never triggered a relayout";
+  EXPECT_TRUE(solver.state_is_finite());
+  const State ta = solver.conserved_totals();
+  const State tb = reference.conserved_totals();
+  EXPECT_EQ(std::memcmp(ta.data(), tb.data(), sizeof ta), 0);
+}
+
+TEST(KernelLayout, FrozenMeshLaysOutOnce) {
+  mesh::Mesh live = levelled_box();
+  mesh::Mesh ref_mesh = live;
+  EulerSolver solver(live), reference(ref_mesh);
+  for (EulerSolver* s : {&solver, &reference}) {
+    s->initialize_uniform(1.0, {0.1, 0.05, 0.0}, 1.0);
+    s->add_pulse({1.5, 1.2, 0.9}, 0.9, 0.3);
+    s->assign_temporal_levels();
+  }
+  const std::uint64_t later = run_against_reference(
+      solver, live, reference, ref_mesh, 0.0,
+      [&](index_t c) {
+        const State a = solver.cell_state(c);
+        const State b = reference.cell_state(c);
+        return std::memcmp(a.data(), b.data(), sizeof a) == 0;
+      },
+      &core::euler_pipeline_hooks);
+  const LayoutStats& st = solver.layout_stats();
+  EXPECT_EQ(st.relayouts, 1u);
+  EXPECT_EQ(later, 0u);
+  EXPECT_EQ(st.runs, st.fresh_runs);
+  EXPECT_EQ(st.objects, live.num_cells() + live.num_faces());
+  EXPECT_DOUBLE_EQ(st.objects_per_run(),
+                   static_cast<double>(st.objects) /
+                       static_cast<double>(st.fresh_runs));
+}
+
+}  // namespace
+}  // namespace tamp::solver

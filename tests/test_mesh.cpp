@@ -1,12 +1,19 @@
 // Unit tests for the mesh module: builder, invariants, levels, I/O.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <iterator>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "mesh/generators.hpp"
 #include "mesh/io.hpp"
 #include "mesh/levels.hpp"
 #include "mesh/mesh.hpp"
+#include "support/rng.hpp"
+#include "support/stopwatch.hpp"
 
 namespace tamp::mesh {
 namespace {
@@ -249,6 +256,13 @@ TEST(MeshIo, RejectsMalformedInput) {
       "tamp-mesh 1\ncells 1\n0.0 0 0 0 0\nfaces 0\n",
       // non-positive face area
       "tamp-mesh 1\ncells 2\n1.0 0 0 0 0\n1.0 1 0 0 0\nfaces 1\n0 1 -1.0 1 0 0\n",
+      // zero face normal (MeshBuilder would read it as (1, 0, 0))
+      "tamp-mesh 1\ncells 2\n1.0 0 0 0 0\n1.0 1 0 0 0\nfaces 1\n0 1 1.0 0 0 0\n",
+      // face normal whose norm overflows
+      "tamp-mesh 1\ncells 2\n1.0 0 0 0 0\n1.0 1 0 0 0\nfaces 1\n0 1 1.0 1e200 1e200 0\n",
+      // cells that no face names
+      "tamp-mesh 1\ncells 2\n1.0 0 0 0 0\n1.0 1 0 0 0\nfaces 0\n",
+      "tamp-mesh 1\ncells 3\n1.0 0 0 0 0\n1.0 1 0 0 0\n1.0 2 0 0 0\nfaces 1\n0 1 1.0 1 0 0\n",
   };
   for (const char* text : bad_records) {
     std::istringstream bad(text);
@@ -258,6 +272,105 @@ TEST(MeshIo, RejectsMalformedInput) {
   // missing records are the error, not a ~73 GB allocation.
   std::istringstream bad4("tamp-mesh 1\ncells 2147483647\n1.0 0 0 0 0\n");
   EXPECT_THROW(read_mesh(bad4), runtime_failure);
+}
+
+// Seeded mutations of a small mesh file: whatever read_mesh makes of the
+// input, it is a mesh that passes validate() or a runtime_failure —
+// never another exception type, a crash or a hang.
+TEST(MeshIo, FuzzedInputIsAValidMeshOrARuntimeFailure) {
+  std::ostringstream os;
+  write_mesh(make_graded_box_mesh(3, 3, 2, 1.2), os);
+  const std::string base = os.str();
+  // Whitespace-separated token spans of the unmutated file.
+  std::vector<std::pair<std::size_t, std::size_t>> tokens;
+  for (std::size_t i = 0; i < base.size();) {
+    if (std::isspace(static_cast<unsigned char>(base[i])) != 0) {
+      ++i;
+      continue;
+    }
+    const std::size_t b = i;
+    while (i < base.size() &&
+           std::isspace(static_cast<unsigned char>(base[i])) == 0)
+      ++i;
+    tokens.emplace_back(b, i - b);
+  }
+  const char* dictionary[] = {
+      "0",          "-0",          "1",          "-1",     "2",    "0.0",
+      "1e-170",     "1e-320",      "1e200",      "1e400",  "nan",  "inf",
+      "2147483647", "-2147483648", "2147483648", "127",    "128",  "cells",
+      "faces",      "tamp-mesh",   "",           "+",      "-",    ".",
+      "0x10",       "1,5",         "99999999999999999999", "\n\n"};
+  const char bytes[] = "0123456789-+.e \n\tx";
+
+  Rng rng(20240601);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.below(n));
+  };
+  const Stopwatch clock;
+  int accepted = 0, rejected = 0, cases = 0;
+  // The case count fits well inside the time box in a Release or
+  // RelWithDebInfo build; the clock stops a sanitizer build early.
+  for (; cases < 6000 && clock.seconds() < 1.5; ++cases) {
+    std::string text = base;
+    const std::size_t mutations = 1 + pick(3);
+    for (std::size_t m = 0; m < mutations; ++m) {
+      // Token edits address the unmutated spans; skip any an earlier
+      // edit of this case moved out of range.
+      const auto& [tb, tl] = tokens[pick(tokens.size())];
+      switch (pick(7)) {
+        case 0:  // overwrite a byte
+          text[pick(text.size())] = bytes[pick(sizeof bytes - 1)];
+          break;
+        case 1:  // insert a byte
+          text.insert(text.begin() + static_cast<std::ptrdiff_t>(
+                                         pick(text.size() + 1)),
+                      bytes[pick(sizeof bytes - 1)]);
+          break;
+        case 2:  // delete a few bytes
+          text.erase(pick(text.size()), 1 + pick(8));
+          break;
+        case 3:  // replace a token
+          if (tb + tl <= text.size())
+            text.replace(tb, tl, dictionary[pick(std::size(dictionary))]);
+          break;
+        case 4:  // delete a token
+          if (tb + tl <= text.size()) text.erase(tb, tl);
+          break;
+        case 5:  // duplicate a token
+          if (tb + tl <= text.size())
+            text.insert(tb, text.substr(tb, tl) + " ");
+          break;
+        default:  // truncate
+          text.resize(pick(text.size() + 1));
+          break;
+      }
+      if (text.empty()) break;
+    }
+    std::istringstream in(text);
+    try {
+      const Mesh mesh = read_mesh(in);
+      ++accepted;
+      try {
+        mesh.validate();
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "read_mesh returned a mesh that fails validate() ("
+                      << e.what() << ") for input:\n"
+                      << text;
+        break;
+      }
+    } catch (const runtime_failure&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "read_mesh threw something other than runtime_failure ("
+                    << e.what() << ") for input:\n"
+                    << text;
+      break;
+    }
+  }
+  // Both outcomes occur, so the mutations neither always break nor
+  // never touch the file.
+  EXPECT_GT(accepted, 0) << cases << " cases";
+  EXPECT_GT(rejected, 0) << cases << " cases";
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 # (test_thread_pool), the race verifier's instrumented solver runs under
 # adversarial schedules (test_verify, test_verify_solver, flusim
 # --verify-races), the SIMD lane tiers' adversarial equivalence suite
-# (test_simd), and the parallel decomposition itself — the partition
+# (test_simd), the solver's relayouts under the drifting pipeline
+# (test_layout), and the parallel decomposition itself — the partition
 # test binaries plus the doctor smoke workflow run with
 # TAMP_PARTITION_THREADS=4 so every pool code path executes under TSan.
 # Uses a separate build tree so it never disturbs the main ./build
@@ -25,7 +26,7 @@ cmake -S "${ROOT}" -B "${BUILD}" \
 cmake --build "${BUILD}" -j "$(nproc)" --target \
   test_obs test_runtime test_flight test_thread_pool test_partition \
   test_partition_properties test_reorder test_verify test_verify_solver \
-  test_simd test_pipeline_async flusim tamp_report
+  test_simd test_pipeline_async test_layout flusim tamp_report
 
 # Run the binaries directly (deterministic, no ctest discovery pass);
 # TSan failures make the test runner exit non-zero.
@@ -48,6 +49,12 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 # planning-mesh/live-mesh split across the full mode x thread matrix
 # (fault-injection drains included).
 "${BUILD}/tests/test_pipeline_async"
+
+# The solver-owned kernel layout: drifting pipelines relay the kernel
+# data out between iterations while two workers run the bodies bound to
+# each layout — TSan watches the relayout handoff and the layout epoch
+# every body checks.
+"${BUILD}/tests/test_layout"
 
 # The DAG-level race check itself, with the per-worker access buffers
 # exercised by real threads + jitter: TSan watches the recorder while the
