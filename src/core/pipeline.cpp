@@ -204,25 +204,27 @@ void maybe_fault(const PipelineFault& fault, PipelineFault::Stage stage,
                           to_string(stage) + ":" + std::to_string(iteration));
 }
 
-// FNV-1a (support/hash.hpp), folded over everything a snapshot's
-// consumers depend on.
+// Folded over everything a snapshot's consumers depend on, a 64-bit word
+// at a time (fnv1a_words, support/hash.hpp): four seals per iteration
+// read the ~1 MB of levels and assignment on a 200k-cell mesh.
 std::uint64_t snapshot_fingerprint(const IterationSnapshot& s) {
   std::uint64_t h = kFnv1aOffset;
-  fnv1a_span(h, s.levels.data(), s.levels.size());
-  fnv1a_span(h, s.decomposition.domain_of_cell.data(),
-             s.decomposition.domain_of_cell.size());
-  fnv1a_span(h, s.domain_to_process.data(), s.domain_to_process.size());
-  fnv1a_span(h, s.prepared.process_of.data(), s.prepared.process_of.size());
-  fnv1a_span(h, s.prepared.initial_pending.data(),
-             s.prepared.initial_pending.size());
+  fnv1a_words(h, s.levels.data(), s.levels.size());
+  fnv1a_words(h, s.decomposition.domain_of_cell.data(),
+              s.decomposition.domain_of_cell.size());
+  fnv1a_words(h, s.domain_to_process.data(), s.domain_to_process.size());
+  fnv1a_words(h, s.prepared.process_of.data(), s.prepared.process_of.size());
+  fnv1a_words(h, s.prepared.initial_pending.data(),
+              s.prepared.initial_pending.size());
   const index_t ntasks = s.graph.num_tasks();
-  fnv1a_span(h, &ntasks, 1);
+  fnv1a_words(h, &ntasks, 1);
   for (index_t t = 0; t < ntasks; ++t) {
     const taskgraph::Task& task = s.graph.task(t);
-    fnv1a_span(h, &task.domain, 1);
-    fnv1a_span(h, &task.level, 1);
-    fnv1a_span(h, &task.subiteration, 1);
-    for (const index_t succ : s.graph.successors(t)) fnv1a_span(h, &succ, 1);
+    fnv1a_words(h, &task.domain, 1);
+    fnv1a_words(h, &task.level, 1);
+    fnv1a_words(h, &task.subiteration, 1);
+    const auto succ = s.graph.successors(t);
+    fnv1a_words(h, succ.data(), succ.size());
   }
   return h;
 }
@@ -238,13 +240,15 @@ void verify_snapshot(const IterationSnapshot& s, const char* where) {
 
 /// State shared by prep stages across the run: the planning mesh (the
 /// only mesh prep ever mutates — the live mesh belongs to the solve
-/// stage) and the fixed strategy-graph flavour.
+/// stage) and what prep keeps up to date with it. Owned by the prep
+/// stream: the depth-1 handoff guarantees two preps never overlap.
 struct PrepContext {
   mesh::Mesh planning;
-  partition::Strategy graph_strategy;
-  /// Incremental task-graph patcher (PatchPolicy != off). Owned by the
-  /// prep stream: the depth-1 handoff guarantees applies never overlap.
-  std::unique_ptr<taskgraph::GraphPatcher> patcher;
+  /// The repartitioner's graph of the planning mesh, built at the first
+  /// drift and refreshed in place after (only changed cells' weights).
+  partition::StrategyGraph strategy_graph;
+  /// Incremental task-graph patcher (PatchPolicy != off).
+  std::unique_ptr<taskgraph::GraphPatcher> patcher = nullptr;
 };
 
 /// Shared tail of the taskgraph stage: produce (graph, classes, patch
@@ -328,12 +332,12 @@ std::shared_ptr<const IterationSnapshot> prep_snapshot(
     snap->repartition.cut_before = snap->repartition.cut_after =
         prev.decomposition.edge_cut;
     snap->repartition.reused_verbatim = true;
+    snap->repartition.balanced = prev.repartition.balanced;
     stats.decomposition_reused = true;
     stats.migrated_cells = 0;
   } else {
     TAMP_TRACE_SCOPE("pipeline/repartition");
-    const graph::Csr g =
-        partition::build_strategy_graph(ctx.planning, ctx.graph_strategy);
+    const graph::Csr& g = ctx.strategy_graph.refresh(ctx.planning);
     std::vector<part_t> part = prev.decomposition.domain_of_cell;
     partition::IncrementalOptions iopts;
     iopts.tolerance = config.partition_tolerance;
@@ -365,6 +369,7 @@ std::shared_ptr<const IterationSnapshot> prep_snapshot(
     snap->decomposition.ndomains = config.ndomains;
     partition::update_census(ctx.planning, snap->decomposition);
   }
+  stats.balanced = snap->repartition.balanced;
 
   if (cancel.load(std::memory_order_acquire)) return nullptr;
   maybe_fault(config.fault, PipelineFault::Stage::taskgraph, iter);
@@ -452,9 +457,10 @@ PipelineRunReport run_iteration_pipeline(mesh::Mesh& live_mesh,
   // Prep owns a private planning mesh; the live mesh is only touched at
   // iteration boundaries on this (the driver) thread.
   PrepContext ctx{live_mesh,
-                  config.strategy == partition::Strategy::hybrid
-                      ? partition::Strategy::mc_tl
-                      : config.strategy};
+                  partition::StrategyGraph(
+                      config.strategy == partition::Strategy::hybrid
+                          ? partition::Strategy::mc_tl
+                          : config.strategy)};
   std::atomic<bool> cancel{false};
 
   std::shared_ptr<const IterationSnapshot> current = initial_snapshot(

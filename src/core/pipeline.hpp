@@ -205,6 +205,10 @@ struct PipelineIterationStats {
   bool graph_patched = false;   ///< task graph diff-patched (vs rebuilt)
   bool decomposition_reused = false;  ///< zero drift: previous assignment
                                       ///< reused verbatim, no repartition
+  /// The repartition left every domain within its allowance
+  /// (IncrementalReport::balanced; carried over by a reused assignment,
+  /// true for snapshot 0, which no repartition made).
+  bool balanced = true;
 };
 
 struct PipelineRunReport {

@@ -55,6 +55,13 @@ public:
             static_cast<std::size_t>(ncon_)};
   }
 
+  /// Writable weight vector of vertex v: reweights the graph in place,
+  /// topology untouched (partition::StrategyGraph's level refresh).
+  [[nodiscard]] std::span<weight_t> mutable_vertex_weights(index_t v) {
+    return {vwgt_.data() + static_cast<std::size_t>(v) * ncon_,
+            static_cast<std::size_t>(ncon_)};
+  }
+
   [[nodiscard]] index_t degree(index_t v) const {
     return static_cast<index_t>(xadj_[static_cast<std::size_t>(v) + 1] -
                                 xadj_[static_cast<std::size_t>(v)]);

@@ -103,7 +103,6 @@ double BalanceSpec::violation(const std::vector<weight_t>& loads0) const {
 std::vector<weight_t> kway_allowances(const graph::Csr& g, part_t nparts,
                                       double slack) {
   const int nc = g.num_constraints();
-  const auto totals = g.total_weights();
   std::vector<weight_t> max_vwgt(static_cast<std::size_t>(nc), 0);
   for (index_t v = 0; v < g.num_vertices(); ++v) {
     const auto w = g.vertex_weights(v);
@@ -112,16 +111,23 @@ std::vector<weight_t> kway_allowances(const graph::Csr& g, part_t nparts,
           std::max(max_vwgt[static_cast<std::size_t>(c)],
                    w[static_cast<std::size_t>(c)]);
   }
-  std::vector<weight_t> allowed(static_cast<std::size_t>(nparts) *
-                                static_cast<std::size_t>(nc));
+  return kway_allowances(g.total_weights(), max_vwgt, nparts, slack);
+}
+
+std::vector<weight_t> kway_allowances(const std::vector<weight_t>& totals,
+                                      const std::vector<weight_t>& max_vwgt,
+                                      part_t nparts, double slack) {
+  TAMP_EXPECTS(totals.size() == max_vwgt.size(),
+               "totals and largest weights need one entry per constraint");
+  const std::size_t nc = totals.size();
+  std::vector<weight_t> allowed(static_cast<std::size_t>(nparts) * nc);
   for (part_t p = 0; p < nparts; ++p) {
-    for (int c = 0; c < nc; ++c) {
+    for (std::size_t c = 0; c < nc; ++c) {
       const double ideal =
-          static_cast<double>(totals[static_cast<std::size_t>(c)]) /
-          static_cast<double>(nparts);
-      allowed[static_cast<std::size_t>(p) * nc + static_cast<std::size_t>(c)] =
+          static_cast<double>(totals[c]) / static_cast<double>(nparts);
+      allowed[static_cast<std::size_t>(p) * nc + c] =
           static_cast<weight_t>(std::llround(ideal * (1.0 + slack))) +
-          max_vwgt[static_cast<std::size_t>(c)];
+          max_vwgt[c];
     }
   }
   return allowed;

@@ -77,6 +77,12 @@ private:
                                                     part_t nparts,
                                                     double slack);
 
+/// The same table from each constraint's total and largest vertex weight,
+/// for callers that already hold them.
+[[nodiscard]] std::vector<weight_t> kway_allowances(
+    const std::vector<weight_t>& totals, const std::vector<weight_t>& max_vwgt,
+    part_t nparts, double slack);
+
 /// True if adding weights `w` (one per constraint) to part q keeps q
 /// within its allowance on every constraint.
 [[nodiscard]] inline bool fits_part(const std::vector<weight_t>& loads,

@@ -38,6 +38,10 @@ struct IncrementalReport {
   /// True when dirty_vertices == 0 skipped the run and the previous
   /// assignment was returned untouched.
   bool reused_verbatim = false;
+  /// True when every part ends within its allowance on every constraint.
+  /// False when no feasible move could restore balance, e.g. an
+  /// overloaded part without a boundary vertex.
+  bool balanced = true;
 };
 
 /// Repartition `g` (whose weights have changed) starting from `part`.

@@ -4,8 +4,10 @@
 
 namespace tamp::partition {
 
-double Result::imbalance(int constraint) const {
-  TAMP_EXPECTS(constraint >= 0 && constraint < ncon, "constraint out of range");
+namespace {
+
+double constraint_imbalance(const std::vector<weight_t>& loads, part_t nparts,
+                            int ncon, int constraint) {
   weight_t total = 0;
   weight_t worst = 0;
   for (part_t p = 0; p < nparts; ++p) {
@@ -19,10 +21,15 @@ double Result::imbalance(int constraint) const {
          static_cast<double>(total);
 }
 
+}  // namespace
+
+double Result::imbalance(int constraint) const {
+  TAMP_EXPECTS(constraint >= 0 && constraint < ncon, "constraint out of range");
+  return constraint_imbalance(loads, nparts, ncon, constraint);
+}
+
 double Result::max_imbalance() const {
-  double worst = 1.0;
-  for (int c = 0; c < ncon; ++c) worst = std::max(worst, imbalance(c));
-  return worst;
+  return partition::max_imbalance(loads, nparts, ncon);
 }
 
 weight_t edge_cut(const graph::Csr& g, const std::vector<part_t>& part) {
@@ -60,14 +67,21 @@ std::vector<weight_t> part_loads(const graph::Csr& g,
   return loads;
 }
 
+double max_imbalance(const std::vector<weight_t>& loads, part_t nparts,
+                     int ncon) {
+  TAMP_EXPECTS(loads.size() == static_cast<std::size_t>(nparts) *
+                                   static_cast<std::size_t>(ncon),
+               "load table size mismatch");
+  double worst = 1.0;
+  for (int c = 0; c < ncon; ++c)
+    worst = std::max(worst, constraint_imbalance(loads, nparts, ncon, c));
+  return worst;
+}
+
 double max_imbalance(const graph::Csr& g, const std::vector<part_t>& part,
                      part_t nparts) {
-  Result r;
-  r.part = part;
-  r.loads = part_loads(g, part, nparts);
-  r.nparts = nparts;
-  r.ncon = g.num_constraints();
-  return r.max_imbalance();
+  return max_imbalance(part_loads(g, part, nparts), nparts,
+                       g.num_constraints());
 }
 
 }  // namespace tamp::partition

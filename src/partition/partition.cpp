@@ -212,9 +212,10 @@ Result partition_graph(const graph::Csr& g, const Options& opts) {
       // stream does not depend on traversal order.
       Rng kway_rng(mix_seed(opts.seed, 0x6b776179ULL /* "kway" */,
                             static_cast<std::uint64_t>(opts.nparts)));
+      std::vector<weight_t> loads = part_loads(g, result.part, opts.nparts);
       kway_refine(g, result.part, opts.nparts,
-                  kway_allowances(g, opts.nparts, opts.tolerance), kway_rng,
-                  opts.refine_passes);
+                  kway_allowances(g, opts.nparts, opts.tolerance), loads,
+                  kway_rng, opts.refine_passes);
     }
   }
 

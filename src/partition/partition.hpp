@@ -84,4 +84,8 @@ std::vector<weight_t> part_loads(const graph::Csr& g,
 double max_imbalance(const graph::Csr& g, const std::vector<part_t>& part,
                      part_t nparts);
 
+/// The same factor from a part-major load table (part_loads' layout).
+double max_imbalance(const std::vector<weight_t>& loads, part_t nparts,
+                     int ncon);
+
 }  // namespace tamp::partition

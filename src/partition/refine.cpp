@@ -54,11 +54,6 @@ private:
   std::priority_queue<std::pair<weight_t, index_t>> heap_;
 };
 
-struct MoveRecord {
-  index_t vertex;
-  int from_side;
-};
-
 }  // namespace
 
 weight_t fm_refine_bisection(const graph::Csr& g, std::vector<part_t>& part,
@@ -138,7 +133,7 @@ weight_t fm_refine_bisection(const graph::Csr& g, std::vector<part_t>& part,
       heap[pv].push(gain[static_cast<std::size_t>(v)], v);
     }
 
-    std::vector<MoveRecord> moves;
+    std::vector<Move> moves;
     moves.reserve(static_cast<std::size_t>(n));
     weight_t running_cut = cut;
     // Best prefix: feasible beats infeasible; then lower cut; for
@@ -267,7 +262,7 @@ weight_t fm_refine_bisection(const graph::Csr& g, std::vector<part_t>& part,
 
     // Roll back to the best prefix.
     for (std::size_t i = moves.size(); i > best_prefix; --i) {
-      const MoveRecord& m = moves[i - 1];
+      const Move& m = moves[i - 1];
       apply_move(m.vertex);  // flips back
     }
     obs::counter("partition.refine.moves")
@@ -282,60 +277,102 @@ weight_t fm_refine_bisection(const graph::Csr& g, std::vector<part_t>& part,
 
 weight_t kway_refine(const graph::Csr& g, std::vector<part_t>& part,
                      part_t nparts, const std::vector<weight_t>& allowed,
-                     Rng& rng, int passes) {
+                     std::vector<weight_t>& loads, Rng& rng, int passes,
+                     std::vector<Move>* moves) {
   const index_t n = g.num_vertices();
   const int nc = g.num_constraints();
   TAMP_EXPECTS(allowed.size() ==
                    static_cast<std::size_t>(nparts) * static_cast<std::size_t>(nc),
                "allowance table size mismatch");
+  TAMP_EXPECTS(loads.size() == allowed.size(), "load table size mismatch");
 
-  std::vector<weight_t> loads = part_loads(g, part, nparts);
+  // conn[b] = edge weight from the gathered vertex into part b, for the
+  // parts listed in `touched` (zero everywhere else between gathers).
   std::vector<weight_t> conn(static_cast<std::size_t>(nparts), 0);
   std::vector<part_t> touched;
-  std::int64_t kway_moves = 0;  // recorded once at the end; see metrics.hpp
+  const auto gather = [&](index_t v) {
+    const auto nbrs = g.neighbors(v);
+    const auto wgts = g.edge_weights(v);
+    touched.clear();
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      const part_t b = part[static_cast<std::size_t>(nbrs[i])];
+      if (conn[static_cast<std::size_t>(b)] == 0) touched.push_back(b);
+      conn[static_cast<std::size_t>(b)] += wgts[i];
+    }
+  };
+  const auto clear = [&] {
+    for (const part_t b : touched) conn[static_cast<std::size_t>(b)] = 0;
+  };
+  // A vertex can only move to a part that holds strictly more of its edge
+  // weight than its own: the gain must be positive.
+  std::vector<char> movable(static_cast<std::size_t>(n), 0);
+  const auto classify = [&](index_t v) {
+    const part_t a = part[static_cast<std::size_t>(v)];
+    gather(v);
+    const weight_t internal = conn[static_cast<std::size_t>(a)];
+    bool can_move = false;
+    for (const part_t b : touched)
+      if (b != a && conn[static_cast<std::size_t>(b)] > internal)
+        can_move = true;
+    clear();
+    movable[static_cast<std::size_t>(v)] = can_move ? 1 : 0;
+  };
 
+  // One pass in vertex order: the cut, and the flags of boundary vertices
+  // (an interior vertex is never movable).
+  weight_t cut2 = 0;  // every cut edge, seen from both ends
+  for (index_t v = 0; v < n; ++v) {
+    const part_t a = part[static_cast<std::size_t>(v)];
+    const auto nbrs = g.neighbors(v);
+    const auto wgts = g.edge_weights(v);
+    weight_t external = 0;
+    for (std::size_t i = 0; i < nbrs.size(); ++i)
+      if (part[static_cast<std::size_t>(nbrs[i])] != a) external += wgts[i];
+    if (external == 0) continue;
+    cut2 += external;
+    classify(v);
+  }
+  weight_t cut = cut2 / 2;
+
+  std::int64_t kway_moves = 0;  // recorded once at the end; see metrics.hpp
   for (int pass = 0; pass < passes; ++pass) {
     bool any_move = false;
+    // The permutation is drawn whole, so the stream of RNG draws does not
+    // depend on which vertices are skipped.
     std::vector<index_t> order = random_permutation(n, rng);
     for (const index_t v : order) {
+      if (!movable[static_cast<std::size_t>(v)]) continue;
       const part_t a = part[static_cast<std::size_t>(v)];
-      const auto nbrs = g.neighbors(v);
-      const auto wgts = g.edge_weights(v);
-      touched.clear();
-      bool boundary = false;
-      for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        const part_t b = part[static_cast<std::size_t>(nbrs[i])];
-        if (conn[static_cast<std::size_t>(b)] == 0) touched.push_back(b);
-        conn[static_cast<std::size_t>(b)] += wgts[i];
-        if (b != a) boundary = true;
-      }
-      if (boundary) {
-        const weight_t internal = conn[static_cast<std::size_t>(a)];
-        part_t best = invalid_part;
-        weight_t best_gain = 0;
-        const auto w = g.vertex_weights(v);
-        for (const part_t b : touched) {
-          if (b == a) continue;
-          const weight_t gain = conn[static_cast<std::size_t>(b)] - internal;
-          if (gain <= best_gain) continue;
-          if (fits_part(loads, allowed, b, w)) {
-            best = b;
-            best_gain = gain;
-          }
-        }
-        if (best != invalid_part) {
-          part[static_cast<std::size_t>(v)] = best;
-          move_load(loads, a, best, w);
-          any_move = true;
-          ++kway_moves;
+      gather(v);
+      const weight_t internal = conn[static_cast<std::size_t>(a)];
+      part_t best = invalid_part;
+      weight_t best_gain = 0;
+      const auto w = g.vertex_weights(v);
+      for (const part_t b : touched) {
+        if (b == a) continue;
+        const weight_t gain = conn[static_cast<std::size_t>(b)] - internal;
+        if (gain <= best_gain) continue;
+        if (fits_part(loads, allowed, b, w)) {
+          best = b;
+          best_gain = gain;
         }
       }
-      for (const part_t b : touched) conn[static_cast<std::size_t>(b)] = 0;
+      clear();
+      if (best == invalid_part) continue;
+      part[static_cast<std::size_t>(v)] = best;
+      move_load(loads, a, best, w);
+      cut -= best_gain;
+      any_move = true;
+      ++kway_moves;
+      if (moves != nullptr) moves->push_back({v, a});
+      // Only the moved vertex and its neighbours see a different part.
+      classify(v);
+      for (const index_t u : g.neighbors(v)) classify(u);
     }
     if (!any_move) break;
   }
   obs::counter("partition.refine.kway_moves").add(kway_moves);
-  return edge_cut(g, part);
+  return cut;
 }
 
 }  // namespace tamp::partition

@@ -1,6 +1,7 @@
 #include "partition/strategy.hpp"
 
 #include <algorithm>
+#include <span>
 #include <string>
 
 #include "graph/builder.hpp"
@@ -66,37 +67,45 @@ double DomainDecomposition::cost_imbalance() const {
 
 namespace {
 
+constexpr const char* kNoHybridGraph =
+    "HYBRID composes MC_TL and SC_OC phases; no single graph exists";
+
+/// The one weight rule of the strategy graphs: the weight row of a cell
+/// at `level` when the mesh's maximum level is `max_level`.
+void write_weights(Strategy strategy, level_t level, level_t max_level,
+                   std::span<weight_t> row) {
+  switch (strategy) {
+    case Strategy::sc_cells:
+      row[0] = 1;
+      return;
+    case Strategy::sc_oc:
+      row[0] = mesh::operating_cost(level, max_level);
+      return;
+    case Strategy::mc_tl:
+      // Binary indicator vectors (paper §V): exactly one 1 per cell, in
+      // the slot of its temporal level.
+      std::fill(row.begin(), row.end(), 0);
+      row[static_cast<std::size_t>(level)] = 1;
+      return;
+    case Strategy::hybrid:
+      break;
+  }
+  throw precondition_error(kNoHybridGraph);
+}
+
 graph::Csr build_weighted_dual(const mesh::Mesh& mesh, Strategy strategy) {
-  const level_t nlev = static_cast<level_t>(mesh.max_level() + 1);
-  const int ncon = strategy == Strategy::mc_tl ? nlev : 1;
+  TAMP_EXPECTS(strategy != Strategy::hybrid, kNoHybridGraph);
+  const level_t max_level = mesh.max_level();
+  const int ncon = strategy == Strategy::mc_tl ? max_level + 1 : 1;
   graph::Builder b(mesh.num_cells(), ncon);
   for (index_t f = 0; f < mesh.num_faces(); ++f)
     if (!mesh.is_boundary_face(f))
       b.add_edge(mesh.face_cell(f, 0), mesh.face_cell(f, 1));
-
-  switch (strategy) {
-    case Strategy::sc_cells:
-      break;  // builder default weight 1
-    case Strategy::sc_oc:
-      for (index_t c = 0; c < mesh.num_cells(); ++c)
-        b.set_vertex_weight(
-            c, 0,
-            mesh::operating_cost(mesh.cell_level(c),
-                                 static_cast<level_t>(nlev - 1)));
-      break;
-    case Strategy::mc_tl:
-      // Binary indicator vectors (paper §V): exactly one 1 per cell, in
-      // the slot of its temporal level.
-      for (index_t c = 0; c < mesh.num_cells(); ++c) {
-        for (level_t l = 0; l < nlev; ++l) b.set_vertex_weight(c, l, 0);
-        b.set_vertex_weight(c, mesh.cell_level(c), 1);
-      }
-      break;
-    case Strategy::hybrid:
-      throw precondition_error(
-          "HYBRID composes MC_TL and SC_OC phases; no single graph exists");
-  }
-  return b.build();
+  graph::Csr g = b.build();
+  for (index_t c = 0; c < mesh.num_cells(); ++c)
+    write_weights(strategy, mesh.cell_level(c), max_level,
+                  g.mutable_vertex_weights(c));
+  return g;
 }
 
 void fill_census(const mesh::Mesh& mesh, DomainDecomposition& dd) {
@@ -195,6 +204,25 @@ void record_decomposition_metrics(const DomainDecomposition& dd) {
 
 graph::Csr build_strategy_graph(const mesh::Mesh& mesh, Strategy strategy) {
   return build_weighted_dual(mesh, strategy);
+}
+
+StrategyGraph::StrategyGraph(Strategy strategy) : strategy_(strategy) {}
+
+const graph::Csr& StrategyGraph::refresh(const mesh::Mesh& mesh) {
+  const std::vector<level_t>& levels = mesh.cell_levels();
+  if (mesh.max_level() != max_level_ || levels.size() != levels_.size()) {
+    graph_ = build_weighted_dual(mesh, strategy_);
+    levels_ = levels;
+    max_level_ = mesh.max_level();
+    return graph_;
+  }
+  for (std::size_t c = 0; c < levels.size(); ++c) {
+    if (levels[c] == levels_[c]) continue;
+    write_weights(strategy_, levels[c], max_level_,
+                  graph_.mutable_vertex_weights(static_cast<index_t>(c)));
+    levels_[c] = levels[c];
+  }
+  return graph_;
 }
 
 void update_census(const mesh::Mesh& mesh, DomainDecomposition& dd) {

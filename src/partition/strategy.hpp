@@ -79,6 +79,28 @@ struct DomainDecomposition {
 /// (HYBRID builds per-phase graphs internally; asking for it here throws.)
 graph::Csr build_strategy_graph(const mesh::Mesh& mesh, Strategy strategy);
 
+/// One strategy graph kept across the temporal-level changes of a mesh
+/// whose cells and faces stay the same, as the iteration pipeline
+/// repartitions it. refresh() compares the mesh's levels with the levels
+/// the graph is weighted for and rewrites in place only the weight rows
+/// of the cells that differ, through build_strategy_graph's weight rule.
+/// When the maximum level changed it rebuilds instead: MC_TL's constraint
+/// count and every SC_OC weight depend on it. After each refresh the
+/// graph equals build_strategy_graph(mesh, strategy).
+class StrategyGraph {
+public:
+  explicit StrategyGraph(Strategy strategy);
+
+  /// Bring the graph to `mesh`'s levels (the first call builds it).
+  const graph::Csr& refresh(const mesh::Mesh& mesh);
+
+private:
+  Strategy strategy_;
+  graph::Csr graph_;
+  std::vector<level_t> levels_;  ///< the levels graph_ is weighted for
+  level_t max_level_ = -1;       ///< no level yet: the first refresh builds
+};
+
 /// Run a full domain decomposition of `mesh`.
 DomainDecomposition decompose(const mesh::Mesh& mesh,
                               const StrategyOptions& opts);

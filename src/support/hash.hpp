@@ -8,10 +8,14 @@
 // against an adversary — a fast, dependency-free, byte-order-stable
 // fold is exactly what is needed, and the constants are pinned by unit
 // tests against the published FNV test vectors.
+//
+// fnv1a_words() is the same step over 64-bit words, for seals that are
+// computed and checked inside one process over megabytes per call.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string_view>
 #include <type_traits>
 #include <vector>
@@ -35,6 +39,29 @@ template <typename T>
 inline void fnv1a_span(std::uint64_t& h, const T* data, std::size_t n) {
   static_assert(std::is_trivially_copyable_v<T>);
   fnv1a_bytes(h, data, n * sizeof(T));
+}
+
+/// Fold the bytes of `n` trivially-copyable values into `h` a 64-bit
+/// word at a time: each word takes the FNV-1a step (xor, multiply by the
+/// prime), and the size mod 8 tail bytes take the byte step. One
+/// dependent multiply per 8 bytes instead of per byte. Both steps are
+/// bijections of `h`, so changing any one word or tail byte always
+/// changes the result. The words are loaded in host byte order, so the
+/// value is not portable: it seals data within one process and is pinned
+/// nowhere.
+template <typename T>
+inline void fnv1a_words(std::uint64_t& h, const T* data, std::size_t n) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  const auto* p = reinterpret_cast<const unsigned char*>(data);
+  const std::size_t bytes = n * sizeof(T);
+  const std::size_t whole = bytes - bytes % 8;
+  for (std::size_t i = 0; i < whole; i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, p + i, 8);
+    h ^= w;
+    h *= kFnv1aPrime;
+  }
+  fnv1a_bytes(h, p + whole, bytes - whole);
 }
 
 /// One-shot hash of a byte string (the classic FNV-1a of a string).

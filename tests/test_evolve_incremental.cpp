@@ -2,6 +2,7 @@
 // export.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 
 #include "graph/builder.hpp"
@@ -147,6 +148,39 @@ TEST(Incremental, MigratesFarLessThanScratchRepartition) {
       ++scratch_moved;
 
   EXPECT_LT(report.migrated_vertices, scratch_moved / 4);
+}
+
+/// Two paths, `a` and `b` vertices long, with no edge between them.
+graph::Csr two_paths(index_t a, index_t b) {
+  graph::Builder builder(a + b);
+  for (index_t v = 0; v + 1 < a; ++v) builder.add_edge(v, v + 1);
+  for (index_t v = a; v + 1 < a + b; ++v) builder.add_edge(v, v + 1);
+  return builder.build();
+}
+
+TEST(Incremental, ReportsWhenBalanceIsNotRestored) {
+  // Each component lies wholly in one part, 10 against 30 vertices: part 1
+  // is over its allowance, but no vertex of it has a neighbour elsewhere,
+  // so no move exists and the assignment stays as it was.
+  const graph::Csr g = two_paths(10, 30);
+  std::vector<part_t> part(40, 1);
+  std::fill(part.begin(), part.begin() + 10, 0);
+  const std::vector<part_t> before = part;
+  const auto report = partition::incremental_repartition(g, part, 2);
+  EXPECT_FALSE(report.balanced);
+  EXPECT_EQ(part, before);
+  EXPECT_EQ(report.migrated_vertices, 0);
+  EXPECT_DOUBLE_EQ(report.imbalance_after, 1.5);
+
+  // Joined into one path, the same split can be rebalanced.
+  graph::Builder builder(40);
+  for (index_t v = 0; v + 1 < 40; ++v) builder.add_edge(v, v + 1);
+  const graph::Csr path = builder.build();
+  part = before;
+  const auto joined = partition::incremental_repartition(path, part, 2);
+  EXPECT_TRUE(joined.balanced);
+  EXPECT_GT(joined.migrated_vertices, 0);
+  EXPECT_EQ(joined.cut_after, partition::edge_cut(path, part));
 }
 
 TEST(Incremental, ValidatesInput) {

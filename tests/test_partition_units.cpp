@@ -204,9 +204,12 @@ TEST(KwayRefine, OnlyImprovesCutUnderAllowances) {
   const weight_t before = edge_cut(g, part);
   std::vector<weight_t> allowed(4, 144 / 4 + 144 / 20 + 1);
   Rng rng(23);
-  const weight_t after = kway_refine(g, part, 4, allowed, rng, 6);
+  std::vector<weight_t> loads = part_loads(g, part, 4);
+  const weight_t after = kway_refine(g, part, 4, allowed, loads, rng, 6);
   EXPECT_LT(after, before);
-  const auto loads = part_loads(g, part, 4);
+  // The running cut and the load table it kept are the assignment's own.
+  EXPECT_EQ(after, edge_cut(g, part));
+  EXPECT_EQ(loads, part_loads(g, part, 4));
   for (part_t p = 0; p < 4; ++p)
     EXPECT_LE(loads[static_cast<std::size_t>(p)], allowed[static_cast<std::size_t>(p)]);
 }

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <optional>
 #include <thread>
 
@@ -141,23 +142,62 @@ TEST(PipelineAsync, TransportBitwiseIdenticalAcrossModes) {
 }
 
 TEST(PipelineAsync, SnapshotMutationIsDetected) {
+  // Each mutation changes one byte of a published snapshot, in a different
+  // part of what the seal folds: its first and last level (with 4,140
+  // cells the last one is a tail byte after the 64-bit words), the middle
+  // of the assignment, a task-graph edge and the launch bookkeeping.
+  using Mutation = std::function<void(IterationSnapshot&)>;
+  const std::pair<const char*, Mutation> mutations[] = {
+      {"first level",
+       [](IterationSnapshot& s) {
+         s.levels[0] = static_cast<level_t>(s.levels[0] + 1);
+       }},
+      {"last level",
+       [](IterationSnapshot& s) {
+         ASSERT_NE(s.levels.size() % 8, 0U) << "the last level is no tail byte";
+         s.levels.back() = static_cast<level_t>(s.levels.back() ^ 1);
+       }},
+      {"middle domain",
+       [](IterationSnapshot& s) {
+         std::vector<part_t>& d = s.decomposition.domain_of_cell;
+         d[d.size() / 2] ^= 1;
+       }},
+      {"successor id",
+       [](IterationSnapshot& s) {
+         for (index_t t = 0; t < s.graph.num_tasks(); ++t) {
+           const auto succ = s.graph.successors(t);
+           if (succ.empty()) continue;
+           const_cast<index_t&>(succ[0]) ^= 1;
+           return;
+         }
+         FAIL() << "no task has a successor";
+       }},
+      {"task process",
+       [](IterationSnapshot& s) {
+         std::vector<part_t>& p = s.prepared.process_of;
+         p[p.size() / 2] ^= 1;
+       }},
+  };
   for (const PipelineMode mode : {PipelineMode::sync, PipelineMode::overlap}) {
-    mesh::Mesh m = test_mesh();
-    solver::EulerSolver solver(m);
-    solver.initialize_uniform(1.0, {0.2, 0.1, 0.0}, 1.0);
-    solver.assign_temporal_levels();
-    SolverHooks hooks = euler_pipeline_hooks(solver);
-    // A consumer that holds onto a mutable reference and scribbles on the
-    // published snapshot: the fingerprint re-check at solve exit catches it.
-    hooks.observer = [](const IterationSnapshot& snap,
-                        const runtime::ExecutionReport&) {
-      auto& levels = const_cast<IterationSnapshot&>(snap).levels;
-      levels[0] = static_cast<level_t>(levels[0] + 1);
-    };
-    EXPECT_THROW(
-        run_iteration_pipeline(m, base_config(mode, 2), hooks),
-        invariant_error)
-        << to_string(mode);
+    for (const auto& [what, mutate] : mutations) {
+      mesh::Mesh m = test_mesh();
+      solver::EulerSolver solver(m);
+      solver.initialize_uniform(1.0, {0.2, 0.1, 0.0}, 1.0);
+      solver.assign_temporal_levels();
+      SolverHooks hooks = euler_pipeline_hooks(solver);
+      // A consumer that holds onto a mutable reference and scribbles on
+      // the published snapshot: the seal re-check at solve exit catches
+      // it. It scribbles after the last solve, when no overlapped prep
+      // reads the snapshot, so the test itself races with nothing.
+      hooks.observer = [&mutate = mutate](const IterationSnapshot& snap,
+                                          const runtime::ExecutionReport&) {
+        if (snap.iteration == kIterations - 1)
+          mutate(const_cast<IterationSnapshot&>(snap));
+      };
+      EXPECT_THROW(run_iteration_pipeline(m, base_config(mode, 2), hooks),
+                   invariant_error)
+          << what << ", " << to_string(mode);
+    }
   }
 }
 

@@ -2,6 +2,10 @@
 // domain→process mapping — the paper's §IV/§V behaviour.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "mesh/evolve.hpp"
 #include "mesh/generators.hpp"
 #include "partition/strategy.hpp"
 
@@ -43,6 +47,61 @@ TEST(StrategyGraph, McTlUsesBinaryIndicators) {
     for (const weight_t x : w) sum += x;
     EXPECT_EQ(sum, 1);
     EXPECT_EQ(w[static_cast<std::size_t>(m.cell_level(c))], 1);
+  }
+}
+
+void expect_same_graph(const graph::Csr& refreshed, const graph::Csr& built,
+                       const std::string& what) {
+  EXPECT_EQ(refreshed.num_constraints(), built.num_constraints()) << what;
+  EXPECT_EQ(refreshed.xadj(), built.xadj()) << what;
+  EXPECT_EQ(refreshed.adjncy(), built.adjncy()) << what;
+  EXPECT_EQ(refreshed.adjwgt(), built.adjwgt()) << what;
+  EXPECT_EQ(refreshed.vwgt(), built.vwgt()) << what;
+}
+
+// The pipeline's persistent graph: after drift steps (in-place weight
+// rewrites) and after hand-set changes of the maximum level (rebuilds),
+// the refreshed graph is the one build_strategy_graph makes from scratch.
+TEST(StrategyGraph, RefreshEqualsRebuild) {
+  for (const Strategy s :
+       {Strategy::sc_cells, Strategy::sc_oc, Strategy::mc_tl}) {
+    const std::string name = to_string(s);
+    mesh::Mesh m = small_cylinder();
+    StrategyGraph persistent(s);
+    expect_same_graph(persistent.refresh(m), build_strategy_graph(m, s),
+                      name + " first refresh");
+    const eindex_t* topology = persistent.refresh(m).xadj().data();
+    Rng rng(5);
+    for (int step = 1; step <= 4; ++step) {
+      ASSERT_GT(mesh::evolve_levels(m, 0.3, rng).cells_changed, 0);
+      const graph::Csr& g = persistent.refresh(m);
+      expect_same_graph(g, build_strategy_graph(m, s),
+                        name + " drift step " + std::to_string(step));
+      EXPECT_EQ(g.xadj().data(), topology)
+          << name << ": rebuilt, not refreshed";
+    }
+
+    std::vector<level_t> levels = m.cell_levels();
+    const level_t top = m.max_level();
+    ASSERT_GE(top, 2);
+    // Lower the maximum level: every top-level cell steps down.
+    for (level_t& l : levels)
+      if (l == top) l = static_cast<level_t>(top - 1);
+    m.set_cell_levels(levels);
+    ASSERT_EQ(m.max_level(), top - 1);
+    expect_same_graph(persistent.refresh(m), build_strategy_graph(m, s),
+                      name + " lowered maximum");
+    // A change below the maximum, refreshed in place.
+    levels[1] = static_cast<level_t>(levels[1] == 0 ? 1 : 0);
+    m.set_cell_levels(levels);
+    expect_same_graph(persistent.refresh(m), build_strategy_graph(m, s),
+                      name + " change below the maximum");
+    // Raise the maximum past the original one.
+    levels[0] = static_cast<level_t>(top + 1);
+    m.set_cell_levels(levels);
+    ASSERT_EQ(m.max_level(), top + 1);
+    expect_same_graph(persistent.refresh(m), build_strategy_graph(m, s),
+                      name + " raised maximum");
   }
 }
 
