@@ -1,20 +1,15 @@
-// Solver kernel microbenchmark: flux and cell-update sweep throughput,
-// mesh-order input vs the locality-renumbered mesh (partition/reorder,
-// see DESIGN.md "Locality renumbering"). Runs the real Euler task bodies
-// — the same code run_iteration_tasks() executes — over every face task
-// and every cell task of one full temporal-adaptive iteration, on the
-// nozzle and cube meshes. The solver lays its kernel data out class by
-// class whatever the mesh numbering (solver/fv_driver.hpp), so the
-// mesh-order row streams through the solver's own layout too and
-// layout_speedup ≈ 1 is expected; it was the per-object list walk's
-// cost before the solver owned its layout.
+// Solver kernel microbenchmark: flux and cell-update sweep throughput
+// per SIMD tier. Runs the real Euler task bodies — the same code
+// run_iteration_tasks() executes — over every face task and every cell
+// task of one full temporal-adaptive iteration, on the nozzle and cube
+// meshes as decomposed. The solver streams each task's objects in its
+// own class-contiguous kernel layout (solver/fv_driver.hpp), so the
+// sweeps measure the streaming kernels whatever the mesh numbering.
 //
-// Emits solver.flux_gcells_per_s / solver.update_gcells_per_s /
-// solver.layout gauges (headline = nozzle, locality layout, scalar
-// kernels) plus per-(mesh × layout) and layout-speedup gauges, a SIMD
-// lane sweep on the locality layout (scalar/sse2/avx2 rows with
+// Emits solver.flux_gcells_per_s / solver.update_gcells_per_s gauges
+// (headline = nozzle, scalar kernels) plus per-(mesh × tier) rows with
 // solver.simd_speedup.<mesh>[.<level>] gauges, measured against the
-// locality-scalar row), and a tamp-metrics-v1 snapshot under
+// scalar row of the same mesh, and a tamp-metrics-v1 snapshot under
 // TAMP_BENCH_METRICS_DIR for tamp-report gating.
 #include <algorithm>
 #include <iostream>
@@ -25,7 +20,6 @@
 #include "bench_common.hpp"
 #include "mesh/generators.hpp"
 #include "obs/metrics.hpp"
-#include "partition/reorder.hpp"
 #include "partition/strategy.hpp"
 #include "solver/euler.hpp"
 #include "support/cli.hpp"
@@ -78,7 +72,7 @@ struct SweepTiming {
 /// order, so the resulting *values* are not one physical iteration — but
 /// each body is the exact production kernel over its exact object set,
 /// which is what we are timing. State is re-pulsed before every rep so
-/// the inputs stay finite and identical across reps and layouts.
+/// the inputs stay finite and identical across reps and tiers.
 SweepTiming time_sweeps(solver::EulerSolver& es, const mesh::Mesh& m,
                         const solver::EulerSolver::IterationTasks& iter,
                         int reps) {
@@ -131,78 +125,46 @@ void bench_mesh(mesh::TestMeshKind kind, const CliParser& cli,
   const auto dd = partition::decompose(m, sopts);
 
   const int reps = static_cast<int>(cli.get_int("reps"));
-  double baseline = 0.0;         // mesh-order, scalar (the PR-5 "before")
-  double locality_scalar = 0.0;  // locality layout, scalar kernels
-  double best_simd = 1.0;        // best simd_speedup over the lane sweep
-  for (const partition::Reorder layout :
-       {partition::Reorder::none, partition::Reorder::locality}) {
-    const std::string layout_name = partition::to_string(layout);
-    const bool permuted = layout == partition::Reorder::locality;
-    auto rd = permuted ? partition::reorder_for_locality(m, dd.domain_of_cell,
-                                                         dd.ndomains)
-                       : partition::ReorderedDecomposition{
-                             mesh::permute_mesh(
-                                 m, mesh::identity_permutation(m)),
-                             mesh::identity_permutation(m), dd.domain_of_cell};
-    // Lane sweep rides the locality layout only; the mesh-order row
-    // stays scalar, the baseline layout_speedup divides by.
-    const std::vector<simd::Level> levels =
-        permuted ? simd::runnable_levels()
-                 : std::vector<simd::Level>{simd::Level::scalar};
-    for (const simd::Level level : levels) {
-      solver::SolverConfig scfg;
-      scfg.simd = level == simd::Level::avx2   ? simd::Request::avx2
-                  : level == simd::Level::sse2 ? simd::Request::sse2
-                                               : simd::Request::scalar;
-      solver::EulerSolver es(rd.mesh, scfg);
-      init_state(es, rd.mesh);
-      // Per-cell CFL reads only cell-local geometry and state, so this
-      // re-derives exactly the levels the partitioner saw, renumbered.
-      es.assign_temporal_levels();
-      const auto iter =
-          es.make_iteration_tasks(rd.domain_of_cell, dd.ndomains);
-      const SweepTiming t = time_sweeps(es, rd.mesh, iter, reps);
+  double scalar_rate = 0.0;  // the scalar row, first of runnable_levels()
+  double best_simd = 1.0;    // best simd_speedup over the lane sweep
+  for (const simd::Level level : simd::runnable_levels()) {
+    solver::SolverConfig scfg;
+    scfg.simd = level == simd::Level::avx2   ? simd::Request::avx2
+                : level == simd::Level::sse2 ? simd::Request::sse2
+                                             : simd::Request::scalar;
+    solver::EulerSolver es(m, scfg);
+    init_state(es, m);
+    // Per-cell CFL reads only cell-local geometry and state, so this
+    // re-derives exactly the levels the partitioner saw.
+    es.assign_temporal_levels();
+    const auto iter = es.make_iteration_tasks(dd.domain_of_cell, dd.ndomains);
+    const SweepTiming t = time_sweeps(es, m, iter, reps);
 
-      const std::string level_name = simd::to_string(level);
-      const bool scalar = level == simd::Level::scalar;
-      // Scalar rows keep the PR-5 gauge names; SIMD rows append the
-      // level so snapshots stay comparable across PRs.
-      const std::string suffix =
-          "." + mesh_name + "." + layout_name + (scalar ? "" : "." + level_name);
-      obs::gauge("solver.flux_gcells_per_s" + suffix).set(t.flux_gobj_s());
-      obs::gauge("solver.update_gcells_per_s" + suffix).set(t.update_gobj_s());
-      double speedup = 1.0;
-      if (!permuted) {
-        baseline = t.combined_gobj_s();
-      } else {
-        speedup = t.combined_gobj_s() / baseline;
-        if (scalar) {
-          locality_scalar = t.combined_gobj_s();
-          obs::gauge("solver.layout_speedup." + mesh_name).set(speedup);
-          if (kind == mesh::TestMeshKind::nozzle) {
-            // Headline gauges: locality layout, scalar kernels, nozzle.
-            obs::gauge("solver.flux_gcells_per_s").set(t.flux_gobj_s());
-            obs::gauge("solver.update_gcells_per_s").set(t.update_gobj_s());
-            obs::gauge("solver.layout").set(1);  // 0 = none, 1 = locality
-          }
-        }
-        // SIMD speedup is measured against the locality-scalar row (the
-        // layout win is already booked in layout_speedup).
-        const double simd_speedup = t.combined_gobj_s() / locality_scalar;
-        obs::gauge("solver.simd_speedup." + mesh_name + "." + level_name)
-            .set(simd_speedup);
-        best_simd = std::max(best_simd, simd_speedup);
+    const std::string level_name = simd::to_string(level);
+    const bool scalar = level == simd::Level::scalar;
+    // Scalar rows carry the mesh name only; SIMD rows append the level.
+    const std::string suffix = "." + mesh_name + (scalar ? "" : "." + level_name);
+    obs::gauge("solver.flux_gcells_per_s" + suffix).set(t.flux_gobj_s());
+    obs::gauge("solver.update_gcells_per_s" + suffix).set(t.update_gobj_s());
+    if (scalar) {
+      scalar_rate = t.combined_gobj_s();
+      if (kind == mesh::TestMeshKind::nozzle) {
+        // Headline gauges: scalar kernels, nozzle.
+        obs::gauge("solver.flux_gcells_per_s").set(t.flux_gobj_s());
+        obs::gauge("solver.update_gcells_per_s").set(t.update_gobj_s());
       }
-      table.row({mesh_name, layout_name, level_name,
-                 std::to_string(rd.mesh.num_cells()),
-                 fmt_double(t.flux_gobj_s(), 3),
-                 fmt_double(t.update_gobj_s(), 3),
-                 fmt_double(t.combined_gobj_s(), 3),
-                 permuted ? fmt_double(speedup, 2) : std::string("1.00")});
     }
+    const double simd_speedup = t.combined_gobj_s() / scalar_rate;
+    obs::gauge("solver.simd_speedup." + mesh_name + "." + level_name)
+        .set(simd_speedup);
+    best_simd = std::max(best_simd, simd_speedup);
+    table.row({mesh_name, level_name, std::to_string(m.num_cells()),
+               fmt_double(t.flux_gobj_s(), 3), fmt_double(t.update_gobj_s(), 3),
+               fmt_double(t.combined_gobj_s(), 3),
+               fmt_double(simd_speedup, 2)});
   }
   // Best lane over the sweep — the acceptance gauge the CI perf smoke
-  // gates (≥ 1.5× vs the locality-scalar kernels on at least one mesh).
+  // gates (≥ 1.5× vs the scalar kernels on at least one mesh).
   obs::gauge("solver.simd_speedup." + mesh_name).set(best_simd);
 }
 
@@ -210,20 +172,19 @@ void bench_mesh(mesh::TestMeshKind kind, const CliParser& cli,
 
 int main(int argc, char** argv) {
   using namespace tamp;
-  CliParser cli("micro_solver — flux/update sweep throughput by data layout");
+  CliParser cli("micro_solver — flux/update sweep throughput by SIMD tier");
   bench::add_common_options(cli);
   cli.option("domains", "16", "domains for the on-the-fly decomposition");
   cli.option("strategy", "mc_tl", "partitioning strategy");
   cli.option("reps", "8", "timed repetitions; best rep is reported");
   if (!cli.parse(argc, argv)) return 0;
 
-  bench::banner("micro_solver: Euler kernel sweeps, mesh-order vs locality "
-                "layout x SIMD lanes (1 thread)",
+  bench::banner("micro_solver: Euler kernel sweeps x SIMD lanes (1 thread)",
                 "§V task bodies; arXiv:1704.01144 locality sensitivity");
   try {
     TablePrinter t(
-        "sweep throughput (Gobjects/s, best of reps; speedup vs mesh-order)");
-    t.header({"mesh", "layout", "simd", "cells", "flux", "update", "combined",
+        "sweep throughput (Gobjects/s, best of reps; speedup vs scalar)");
+    t.header({"mesh", "simd", "cells", "flux", "update", "combined",
               "speedup"});
     bench_mesh(mesh::TestMeshKind::nozzle, cli, t);
     bench_mesh(mesh::TestMeshKind::cube, cli, t);

@@ -23,7 +23,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "partition/io.hpp"
-#include "partition/reorder.hpp"
 #include "partition/strategy.hpp"
 #include "runtime/perf_report.hpp"
 #include "runtime/runtime.hpp"
@@ -58,11 +57,6 @@ int main(int argc, char** argv) {
   cli.option("threads", "0",
              "partitioner threads; 0 = TAMP_PARTITION_THREADS env (default "
              "serial). Any value gives a bit-identical decomposition");
-  cli.option("reorder", "none",
-             "post-partition renumbering: none | locality (renumber cells "
-             "and faces so every (domain, level, locality) class is one "
-             "contiguous SFC-ordered range; schedule output is unchanged, "
-             "solver sweeps get streaming kernels)");
   cli.option("simd", "",
              "SIMD tier for the solver streaming kernels: auto | avx2 | "
              "sse2 | scalar (default: TAMP_SIMD env, else auto; requests "
@@ -352,22 +346,6 @@ int main(int argc, char** argv) {
       const auto dd = partition::decompose(m, sopts);
       ndomains = dd.ndomains;
       domain_of_cell = dd.domain_of_cell;
-    }
-
-    // --- optional locality renumbering ------------------------------------
-    if (partition::parse_reorder(cli.get("reorder")) ==
-        partition::Reorder::locality) {
-      auto rd = partition::reorder_for_locality(m, domain_of_cell, ndomains);
-      m = std::move(rd.mesh);
-      domain_of_cell = std::move(rd.domain_of_cell);
-      // The solver binds to the pre-permutation mesh; rebuild it on the
-      // renumbered one. Re-deriving the temporal levels is safe: the
-      // per-cell CFL estimate only reads cell-local geometry and state,
-      // both of which ride through the permutation unchanged.
-      if (euler) {
-        init_euler(m);
-        euler->assign_temporal_levels();
-      }
     }
 
     const auto nproc = static_cast<part_t>(cli.get_int("processes"));

@@ -18,16 +18,11 @@
 
 namespace tamp::mesh {
 
-struct MeshPermutation;
-
 /// Immutable-topology mesh assembled by MeshBuilder. Temporal levels are
 /// mutable (they are a solver-assigned annotation, not topology).
 class Mesh {
 public:
   friend class MeshBuilder;
-  /// Renumbering constructor (mesh/reorder.hpp): needs raw array access to
-  /// preserve each cell's face-gather order under the permutation.
-  friend Mesh permute_mesh(const Mesh& mesh, const MeshPermutation& perm);
 
   [[nodiscard]] index_t num_cells() const { return num_cells_; }
   [[nodiscard]] index_t num_faces() const {

@@ -1,6 +1,6 @@
 #include "obs/json.hpp"
 
-#include <cstdlib>
+#include <charconv>
 #include <string>
 
 #include "support/check.hpp"
@@ -127,6 +127,10 @@ private:
       if (pos_ >= text_.size()) fail("unterminated string");
       const char c = text_[pos_++];
       if (c == '"') return out;
+      if (static_cast<unsigned char>(c) < 0x20) {
+        --pos_;
+        fail("unescaped control character in string");
+      }
       if (c != '\\') {
         out += c;
         continue;
@@ -197,25 +201,39 @@ private:
     return out;
   }
 
+  /// RFC 8259 number: -? (0 | [1-9][0-9]*) (\.[0-9]+)? ([eE][+-]?[0-9]+)?
+  /// whose value fits a double.
   double parse_number() {
     const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if ((c >= '0' && c <= '9') || c == '+' || c == '-' || c == '.' ||
-          c == 'e' || c == 'E') {
+    // Consume one byte of `set`; false when the next byte is not in it.
+    const auto accept = [this](std::string_view set) {
+      if (pos_ >= text_.size() || set.find(text_[pos_]) == set.npos)
+        return false;
+      ++pos_;
+      return true;
+    };
+    // Consume one or more digits; false when there is none.
+    const auto digits = [this] {
+      const std::size_t from = pos_;
+      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9')
         ++pos_;
-      } else {
-        break;
-      }
+      return pos_ > from;
+    };
+    accept("-");
+    bool ok = accept("0") || digits();
+    if (ok && accept(".")) ok = digits();
+    if (ok && accept("eE")) {
+      accept("+-");
+      ok = digits();
     }
-    if (pos_ == start) fail("invalid value");
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) {
+    if (!ok) fail(pos_ == start ? "invalid value" : "malformed number");
+    const std::string_view token = text_.substr(start, pos_ - start);
+    double v = 0.0;
+    const auto [ptr, ec] =
+        std::from_chars(token.data(), token.data() + token.size(), v);
+    if (ec != std::errc{} || ptr != token.data() + token.size()) {
       pos_ = start;
-      fail("malformed number '" + token + "'");
+      fail("number out of range '" + std::string(token) + "'");
     }
     return v;
   }

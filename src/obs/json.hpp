@@ -5,9 +5,10 @@
 // tamp-report diffs two `tamp-metrics-v1` files, tests round-trip
 // verdicts. This is a deliberately small, dependency-free parser for
 // that job: full RFC 8259 grammar, object key order preserved, numbers
-// held as doubles (metric values all fit), parse errors reported with
-// byte offsets via runtime_failure. Nesting deeper than 256 levels is a
-// parse error, so a hostile file cannot overflow the parser's stack.
+// held as doubles (one outside double's range is a parse error), parse
+// errors reported with byte offsets via runtime_failure. Nesting deeper
+// than 256 levels is a parse error, so a hostile file cannot overflow
+// the parser's stack.
 #pragma once
 
 #include <string>

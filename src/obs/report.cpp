@@ -9,6 +9,7 @@
 #include "obs/export.hpp"
 #include "obs/json.hpp"
 #include "support/check.hpp"
+#include "support/cli.hpp"
 
 namespace tamp::obs {
 
@@ -85,6 +86,32 @@ MetricsFile load_metrics_file(const std::string& path) {
   } catch (const runtime_failure& e) {
     throw runtime_failure(path + ": " + e.what());
   }
+}
+
+RegressionRule parse_regression_rule(const std::string& spec) {
+  const std::string where = "regression rule '" + spec + "'";
+  RegressionRule rule;
+  std::istringstream in(spec);
+  std::string field;
+  TAMP_EXPECTS(std::getline(in, field, ':') && !field.empty(),
+               where + ": empty metric");
+  rule.metric = field;
+  if (std::getline(in, field, ':')) {
+    rule.tolerance = parse_finite_double(field, where + " tolerance");
+    TAMP_EXPECTS(rule.tolerance >= 0.0, where + ": tolerance must be >= 0");
+  }
+  if (std::getline(in, field, ':')) {
+    TAMP_EXPECTS(field == "higher" || field == "lower",
+                 where + ": direction must be higher|lower");
+    rule.higher_is_worse = field == "higher";
+  }
+  if (std::getline(in, field, ':')) {
+    TAMP_EXPECTS(field == "rel" || field == "abs",
+                 where + ": mode must be rel|abs");
+    rule.absolute = field == "abs";
+  }
+  TAMP_EXPECTS(!std::getline(in, field, ':'), where + ": too many fields");
+  return rule;
 }
 
 std::vector<RegressionRule> default_doctor_rules(double makespan_tol,

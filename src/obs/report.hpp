@@ -49,6 +49,12 @@ struct RegressionRule {
   bool absolute = false;
 };
 
+/// Parse one rule spec, metric[:tolerance[:higher|lower[:rel|abs]]]
+/// (tamp-report --rule); omitted fields keep RegressionRule's defaults.
+/// The tolerance must be a finite number ≥ 0. Throws precondition_error
+/// naming the spec on an empty metric, a malformed field or a fifth one.
+[[nodiscard]] RegressionRule parse_regression_rule(const std::string& spec);
+
 /// The doctor's standard gate set, keyed to the gauges flusim --doctor
 /// publishes: makespan, occupancy, p99 task length, idle-blame shares.
 [[nodiscard]] std::vector<RegressionRule> default_doctor_rules(

@@ -49,9 +49,12 @@ namespace tamp::solver {
 /// fresh layout's by more than one per this many objects (cells +
 /// faces). Chosen by measurement: on the 200k-cell cylinder drifting 5 %
 /// per iteration, 8 gave the lowest bind + solve time per iteration of
-/// {4, 6, 8, 12, 16, 32, 64}, relaying out every ~4 iterations; 16 and
-/// above relay out so often that the ~37 ms relayouts outweigh the
-/// faster solve.
+/// {4, 6, 8, 12, 16, 32, 64} over 100 iterations; 16 and above relay out
+/// so often that the ~37 ms relayouts outweigh the faster solve. The
+/// cadence follows how many cells change level: on the benchmark's 30-s
+/// cylinder leg, 3, 7 and 11 relayouts in iterations 0–29, 30–59 and
+/// 60–89, then 15 in every 30 iterations (every second bind) as
+/// cells_changed per iteration grew from 1.7k to 9.8k.
 inline constexpr std::int64_t kObjectsPerExtraRun = 8;
 
 /// The kernel layout as of the last bind.
@@ -188,7 +191,7 @@ private:
 
   level_t max_levels_;
   /// old = mesh id, new = kernel id.
-  mesh::MeshPermutation layout_;
+  MeshPermutation layout_;
   KernelGeometry geom_;
   simd::Level simd_level_;
   simdk::KernelSet kernels_;

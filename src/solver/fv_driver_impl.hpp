@@ -21,7 +21,7 @@ FvDriver<Physics>::FvDriver(mesh::Mesh& mesh, level_t max_levels,
                             simd::Request simd)
     : mesh_(mesh), u_(mesh.num_cells(), Physics::kVars),
       acc_(mesh.num_faces(), 2 * Physics::kVars), max_levels_(max_levels),
-      layout_(mesh::identity_permutation(mesh)),
+      layout_(identity_permutation(mesh)),
       simd_level_(simd::resolve(simd)),
       kernels_(simdk::kernel_table(simd_level_).*Physics::kKernels) {
   static_assert(Physics::kVars >= 1 && Physics::kVars <= simdk::kMaxVars,
@@ -125,7 +125,7 @@ FvDriver<Physics>::make_iteration_tasks(
 template <class Physics>
 ClassRuns FvDriver<Physics>::relayout(const taskgraph::ClassMap& classes) {
   ClassRuns runs;
-  mesh::MeshPermutation next = class_layout(mesh_, classes, &runs);
+  MeshPermutation next = class_layout(mesh_, classes, &runs);
   // State and accumulators carry values the mesh does not (a finer face
   // fluxes after a coarser cell's last update, so accumulators are not
   // all zero between iterations): move them, one column at a time. The

@@ -3,14 +3,44 @@
 #include <algorithm>
 #include <array>
 #include <limits>
+#include <numeric>
 
 #include "taskgraph/generate.hpp"
 #include "verify/access.hpp"
 
 namespace tamp::solver {
 
+bool is_permutation(const std::vector<index_t>& perm) {
+  const auto n = static_cast<index_t>(perm.size());
+  std::vector<char> seen(perm.size(), 0);
+  for (const index_t p : perm) {
+    if (p < 0 || p >= n || seen[static_cast<std::size_t>(p)]) return false;
+    seen[static_cast<std::size_t>(p)] = 1;
+  }
+  return true;
+}
+
+std::vector<index_t> invert_permutation(const std::vector<index_t>& perm) {
+  TAMP_EXPECTS(is_permutation(perm), "vector is not a permutation of [0, n)");
+  std::vector<index_t> inv(perm.size());
+  for (std::size_t i = 0; i < perm.size(); ++i)
+    inv[static_cast<std::size_t>(perm[i])] = static_cast<index_t>(i);
+  return inv;
+}
+
+MeshPermutation identity_permutation(const mesh::Mesh& mesh) {
+  MeshPermutation p;
+  p.cell_old_to_new.resize(static_cast<std::size_t>(mesh.num_cells()));
+  p.face_old_to_new.resize(static_cast<std::size_t>(mesh.num_faces()));
+  std::iota(p.cell_old_to_new.begin(), p.cell_old_to_new.end(), index_t{0});
+  std::iota(p.face_old_to_new.begin(), p.face_old_to_new.end(), index_t{0});
+  p.cell_new_to_old = p.cell_old_to_new;
+  p.face_new_to_old = p.face_old_to_new;
+  return p;
+}
+
 void fill_kernel_geometry(const mesh::Mesh& mesh,
-                          const mesh::MeshPermutation& layout,
+                          const MeshPermutation& layout,
                           eindex_t side_offset, KernelGeometry& g) {
   const index_t ncells = mesh.num_cells();
   const index_t nfaces = mesh.num_faces();
@@ -105,13 +135,13 @@ std::size_t ClassRuns::fresh_runs() const {
   return n;
 }
 
-mesh::MeshPermutation class_layout(const mesh::Mesh& mesh,
-                                   const taskgraph::ClassMap& classes,
-                                   ClassRuns* runs) {
+MeshPermutation class_layout(const mesh::Mesh& mesh,
+                             const taskgraph::ClassMap& classes,
+                             ClassRuns* runs) {
   const index_t nfaces = mesh.num_faces();
   const std::size_t nclasses = classes.class_cells.size();
   TAMP_EXPECTS(classes.class_faces.size() == nclasses, "inconsistent ClassMap");
-  mesh::MeshPermutation p;
+  MeshPermutation p;
   p.cell_new_to_old.reserve(static_cast<std::size_t>(mesh.num_cells()));
   p.face_new_to_old.reserve(static_cast<std::size_t>(nfaces));
   ClassRuns out;
@@ -150,15 +180,15 @@ mesh::MeshPermutation class_layout(const mesh::Mesh& mesh,
                    p.face_new_to_old.size() == static_cast<std::size_t>(nfaces),
                "class map does not cover the mesh");
   // Throws unless the lists name every object exactly once.
-  p.cell_old_to_new = mesh::invert_permutation(p.cell_new_to_old);
-  p.face_old_to_new = mesh::invert_permutation(p.face_new_to_old);
+  p.cell_old_to_new = invert_permutation(p.cell_new_to_old);
+  p.face_old_to_new = invert_permutation(p.face_new_to_old);
   if (runs != nullptr) *runs = std::move(out);
   return p;
 }
 
 ClassRuns build_class_runs(const mesh::Mesh& mesh,
                            const taskgraph::ClassMap& classes,
-                           const mesh::MeshPermutation& layout) {
+                           const MeshPermutation& layout) {
   const std::size_t nclasses = classes.class_cells.size();
   TAMP_EXPECTS(classes.class_faces.size() == nclasses, "inconsistent ClassMap");
   ClassRuns out;

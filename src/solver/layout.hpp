@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "mesh/mesh.hpp"
-#include "mesh/reorder.hpp"
 #include "support/check.hpp"
 #include "support/types.hpp"
 
@@ -37,6 +36,27 @@ struct ClassMap;
 }
 
 namespace tamp::solver {
+
+/// A paired cell + face bijection between mesh ids (old) and kernel ids
+/// (new); the `new_to_old` vectors are the inverses of `old_to_new`.
+struct MeshPermutation {
+  std::vector<index_t> cell_old_to_new;
+  std::vector<index_t> cell_new_to_old;
+  std::vector<index_t> face_old_to_new;
+  std::vector<index_t> face_new_to_old;
+};
+
+/// Is `perm` a bijection of [0, n)? O(n) check, no throw.
+[[nodiscard]] bool is_permutation(const std::vector<index_t>& perm);
+
+/// Invert a bijection of [0, n): result[perm[i]] = i. Throws
+/// precondition_error if `perm` is not a permutation.
+[[nodiscard]] std::vector<index_t> invert_permutation(
+    const std::vector<index_t>& perm);
+
+/// Identity permutation sized for `mesh`: the mesh order a driver starts
+/// in before its first bind.
+[[nodiscard]] MeshPermutation identity_permutation(const mesh::Mesh& mesh);
 
 /// Stride quantum: 8 doubles = one 64-byte cache line.
 inline constexpr std::size_t kPadDoubles = 8;
@@ -126,7 +146,7 @@ struct KernelGeometry {
 /// kernels reading the mesh. Checked: every gather slot fits index_t,
 /// the 32-bit type the hardware gathers index with.
 void fill_kernel_geometry(const mesh::Mesh& mesh,
-                          const mesh::MeshPermutation& layout,
+                          const MeshPermutation& layout,
                           eindex_t side_offset, KernelGeometry& geom);
 
 /// Boundary-face accumulator contract: a boundary face has no side-1
@@ -197,7 +217,7 @@ struct ClassRuns {
 /// map). When `runs` is given it receives the map's runs under the new
 /// order, fresh_runs() of them. Throws precondition_error unless the
 /// lists cover every cell and every face of `mesh` exactly once.
-[[nodiscard]] mesh::MeshPermutation class_layout(
+[[nodiscard]] MeshPermutation class_layout(
     const mesh::Mesh& mesh, const taskgraph::ClassMap& classes,
     ClassRuns* runs = nullptr);
 
@@ -209,7 +229,7 @@ struct ClassRuns {
 /// list walk.
 [[nodiscard]] ClassRuns build_class_runs(const mesh::Mesh& mesh,
                                          const taskgraph::ClassMap& classes,
-                                         const mesh::MeshPermutation& layout);
+                                         const MeshPermutation& layout);
 
 /// Move every column of `vars` from one kernel order to another: entry n
 /// becomes the old entry old_kernel_of_mesh[mesh_of_new_kernel[n]]. One

@@ -1,12 +1,7 @@
 #include "support/cli.hpp"
 
-#include <cctype>
-#include <charconv>
 #include <cstdio>
 #include <sstream>
-#include <string_view>
-
-#include "support/check.hpp"
 
 namespace tamp {
 
@@ -86,25 +81,11 @@ const std::string& CliParser::get(const std::string& name) const {
   return it->second;
 }
 
-namespace {
-
-/// std::from_chars rejects an explicit '+' sign; accept it here (it is
-/// common on the command line) by skipping it when a digit or '.' follows.
-std::string_view strip_plus(const std::string& v) {
-  std::string_view sv = v;
-  if (sv.size() > 1 && sv.front() == '+' &&
-      (std::isdigit(static_cast<unsigned char>(sv[1])) != 0 || sv[1] == '.'))
-    sv.remove_prefix(1);
-  return sv;
-}
-
-}  // namespace
-
 long long CliParser::get_int(const std::string& name) const {
   // from_chars, unlike stoll, consumes no leading whitespace, never throws
   // out_of_range, and makes trailing garbage ("4x") an explicit error.
   const std::string& raw = get(name);
-  const std::string_view v = strip_plus(raw);
+  const std::string_view v = detail::strip_plus(raw);
   long long out = 0;
   const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
   if (ec == std::errc::result_out_of_range)
@@ -117,17 +98,7 @@ long long CliParser::get_int(const std::string& name) const {
 }
 
 double CliParser::get_double(const std::string& name) const {
-  const std::string& raw = get(name);
-  const std::string_view v = strip_plus(raw);
-  double out = 0.0;
-  const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
-  if (ec == std::errc::result_out_of_range)
-    throw precondition_error("option --" + name + " value out of range: '" +
-                             raw + "'");
-  if (ec != std::errc{} || ptr != v.data() + v.size())
-    throw precondition_error("option --" + name + " expects a number, got '" +
-                             raw + "'");
-  return out;
+  return parse_finite_double(get(name), "option --" + name);
 }
 
 bool CliParser::get_flag(const std::string& name) const {

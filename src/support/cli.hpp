@@ -4,12 +4,50 @@
 // generates --help text, and validates that every argument was consumed.
 #pragma once
 
+#include <cctype>
+#include <charconv>
+#include <cmath>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "support/check.hpp"
+
 namespace tamp {
+
+namespace detail {
+
+/// std::from_chars rejects an explicit '+' sign; accept it here (it is
+/// common on the command line) by skipping it when a digit or '.' follows.
+[[nodiscard]] inline std::string_view strip_plus(std::string_view v) {
+  if (v.size() > 1 && v.front() == '+' &&
+      (std::isdigit(static_cast<unsigned char>(v[1])) != 0 || v[1] == '.'))
+    v.remove_prefix(1);
+  return v;
+}
+
+}  // namespace detail
+
+/// Parse all of `text` as a finite decimal number, optionally signed ('+'
+/// or '-'), with nothing before or after it. Throws precondition_error
+/// naming `what` for anything else: trailing text, nan, inf, or a value
+/// outside the range of double. Inline because obs/, which support/
+/// links, parses with it too (obs/report.hpp parse_regression_rule).
+[[nodiscard]] inline double parse_finite_double(const std::string& text,
+                                                const std::string& what) {
+  const std::string_view v = detail::strip_plus(text);
+  double out = 0.0;
+  const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+  if (ec == std::errc::result_out_of_range)
+    throw precondition_error(what + " value out of range: '" + text + "'");
+  // from_chars also reads nan and inf, which no caller wants.
+  if (ec != std::errc{} || ptr != v.data() + v.size() || !std::isfinite(out))
+    throw precondition_error(what + " expects a finite number, got '" + text +
+                             "'");
+  return out;
+}
 
 /// Declarative CLI option set. Register options, then parse(argc, argv).
 class CliParser {

@@ -4,13 +4,13 @@
 // that classification runs the code below instead of a copy:
 //
 //   * ClassIndexer and Classifier, the dense class id and the §II-B
-//     classification rules, are header-only: partition/reorder.cpp sorts
-//     by the very classes the generator emits without linking taskgraph;
+//     classification rules, are header-only because generate.cpp and
+//     patch.cpp both classify objects with them;
 //   * the from-scratch build (build_task_graph), the distinct
-//     (face class, cell class) pair set and its adjacency CSR, the class
-//     range detector and the emission loop (emit_task_graph), defined in
-//     generate.cpp, are what generate_task_graph runs and what
-//     GraphPatcher (taskgraph/patch.*) builds with and re-emits through.
+//     (face class, cell class) pair set and its adjacency CSR and the
+//     emission loop (emit_task_graph), defined in generate.cpp, are what
+//     generate_task_graph runs and what GraphPatcher (taskgraph/patch.*)
+//     builds with and re-emits through.
 #pragma once
 
 #include <algorithm>
@@ -125,11 +125,6 @@ struct ClassAggregates {
     const std::unordered_map<std::uint64_t, index_t>& pair_count,
     index_t nclasses);
 
-/// Set class k's cell and face ranges from its (ascending) object lists:
-/// valid when the list is one consecutive id run, faces additionally
-/// with every interior face before every boundary face.
-void detect_class_ranges(const mesh::Mesh& mesh, ClassMap& map, index_t k);
-
 /// Algorithm 1's emission loop over the aggregates. When `task_class` is
 /// non-null it receives each task's class id.
 [[nodiscard]] TaskGraph emit_task_graph(const ClassIndexer& cls,
@@ -138,8 +133,7 @@ void detect_class_ranges(const mesh::Mesh& mesh, ClassMap& map, index_t k);
                                         std::vector<index_t>* task_class);
 
 /// The from-scratch build: range-check the domain ids, classify every
-/// object into `agg`, fill `class_map` (lists and ranges) when non-null,
-/// and emit.
+/// object into `agg`, fill `class_map`'s lists when non-null, and emit.
 [[nodiscard]] TaskGraph build_task_graph(const Classifier& cf,
                                          const GenerateOptions& opts,
                                          ClassAggregates& agg,

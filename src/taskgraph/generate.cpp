@@ -44,30 +44,6 @@ ClassAdjacency class_adjacency(
   return adj;
 }
 
-void detect_class_ranges(const mesh::Mesh& mesh, ClassMap& map, index_t k) {
-  const auto sk = static_cast<std::size_t>(k);
-  map.cell_range[sk] = {};
-  map.face_range[sk] = {};
-  const auto& cells = map.class_cells[sk];
-  if (!cells.empty() &&
-      cells.back() - cells.front() + 1 == static_cast<index_t>(cells.size()))
-    map.cell_range[sk] = {cells.front(), cells.back() + 1};
-  const auto& faces = map.class_faces[sk];
-  if (faces.empty() || faces.back() - faces.front() + 1 !=
-                           static_cast<index_t>(faces.size()))
-    return;
-  std::size_t ninterior = 0;
-  while (ninterior < faces.size() && !mesh.is_boundary_face(faces[ninterior]))
-    ++ninterior;
-  bool partitioned = true;
-  for (std::size_t i = ninterior; i < faces.size(); ++i)
-    partitioned &= mesh.is_boundary_face(faces[i]);
-  if (partitioned)
-    map.face_range[sk] = {faces.front(),
-                          faces.front() + static_cast<index_t>(ninterior),
-                          faces.back() + 1};
-}
-
 TaskGraph emit_task_graph(const ClassIndexer& cls, const ClassAggregates& agg,
                           const GenerateOptions& opts,
                           std::vector<index_t>* task_class) {
@@ -172,7 +148,7 @@ TaskGraph build_task_graph(const Classifier& cf, const GenerateOptions& opts,
   agg.adjacency = class_adjacency(agg.pair_count, cf.cls.count());
 
   if (class_map != nullptr) {
-    // Lists in ascending id order, which the range detector relies on.
+    // Lists in ascending id order.
     auto fill = [&](std::vector<std::vector<index_t>>& lists,
                     const std::vector<index_t>& object_class,
                     const std::vector<index_t>& count) {
@@ -185,10 +161,6 @@ TaskGraph build_task_graph(const Classifier& cf, const GenerateOptions& opts,
     };
     fill(class_map->class_cells, agg.cell_class, agg.cell_count);
     fill(class_map->class_faces, agg.face_class, agg.face_count);
-    class_map->cell_range.assign(nclasses, {});
-    class_map->face_range.assign(nclasses, {});
-    for (index_t k = 0; k < cf.cls.count(); ++k)
-      detect_class_ranges(mesh, *class_map, k);
   }
 
   TaskGraph graph = emit_task_graph(

@@ -48,37 +48,14 @@ struct GenerateOptions {
 /// Concrete object membership of each task, for executing real kernels:
 /// tasks of the same (domain, level, locality) class share one object
 /// list; `task_class[t]` indexes into the per-class lists, and the task's
-/// type selects faces vs cells. Lists hold mesh ids in ascending order.
-///
-/// The solvers do not need the lists to be contiguous: they lay their
-/// kernel data out class by class from the lists themselves
-/// (solver/layout.hpp class_layout). On a locality-renumbered mesh
-/// (partition/reorder.hpp) every class list is one consecutive id run;
-/// the generator detects this and fills the range vectors, which
-/// describe the mesh numbering — a class whose list is not contiguous
-/// gets an invalid range (begin == invalid_index).
+/// type selects faces vs cells. Lists hold mesh ids in ascending order
+/// and need not be contiguous: the solvers lay their kernel data out
+/// class by class from the lists themselves (solver/layout.hpp
+/// class_layout), so each class streams as a few consecutive runs.
 struct ClassMap {
-  /// Contiguous cell run of one class, or invalid when scattered.
-  struct CellRange {
-    index_t begin = invalid_index;
-    index_t end = invalid_index;
-    [[nodiscard]] bool valid() const { return begin != invalid_index; }
-  };
-  /// Contiguous face run of one class with its boundary faces collected
-  /// in the tail sub-range [boundary_begin, end), or invalid when the
-  /// list is scattered or interleaves interior and boundary faces.
-  struct FaceRange {
-    index_t begin = invalid_index;
-    index_t boundary_begin = invalid_index;
-    index_t end = invalid_index;
-    [[nodiscard]] bool valid() const { return begin != invalid_index; }
-  };
-
   std::vector<index_t> task_class;               ///< per task id
   std::vector<std::vector<index_t>> class_faces; ///< face ids per class
   std::vector<std::vector<index_t>> class_cells; ///< cell ids per class
-  std::vector<CellRange> cell_range;             ///< per class
-  std::vector<FaceRange> face_range;             ///< per class
 };
 
 /// Generate the task DAG for `mesh` decomposed by `domain_of_cell`.

@@ -228,12 +228,8 @@ const PatchStats& GraphPatcher::apply(
     agg_.adjacency = class_adjacency(agg_.pair_count, cf.cls.count());
     pair_set_changed_ = false;
   }
-  index_t ndirty_classes = 0;
-  for (index_t k = 0; k < cf.cls.count(); ++k)
-    if (dirty_classes_[static_cast<std::size_t>(k)] != 0) {
-      ++ndirty_classes;
-      detect_class_ranges(mesh, classes_, k);
-    }
+  const auto ndirty_classes = static_cast<index_t>(
+      std::count(dirty_classes_.begin(), dirty_classes_.end(), char{1}));
   graph_ = emit_task_graph(cf.cls, agg_, {}, &classes_.task_class);
 
   // Dirty-task mask at class granularity: tasks of a changed class, plus
@@ -294,9 +290,6 @@ std::uint64_t GraphPatcher::fingerprint(const TaskGraph& graph,
   h.add_vector(classes.task_class);
   for (const auto& v : classes.class_cells) h.add_vector(v);
   for (const auto& v : classes.class_faces) h.add_vector(v);
-  for (const auto& r : classes.cell_range) h.add(r.begin).add(r.end);
-  for (const auto& r : classes.face_range)
-    h.add(r.begin).add(r.boundary_begin).add(r.end);
   return h.value();
 }
 

@@ -14,7 +14,7 @@
 // the per-class object list rebuilds are replaced by O(dirty) updates;
 // only the O(tasks + deps) emission (a few thousand slots) reruns. The
 // result is bit-identical to a from-scratch rebuild: same task order,
-// same fields, same dependency CSR, same ClassMap lists and ranges.
+// same fields, same dependency CSR, same ClassMap lists.
 //
 // Safety net layers, outermost first:
 //   1. the pipeline's IterationSnapshot fingerprint (support/hash.hpp)
@@ -93,7 +93,7 @@ public:
   }
 
   /// Fingerprint over the task array, dependency CSR and ClassMap
-  /// ranges (FNV-1a, support/hash.hpp). Equal fingerprints on a patched
+  /// (FNV-1a, support/hash.hpp). Equal fingerprints on a patched
   /// and a rebuilt graph is what the mutation tests assert the oracle
   /// distinguishes.
   [[nodiscard]] std::uint64_t fingerprint() const;

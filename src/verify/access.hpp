@@ -50,8 +50,8 @@ struct Access {
 };
 
 /// One recorded range access: task `task` touched every object of `kind`
-/// in [begin, end). The range form exists for the contiguous streaming
-/// sweeps of the locality layout: annotating a range-valued task costs
+/// in [begin, end). The range form exists for the run-streaming sweeps
+/// of the solver's class layout: annotating a range-valued task costs
 /// O(1) per range instead of O(objects). Semantically a RangeAccess is
 /// exactly the per-object records it expands to — AccessLog::merged()
 /// performs the expansion, so the happens-before checker is unchanged.

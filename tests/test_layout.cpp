@@ -1,6 +1,8 @@
 // The solver-owned kernel layout (solver/layout.hpp, FvDriver): the
-// class-contiguous order is a bijection that streams every class as at
-// most one cell run and two face runs; relayouts move state and
+// permutation and run helpers; the class-contiguous order is a bijection
+// that streams every class as at most one cell run and two face runs;
+// the streamed task bodies are bitwise the serial run_iteration() across
+// meshes, strategies and domain counts; relayouts move state and
 // accumulators so the pipeline stays bitwise the serial reference while
 // levels drift; a frozen mesh lays out once; a body bound before a
 // relayout refuses to run; and relaid-out bodies record race-free
@@ -12,6 +14,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -69,6 +72,39 @@ bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
+// --- helpers ----------------------------------------------------------------------
+
+TEST(KernelLayout, PermutationHelpers) {
+  EXPECT_TRUE(is_permutation({2, 0, 1}));
+  EXPECT_FALSE(is_permutation({0, 0, 1}));
+  EXPECT_FALSE(is_permutation({0, 3, 1}));
+  EXPECT_TRUE(is_permutation({}));
+
+  const std::vector<index_t> inv = invert_permutation({2, 0, 1});
+  EXPECT_EQ(inv, (std::vector<index_t>{1, 2, 0}));
+  EXPECT_THROW((void)invert_permutation({0, 0}), precondition_error);
+}
+
+TEST(KernelLayout, CompressToRanges) {
+  EXPECT_TRUE(compress_to_ranges({}).empty());
+  EXPECT_EQ(compress_to_ranges({5, 3, 4}), (std::vector<IdRange>{{3, 6}}));
+  EXPECT_EQ(compress_to_ranges({1, 9, 2, 2, 7, 8}),
+            (std::vector<IdRange>{{1, 3}, {7, 10}}));
+}
+
+TEST(KernelLayout, PaddedVarsLayout) {
+  EXPECT_EQ(padded_stride(0), 0u);
+  EXPECT_EQ(padded_stride(1), 8u);
+  EXPECT_EQ(padded_stride(8), 8u);
+  EXPECT_EQ(padded_stride(9), 16u);
+  PaddedVars v(10, 3);
+  EXPECT_EQ(v.stride(), 16u);
+  EXPECT_EQ(v.var(2) - v.var(0), 32);
+  v.at(1, 9) = 4.5;
+  EXPECT_EQ(v.at(1, 9), 4.5);
+  EXPECT_EQ(v.at(2, 0), 0.0);
+}
+
 // --- the layout rule ------------------------------------------------------------
 
 TEST(KernelLayout, ClassLayoutStreamsEachClassInAtMostThreeRuns) {
@@ -77,12 +113,21 @@ TEST(KernelLayout, ClassLayoutStreamsEachClassInAtMostThreeRuns) {
   taskgraph::ClassMap classes;
   taskgraph::generate_task_graph(m, dd.domain_of_cell, dd.ndomains, {},
                                  &classes);
-  const mesh::MeshPermutation layout = class_layout(m, classes);
-  mesh::validate_permutation(m, layout);
+  const MeshPermutation layout = class_layout(m, classes);
+  // Both maps are bijections of the mesh's ids, each paired with its
+  // inverse.
+  ASSERT_EQ(layout.cell_old_to_new.size(),
+            static_cast<std::size_t>(m.num_cells()));
+  ASSERT_EQ(layout.face_old_to_new.size(),
+            static_cast<std::size_t>(m.num_faces()));
+  EXPECT_TRUE(is_permutation(layout.cell_old_to_new));
+  EXPECT_TRUE(is_permutation(layout.face_old_to_new));
+  EXPECT_EQ(layout.cell_new_to_old, invert_permutation(layout.cell_old_to_new));
+  EXPECT_EQ(layout.face_new_to_old, invert_permutation(layout.face_old_to_new));
 
   // Mesh order scatters the classes; their own layout streams them.
   const ClassRuns scattered =
-      build_class_runs(m, classes, mesh::identity_permutation(m));
+      build_class_runs(m, classes, identity_permutation(m));
   const ClassRuns runs = build_class_runs(m, classes, layout);
   EXPECT_GT(scattered.runs.size(), scattered.fresh_runs());
   EXPECT_EQ(runs.runs.size(), runs.fresh_runs());
@@ -134,6 +179,115 @@ TEST(KernelLayout, PermuteVarsMovesEveryColumn) {
   for (int v = 0; v < 2; ++v)
     for (index_t i = 0; i < 5; ++i)
       EXPECT_EQ(vars.at(v, i), 10.0 * v + (4 - i));
+}
+
+// --- task bodies against the serial reference --------------------------------------
+//
+// Twin solvers on twin meshes, two iterations: run_iteration() (the
+// per-object kernels in mesh order) against every task body run in id
+// order (a topological order), which streams the class runs of the
+// solver's own reordered layout. Results are compared per mesh cell. The
+// `Reorder` suite keeps the names these tests had when the reordered
+// order came from renumbering the mesh.
+
+/// Steps both twins two iterations, `tasked` through its task bodies on
+/// a `strategy` decomposition into `ndomains`, and calls `check(it)`
+/// after each. Levels feed the class structure, so the twins must have
+/// assigned them already.
+template <class Solver, class Check>
+void step_twins(Solver& serial, Solver& tasked, const mesh::Mesh& tasked_mesh,
+                partition::Strategy strategy, part_t ndomains, Check check) {
+  const Decomposition dd = decompose(tasked_mesh, strategy, ndomains);
+  for (int it = 0; it < 2; ++it) {
+    serial.run_iteration();
+    const auto iter =
+        tasked.make_iteration_tasks(dd.domain_of_cell, dd.ndomains);
+    for (index_t t = 0; t < iter.graph.num_tasks(); ++t) iter.body(t);
+    tasked.note_tasks_complete();
+    // The bodies ran on the class-contiguous order, not on mesh order.
+    ASSERT_EQ(tasked.layout_stats().relayouts, 1u) << "iteration " << it;
+    ASSERT_EQ(tasked.layout_stats().runs, tasked.layout_stats().fresh_runs)
+        << "iteration " << it;
+    check(it);
+  }
+}
+
+void expect_euler_equivalence(const mesh::Mesh& m,
+                              partition::Strategy strategy, part_t ndomains,
+                              const std::string& what) {
+  mesh::Mesh serial_mesh = m, tasked_mesh = m;
+  EulerSolver serial(serial_mesh), tasked(tasked_mesh);
+  for (EulerSolver* s : {&serial, &tasked}) {
+    s->initialize_uniform(1.0, {0.1, 0.05, 0.02}, 1.0);
+    s->add_pulse({1.2, 1.0, 0.8}, 0.8, 0.25);
+    s->assign_temporal_levels();
+  }
+  ASSERT_EQ(tasked.dt0(), serial.dt0()) << what;
+  step_twins(serial, tasked, tasked_mesh, strategy, ndomains, [&](int it) {
+    for (index_t cell = 0; cell < serial_mesh.num_cells(); ++cell) {
+      const State want = serial.cell_state(cell);
+      const State got = tasked.cell_state(cell);
+      for (std::size_t v = 0; v < want.size(); ++v)
+        ASSERT_EQ(got[v], want[v]) << what << " iteration " << it << " cell "
+                                   << cell << " var " << v;
+    }
+  });
+}
+
+void expect_transport_equivalence(const mesh::Mesh& m,
+                                  partition::Strategy strategy,
+                                  part_t ndomains, const std::string& what) {
+  TransportConfig tc;
+  tc.velocity = {0.8, 0.3, 0.1};
+  tc.diffusivity = 0.02;
+  mesh::Mesh serial_mesh = m, tasked_mesh = m;
+  TransportSolver serial(serial_mesh, tc), tasked(tasked_mesh, tc);
+  for (TransportSolver* s : {&serial, &tasked}) {
+    s->initialize_uniform(0.1);
+    s->add_blob({1.0, 1.0, 0.8}, 0.7, 1.0);
+    s->assign_temporal_levels();
+  }
+  step_twins(serial, tasked, tasked_mesh, strategy, ndomains, [&](int it) {
+    for (index_t cell = 0; cell < serial_mesh.num_cells(); ++cell)
+      ASSERT_EQ(tasked.value(cell), serial.value(cell))
+          << what << " iteration " << it << " cell " << cell;
+    // The boundary ledger is summed per run, so it is conserved but
+    // not bitwise.
+    EXPECT_NEAR(tasked.total_scalar() + tasked.net_boundary_outflow(),
+                serial.total_scalar() + serial.net_boundary_outflow(),
+                1e-12 * std::max(1.0, std::abs(serial.total_scalar())))
+        << what << " iteration " << it;
+  });
+}
+
+TEST(Reorder, EulerBitwiseEquivalenceAcrossMeshesAndStrategies) {
+  expect_euler_equivalence(mesh::make_graded_box_mesh(8, 6, 5, 1.25),
+                           partition::Strategy::mc_tl, 4,
+                           "graded_box(8,6,5) mc_tl");
+  expect_euler_equivalence(mesh::make_lattice_mesh(6, 5, 4),
+                           partition::Strategy::sc_oc, 3,
+                           "lattice(6,5,4) sc_oc");
+  expect_euler_equivalence(mesh::make_graded_box_mesh(6, 6, 6, 1.35),
+                           partition::Strategy::hybrid, 6,
+                           "graded_box(6,6,6) hybrid");
+  mesh::TestMeshSpec spec;
+  spec.target_cells = 700;
+  spec.seed = 11;
+  expect_euler_equivalence(
+      mesh::make_test_mesh(mesh::TestMeshKind::nozzle, spec),
+      partition::Strategy::mc_tl, 4, "nozzle(700) mc_tl");
+}
+
+TEST(Reorder, TransportBitwiseEquivalenceAcrossMeshesAndStrategies) {
+  expect_transport_equivalence(mesh::make_graded_box_mesh(7, 6, 5, 1.3),
+                               partition::Strategy::sc_oc, 4,
+                               "graded_box(7,6,5) sc_oc");
+  expect_transport_equivalence(mesh::make_lattice_mesh(6, 5, 4),
+                               partition::Strategy::mc_tl, 3,
+                               "lattice(6,5,4) mc_tl");
+  expect_transport_equivalence(mesh::make_graded_box_mesh(6, 6, 6, 1.35),
+                               partition::Strategy::hybrid, 4,
+                               "graded_box(6,6,6) hybrid");
 }
 
 // --- the driver -------------------------------------------------------------------

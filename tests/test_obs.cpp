@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstddef>
 #include <string>
 #include <thread>
@@ -18,6 +19,7 @@
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "sim/trace_json.hpp"
+#include "support/check.hpp"
 #include "support/log.hpp"
 #include "support/stopwatch.hpp"
 
@@ -559,6 +561,11 @@ TEST(JsonParser, ParsesScalarsObjectsAndArrays) {
   EXPECT_DOUBLE_EQ(v.find("nest")->number_or("k", 0), -2000.0);
   EXPECT_DOUBLE_EQ(v.number_or("missing", 7.0), 7.0);
   EXPECT_EQ(v.find("missing"), nullptr);
+  // Number shapes the exporter's %.9g writes.
+  EXPECT_TRUE(std::signbit(JsonValue::parse("-0").as_number()));
+  EXPECT_EQ(JsonValue::parse("1e+20").as_number(), 1e20);
+  EXPECT_EQ(JsonValue::parse("1.00000001e-05").as_number(), 1.00000001e-05);
+  EXPECT_EQ(JsonValue::parse("-12.5E2").as_number(), -1250.0);
 }
 
 TEST(JsonParser, DecodesEscapesAndSurrogatePairs) {
@@ -577,6 +584,12 @@ TEST(JsonParser, RejectsMalformedInput) {
   // 100,000 open brackets: a typed error, not a stack overflow.
   EXPECT_THROW((void)JsonValue::parse(std::string(100000, '[')),
                runtime_failure);
+  // Numbers RFC 8259 forbids, numbers outside double's range, and a raw
+  // control byte inside a string.
+  for (const char* bad :
+       {"+1", ".5", "01", "1.", "-", "1e", "1e+", "-.5", "1e400", "-1e400",
+        "[1.e3]", "\"a\tb\""})
+    EXPECT_THROW((void)JsonValue::parse(bad), runtime_failure) << bad;
 }
 
 TEST(JsonParser, KindMismatchThrows) {
@@ -652,6 +665,31 @@ TEST(Report, SyntheticRegressionTripsTheGates) {
   // Improvement in a higher-is-worse metric never regresses.
   const MetricsFile better = doctor_metrics(700, 0.99, 0.0, 30);
   EXPECT_FALSE(compare_metrics(base, better, rules).regressed());
+}
+
+TEST(Report, ParsesRuleSpecsAndRejectsMalformedOnes) {
+  const RegressionRule rule = parse_regression_rule("m:0.35:lower:rel");
+  EXPECT_EQ(rule.metric, "m");
+  EXPECT_EQ(rule.tolerance, 0.35);
+  EXPECT_FALSE(rule.higher_is_worse);
+  EXPECT_FALSE(rule.absolute);
+  const RegressionRule defaults = parse_regression_rule("m");
+  EXPECT_EQ(defaults.tolerance, RegressionRule{}.tolerance);
+  EXPECT_TRUE(defaults.higher_is_worse);
+  EXPECT_TRUE(parse_regression_rule("m:0:higher:abs").absolute);
+  // A tolerance of nan or inf would disable the gate silently.
+  for (const char* bad :
+       {"m:nan", "m:inf", "m:0.35lower", "m:-1", "m:abc", "", ":0.1",
+        "m:0.1:down", "m:0.1:lower:pct", "m:0.1:lower:rel:x"}) {
+    try {
+      (void)parse_regression_rule(bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const precondition_error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + bad + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Report, MissingMetricIsSkippedNotRegressed) {

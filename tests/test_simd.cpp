@@ -15,14 +15,12 @@
 #include <vector>
 
 #include "mesh/generators.hpp"
-#include "partition/reorder.hpp"
 #include "partition/strategy.hpp"
 #include "solver/euler.hpp"
 #include "solver/transport.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 #include "support/simd.hpp"
-#include "taskgraph/generate.hpp"
 #include "verify/access.hpp"
 #include "verify/graph_edit.hpp"
 #include "verify/verifier.hpp"
@@ -160,8 +158,8 @@ TEST(SimdSupport, UlpDistanceIsAMetricOnDoubles) {
 // --- dispatch-level agreement on random states -------------------------------
 
 TEST(SimdEquivalence, EulerLevelsAgreeWithinUlpBoundOnRandomStates) {
-  // One solver per runnable level on identical locality-renumbered
-  // meshes and identical random states; three task iterations each.
+  // One solver per runnable level on identical meshes and identical
+  // random states; three task iterations each.
   // Every SIMD tier must match the scalar tier within kMaxUlp on every
   // conserved variable of every cell.
   mesh::Mesh base = mesh::make_graded_box_mesh(8, 6, 5, 1.25);
@@ -174,19 +172,18 @@ TEST(SimdEquivalence, EulerLevelsAgreeWithinUlpBoundOnRandomStates) {
   const auto levels = simd::runnable_levels();
   std::vector<std::vector<State>> results;
   for (const simd::Level level : levels) {
-    auto rd = partition::reorder_for_locality(base, dd0.domain_of_cell,
-                                              dd0.ndomains);
+    mesh::Mesh m = base;
     solver::SolverConfig cfg;
     cfg.simd = request_for(level);
-    EulerSolver s(rd.mesh, cfg);
+    EulerSolver s(m, cfg);
     ASSERT_EQ(s.simd_level(), level);
-    random_euler_state(s, rd.mesh, 42);
+    random_euler_state(s, m, 42);
     for (int it = 0; it < 3; ++it)
-      s.run_iteration_tasks(rd.domain_of_cell, dd0.ndomains, dd0.d2p,
+      s.run_iteration_tasks(dd0.domain_of_cell, dd0.ndomains, dd0.d2p,
                             serial_config(2));
     ASSERT_TRUE(s.state_is_finite()) << simd::to_string(level);
     std::vector<State> out;
-    for (index_t c = 0; c < rd.mesh.num_cells(); ++c)
+    for (index_t c = 0; c < m.num_cells(); ++c)
       out.push_back(s.cell_state(c));
     results.push_back(std::move(out));
   }
@@ -219,21 +216,20 @@ TEST(SimdEquivalence, TransportLevelsAgreeWithinUlpBound) {
   std::vector<std::vector<double>> results;
   std::vector<double> nets;
   for (const simd::Level level : levels) {
-    auto rd = partition::reorder_for_locality(base, dd0.domain_of_cell,
-                                              dd0.ndomains);
+    mesh::Mesh m = base;
     solver::TransportConfig cfg = tc;
     cfg.simd = request_for(level);
-    TransportSolver s(rd.mesh, cfg);
+    TransportSolver s(m, cfg);
     ASSERT_EQ(s.simd_level(), level);
     s.initialize_uniform(0.1);
     s.add_blob({2.0, 2.0, 1.5}, 1.2, 0.8);
     s.assign_temporal_levels();
     for (int it = 0; it < 3; ++it)
-      s.run_iteration_tasks(rd.domain_of_cell, dd0.ndomains, dd0.d2p,
+      s.run_iteration_tasks(dd0.domain_of_cell, dd0.ndomains, dd0.d2p,
                             serial_config(2));
     ASSERT_TRUE(s.values_finite()) << simd::to_string(level);
     std::vector<double> out;
-    for (index_t c = 0; c < rd.mesh.num_cells(); ++c)
+    for (index_t c = 0; c < m.num_cells(); ++c)
       out.push_back(s.value(c));
     results.push_back(std::move(out));
     nets.push_back(s.net_boundary_outflow());
@@ -248,28 +244,21 @@ TEST(SimdEquivalence, TransportLevelsAgreeWithinUlpBound) {
   }
 }
 
-/// Every non-empty class is one contiguous id run, so the task path
-/// streams every class through the kernel table.
-void expect_all_classes_ranged(const mesh::Mesh& m,
-                               const std::vector<part_t>& domain_of_cell,
-                               part_t ndomains) {
-  taskgraph::ClassMap cm;
-  taskgraph::generate_task_graph(m, domain_of_cell, ndomains, {}, &cm);
-  for (std::size_t k = 0; k < cm.class_cells.size(); ++k) {
-    if (!cm.class_cells[k].empty()) {
-      ASSERT_TRUE(cm.cell_range[k].valid()) << "cell class " << k;
-    }
-    if (!cm.class_faces[k].empty()) {
-      ASSERT_TRUE(cm.face_range[k].valid()) << "face class " << k;
-    }
-  }
+/// The solver laid its kernel data out once, at its first bind, and
+/// streams every class as that fresh layout's runs: one per non-empty
+/// cell, interior-face and boundary-face list.
+template <class Solver>
+void expect_streams_fresh_runs(const Solver& s, const char* what, int it) {
+  const solver::LayoutStats& st = s.layout_stats();
+  EXPECT_EQ(st.relayouts, 1u) << what << " iteration " << it;
+  EXPECT_EQ(st.runs, st.fresh_runs) << what << " iteration " << it;
 }
 
 TEST(SimdEquivalence, ScalarRequestIsBitwiseTheSerialReference) {
   // --simd scalar through the task path must equal the per-object serial
-  // reference bit for bit, for both solvers. The meshes are renumbered
-  // for locality, so the tasked solver streams every class through the
-  // width-1 kernels while the serial one runs the per-object kernels.
+  // reference bit for bit, for both solvers. The tasked solver streams
+  // every class as the runs of its own fresh layout through the width-1
+  // kernels while the serial one runs the per-object kernels.
   // (The SIMD tiers are pinned to scalar by the ULP tests above and the
   // serial reference is pinned to the seed by test_verify_solver.)
   mesh::Mesh base = mesh::make_graded_box_mesh(8, 6, 5, 1.25);
@@ -278,20 +267,18 @@ TEST(SimdEquivalence, ScalarRequestIsBitwiseTheSerialReference) {
     random_euler_state(tmp, base, 9);
   }
   const auto dd = decompose(base, 4, 2);
-  auto rd = partition::reorder_for_locality(base, dd.domain_of_cell,
-                                            dd.ndomains);
   solver::SolverConfig cfg;
   cfg.simd = simd::Request::scalar;
-  EulerSolver serial(rd.mesh), tasked(rd.mesh, cfg);
+  EulerSolver serial(base), tasked(base, cfg);
   EXPECT_EQ(tasked.simd_level(), simd::Level::scalar);
-  random_euler_state(serial, rd.mesh, 9);
-  random_euler_state(tasked, rd.mesh, 9);
-  expect_all_classes_ranged(rd.mesh, rd.domain_of_cell, dd.ndomains);
+  random_euler_state(serial, base, 9);
+  random_euler_state(tasked, base, 9);
   for (int it = 0; it < 3; ++it) {
     serial.run_iteration();
-    tasked.run_iteration_tasks(rd.domain_of_cell, dd.ndomains, dd.d2p,
+    tasked.run_iteration_tasks(dd.domain_of_cell, dd.ndomains, dd.d2p,
                                serial_config(2));
-    for (index_t c = 0; c < rd.mesh.num_cells(); ++c) {
+    expect_streams_fresh_runs(tasked, "euler", it);
+    for (index_t c = 0; c < base.num_cells(); ++c) {
       const State a = serial.cell_state(c), b = tasked.cell_state(c);
       for (int v = 0; v < solver::kNumVars; ++v)
         ASSERT_EQ(a[static_cast<std::size_t>(v)],
@@ -316,20 +303,18 @@ TEST(SimdEquivalence, ScalarRequestIsBitwiseTheSerialReference) {
     init(tmp);
   }
   const auto tdd = decompose(tbase, 4, 2);
-  auto trd = partition::reorder_for_locality(tbase, tdd.domain_of_cell,
-                                             tdd.ndomains);
-  TransportSolver t_serial(trd.mesh, tc), t_tasked(trd.mesh, tc);
+  TransportSolver t_serial(tbase, tc), t_tasked(tbase, tc);
   init(t_serial);
   init(t_tasked);
-  expect_all_classes_ranged(trd.mesh, trd.domain_of_cell, tdd.ndomains);
   for (int it = 0; it < 3; ++it) {
     t_serial.run_iteration();
-    t_tasked.run_iteration_tasks(trd.domain_of_cell, tdd.ndomains, tdd.d2p,
+    t_tasked.run_iteration_tasks(tdd.domain_of_cell, tdd.ndomains, tdd.d2p,
                                  serial_config(2));
-    for (index_t c = 0; c < trd.mesh.num_cells(); ++c)
+    expect_streams_fresh_runs(t_tasked, "transport", it);
+    for (index_t c = 0; c < tbase.num_cells(); ++c)
       ASSERT_EQ(t_serial.value(c), t_tasked.value(c))
           << "transport iteration " << it << " cell " << c;
-    // The boundary tally is summed per ranged sweep: tolerance only.
+    // The boundary tally is summed per run: tolerance only.
     const double net = t_serial.net_boundary_outflow();
     EXPECT_NEAR(t_tasked.net_boundary_outflow(), net,
                 1e-12 * std::max(1.0, std::abs(net)))
@@ -353,14 +338,13 @@ TEST(SimdEquivalence, ConservationHoldsAtSubiterationBoundariesPerLevel) {
   const auto dd0 = decompose(base, 4, 2);
 
   for (const simd::Level level : simd::runnable_levels()) {
-    auto rd = partition::reorder_for_locality(base, dd0.domain_of_cell,
-                                              dd0.ndomains);
+    mesh::Mesh m = base;
     solver::SolverConfig cfg;
     cfg.simd = request_for(level);
-    EulerSolver s(rd.mesh, cfg);
-    random_euler_state(s, rd.mesh, 17);
+    EulerSolver s(m, cfg);
+    random_euler_state(s, m, 17);
     const State start = s.conserved_totals();
-    const auto iter = s.make_iteration_tasks(rd.domain_of_cell, dd0.ndomains);
+    const auto iter = s.make_iteration_tasks(dd0.domain_of_cell, dd0.ndomains);
     index_t nsub = 0;
     for (index_t t = 0; t < iter.graph.num_tasks(); ++t)
       nsub = std::max(nsub, iter.graph.task(t).subiteration + 1);
@@ -392,9 +376,9 @@ TEST(SimdEquivalence, ConservationHoldsAtSubiterationBoundariesPerLevel) {
 // --- race-freedom on the SIMD path -------------------------------------------
 
 TEST(SimdEquivalence, VerifyRacesCleanPerLevel) {
-  // Every tier records the same up-front class-range annotations
-  // (layout.hpp); the DAG must order every conflicting pair under
-  // adversarial schedules at every tier.
+  // Every tier records the same run-built annotations (layout.hpp
+  // record_face_runs / record_cell_runs); the DAG must order every
+  // conflicting pair under adversarial schedules at every tier.
   mesh::Mesh base = mesh::make_graded_box_mesh(7, 6, 5, 1.3);
   {
     EulerSolver tmp(base);
@@ -403,13 +387,12 @@ TEST(SimdEquivalence, VerifyRacesCleanPerLevel) {
   const auto dd0 = decompose(base, 4, 2);
 
   for (const simd::Level level : simd::runnable_levels()) {
-    auto rd = partition::reorder_for_locality(base, dd0.domain_of_cell,
-                                              dd0.ndomains);
+    mesh::Mesh m = base;
     solver::SolverConfig cfg;
     cfg.simd = request_for(level);
-    EulerSolver s(rd.mesh, cfg);
-    random_euler_state(s, rd.mesh, 5);
-    const auto iter = s.make_iteration_tasks(rd.domain_of_cell, dd0.ndomains);
+    EulerSolver s(m, cfg);
+    random_euler_state(s, m, 5);
+    const auto iter = s.make_iteration_tasks(dd0.domain_of_cell, dd0.ndomains);
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       verify::AccessLog log(iter.graph.num_tasks());
       const runtime::TaskBody body = verify::instrument(iter.body, log);
@@ -431,10 +414,11 @@ TEST(SimdEquivalence, VerifyRacesCleanPerLevel) {
 // --- tail handling around the padded stride ----------------------------------
 
 TEST(SimdEquivalence, TailLengthsAroundPaddedStrideAgree) {
-  // Sweep lattice sizes so the streaming class ranges take many short
+  // Sweep lattice sizes so the streaming class runs take many short
   // lengths around 2·lanes and cross padded-stride multiples
   // (solver::kPadDoubles); every tier must agree with scalar on all of
-  // them. A single domain keeps each class one contiguous id run.
+  // them. A single domain keeps the classes whole: each streams as the
+  // runs of its full lists.
   const int max_lanes = simd::lanes(simd::runnable_levels().back());
   const index_t max_n = static_cast<index_t>(
       2 * max_lanes + 2 * static_cast<int>(solver::kPadDoubles));
@@ -450,19 +434,19 @@ TEST(SimdEquivalence, TailLengthsAroundPaddedStrideAgree) {
 
     std::vector<State> scalar_out;
     for (const simd::Level level : simd::runnable_levels()) {
-      auto rd = partition::reorder_for_locality(base, one, 1);
+      mesh::Mesh m = base;
       solver::SolverConfig cfg;
       cfg.simd = request_for(level);
-      EulerSolver s(rd.mesh, cfg);
-      random_euler_state(s, rd.mesh, 100 + static_cast<std::uint64_t>(n));
+      EulerSolver s(m, cfg);
+      random_euler_state(s, m, 100 + static_cast<std::uint64_t>(n));
       for (int it = 0; it < 2; ++it)
-        s.run_iteration_tasks(rd.domain_of_cell, 1, d2p, serial_config(1));
+        s.run_iteration_tasks(one, 1, d2p, serial_config(1));
       if (level == simd::Level::scalar) {
-        for (index_t c = 0; c < rd.mesh.num_cells(); ++c)
+        for (index_t c = 0; c < m.num_cells(); ++c)
           scalar_out.push_back(s.cell_state(c));
         continue;
       }
-      for (index_t c = 0; c < rd.mesh.num_cells(); ++c) {
+      for (index_t c = 0; c < m.num_cells(); ++c) {
         const State got = s.cell_state(c);
         for (int v = 0; v < solver::kNumVars; ++v) {
           const auto sv = static_cast<std::size_t>(v);

@@ -228,10 +228,15 @@ TEST(Cli, RejectsNonNumeric) {
 TEST(Cli, RejectsTrailingGarbageInNumbers) {
   CliParser cli("test");
   cli.option("threads", "1", "count").option("tol", "0.1", "tolerance");
-  const char* argv[] = {"prog", "--threads", "4x", "--tol", "0.5.3"};
-  ASSERT_TRUE(cli.parse(5, argv));
+  cli.option("a", "0", "").option("b", "0", "").option("c", "0", "");
+  const char* argv[] = {"prog", "--threads", "4x",  "--tol", "0.5.3", "--a",
+                        "nan",  "--b",       "inf", "--c",   "-inf"};
+  ASSERT_TRUE(cli.parse(11, argv));
   EXPECT_THROW((void)cli.get_int("threads"), precondition_error);
   EXPECT_THROW((void)cli.get_double("tol"), precondition_error);
+  // std::from_chars reads these; no option wants them.
+  for (const char* name : {"a", "b", "c"})
+    EXPECT_THROW((void)cli.get_double(name), precondition_error) << name;
 }
 
 TEST(Cli, RejectsOutOfRangeAndWhitespaceNumbers) {

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "mesh/generators.hpp"
-#include "partition/reorder.hpp"
 #include "partition/strategy.hpp"
 #include "solver/euler.hpp"
 #include "solver/transport.hpp"
@@ -287,144 +286,6 @@ void expect_clean_transport(mesh::Mesh& m, partition::Strategy strategy,
   collect_serial(iter.graph, iter.body, log);
   const RaceReport report = check_races(iter.graph, log);
   EXPECT_TRUE(report.clean()) << what << ":\n" << report.summary(iter.graph);
-}
-
-// --- renumbered (locality-layout) path ----------------------------------------
-
-/// Decompose, renumber for locality, and return the bundle; the solver
-/// must already have assigned temporal levels to `m` (the face classes
-/// depend on them).
-partition::ReorderedDecomposition renumber(mesh::Mesh& m,
-                                           partition::Strategy strategy,
-                                           part_t ndomains) {
-  partition::StrategyOptions sopts;
-  sopts.strategy = strategy;
-  sopts.ndomains = ndomains;
-  const auto dd = partition::decompose(m, sopts);
-  return partition::reorder_for_locality(m, dd.domain_of_cell, dd.ndomains);
-}
-
-TEST(VerifySolver, CleanSweepOnRenumberedMeshes) {
-  // On a locality-renumbered mesh the task bodies take the streaming
-  // range path and record range-granular accesses; the checker must
-  // still see every conflict ordered — across both solvers and all
-  // strategies.
-  const partition::Strategy strategies[] = {partition::Strategy::sc_oc,
-                                            partition::Strategy::mc_tl,
-                                            partition::Strategy::hybrid};
-  for (const auto strategy : strategies) {
-    const std::string tag = partition::to_string(strategy);
-    {
-      mesh::Mesh m = mesh::make_graded_box_mesh(8, 6, 5, 1.25);
-      EulerSolver levels(m);
-      levels.initialize_uniform(1.0, {0.1, 0.05, 0.0}, 1.0);
-      levels.assign_temporal_levels();
-      auto rd = renumber(m, strategy, 4);
-      EulerSolver s(rd.mesh);
-      s.initialize_uniform(1.0, {0.1, 0.05, 0.0}, 1.0);
-      s.assign_temporal_levels();
-      const auto iter = s.make_iteration_tasks(rd.domain_of_cell, 4);
-      AccessLog log(iter.graph.num_tasks());
-      collect_serial(iter.graph, iter.body, log);
-      const RaceReport report = check_races(iter.graph, log);
-      EXPECT_TRUE(report.clean())
-          << "euler renumbered " << tag << ":\n" << report.summary(iter.graph);
-    }
-    {
-      mesh::Mesh m = mesh::make_graded_box_mesh(7, 5, 5, 1.3);
-      solver::TransportConfig tc;
-      tc.velocity = {1.0, 0.2, 0.0};
-      tc.diffusivity = 0.01;
-      TransportSolver levels(m, tc);
-      levels.initialize_uniform(0.5);
-      levels.assign_temporal_levels();
-      auto rd = renumber(m, strategy, 4);
-      TransportSolver s(rd.mesh, tc);
-      s.initialize_uniform(0.5);
-      s.assign_temporal_levels();
-      const auto iter = s.make_iteration_tasks(rd.domain_of_cell, 4);
-      AccessLog log(iter.graph.num_tasks());
-      collect_serial(iter.graph, iter.body, log);
-      const RaceReport report = check_races(iter.graph, log);
-      EXPECT_TRUE(report.clean()) << "transport renumbered " << tag << ":\n"
-                                  << report.summary(iter.graph);
-    }
-  }
-}
-
-TEST(VerifySolver, RemovedOrderingEdgeIsFlaggedOnRenumberedMesh) {
-  // The mutation suite over the range-recording path: severing a
-  // load-bearing edge must surface even though the accesses arrive as
-  // compressed ranges.
-  mesh::Mesh m = mesh::make_graded_box_mesh(7, 6, 5, 1.3);
-  EulerSolver levels(m);
-  levels.initialize_uniform(1.0, {0.1, 0.0, 0.0}, 1.0);
-  levels.add_pulse({1.0, 1.0, 0.8}, 0.8, 0.2);
-  levels.assign_temporal_levels();
-  auto rd = renumber(m, partition::Strategy::mc_tl, 4);
-  EulerSolver s(rd.mesh);
-  s.initialize_uniform(1.0, {0.1, 0.0, 0.0}, 1.0);
-  s.add_pulse({1.0, 1.0, 0.8}, 0.8, 0.2);
-  s.assign_temporal_levels();
-  const auto iter = s.make_iteration_tasks(rd.domain_of_cell, 4);
-
-  std::vector<std::pair<index_t, index_t>> edges =
-      dependency_edges(iter.graph);
-  Rng rng(2027);
-  rng.shuffle(edges);
-
-  int mutations = 0;
-  for (const auto& [u, v] : edges) {
-    if (mutations >= 6) break;
-    const taskgraph::TaskGraph mutated = remove_dependency(iter.graph, u, v);
-    if (Reachability(mutated).reachable(u, v)) continue;
-    AccessLog log(mutated.num_tasks());
-    collect_serial(mutated, iter.body, log);
-    const RaceReport report = check_races(mutated, log);
-    bool pair_reported = false;
-    for (const Conflict& c : report.conflicts)
-      pair_reported |= c.first == std::min(u, v) && c.second == std::max(u, v);
-    EXPECT_TRUE(pair_reported)
-        << "dropping " << u << " -> " << v << " was not flagged on the "
-        << "renumbered mesh";
-    ++mutations;
-  }
-  EXPECT_GE(mutations, 6);
-}
-
-TEST(VerifySolver, RenumberedEulerBitwiseDeterministicUnderAdversarialSchedules) {
-  // The streaming range kernels under hostile schedules: renumbered
-  // serial reference vs renumbered task execution must agree bitwise.
-  mesh::Mesh m = mesh::make_graded_box_mesh(8, 6, 5, 1.25);
-  EulerSolver levels(m);
-  levels.initialize_uniform(1.0, {0.1, 0.05, 0.0}, 1.0);
-  levels.add_pulse({1.5, 1.0, 0.8}, 0.8, 0.25);
-  levels.assign_temporal_levels();
-  auto rd = renumber(m, partition::Strategy::mc_tl, 4);
-  const std::vector<part_t> d2p = partition::map_domains_to_processes(
-      4, 2, partition::DomainMapping::block);
-
-  EulerSolver serial(rd.mesh), tasked(rd.mesh);
-  for (EulerSolver* s : {&serial, &tasked}) {
-    s->initialize_uniform(1.0, {0.1, 0.05, 0.0}, 1.0);
-    s->add_pulse({1.5, 1.0, 0.8}, 0.8, 0.25);
-    s->assign_temporal_levels();
-  }
-  int k = 0;
-  for (const Schedule& sched : kSweep) {
-    serial.run_iteration();
-    const auto iter = tasked.make_iteration_tasks(rd.domain_of_cell, 4);
-    runtime::execute(iter.graph, d2p, adversarial_config(sched, 2), iter.body);
-    tasked.note_tasks_complete();
-    for (index_t c = 0; c < rd.mesh.num_cells(); ++c) {
-      const State a = serial.cell_state(c), b = tasked.cell_state(c);
-      for (int v = 0; v < solver::kNumVars; ++v)
-        ASSERT_EQ(a[static_cast<std::size_t>(v)],
-                  b[static_cast<std::size_t>(v)])
-            << "schedule " << k << " cell " << c << " var " << v;
-    }
-    ++k;
-  }
 }
 
 TEST(VerifySolver, CleanSweepAcrossMeshesAndStrategies) {

@@ -26,28 +26,6 @@ namespace {
 
 using namespace tamp;
 
-/// Parse one --rule spec: metric[:tolerance[:higher|lower[:rel|abs]]].
-obs::RegressionRule parse_rule(const std::string& spec) {
-  obs::RegressionRule rule;
-  std::istringstream in(spec);
-  std::string field;
-  TAMP_EXPECTS(std::getline(in, field, ':') && !field.empty(),
-               "empty --rule metric");
-  rule.metric = field;
-  if (std::getline(in, field, ':')) rule.tolerance = std::stod(field);
-  if (std::getline(in, field, ':')) {
-    TAMP_EXPECTS(field == "higher" || field == "lower",
-                 "--rule direction must be higher|lower");
-    rule.higher_is_worse = field == "higher";
-  }
-  if (std::getline(in, field, ':')) {
-    TAMP_EXPECTS(field == "rel" || field == "abs",
-                 "--rule mode must be rel|abs");
-    rule.absolute = field == "abs";
-  }
-  return rule;
-}
-
 std::string fmt_change(double change, bool absolute) {
   std::ostringstream os;
   if (absolute)
@@ -112,7 +90,7 @@ int main(int argc, char** argv) {
                                         cli.get_double("threshold-blame"));
     std::istringstream specs(rule_spec);
     for (std::string spec; std::getline(specs, spec, ';');)
-      if (!spec.empty()) rules.push_back(parse_rule(spec));
+      if (!spec.empty()) rules.push_back(obs::parse_regression_rule(spec));
 
     // --- diff table ---------------------------------------------------------
     if (!cli.get_flag("quiet")) {

@@ -25,7 +25,7 @@ cmake -S "${ROOT}" -B "${BUILD}" \
   "$@"
 cmake --build "${BUILD}" -j "$(nproc)" --target \
   test_obs test_runtime test_flight test_thread_pool test_partition \
-  test_partition_properties test_reorder test_verify test_verify_solver \
+  test_partition_properties test_verify test_verify_solver \
   test_simd test_pipeline_async test_layout flusim tamp_report
 
 # Run the binaries directly (deterministic, no ctest discovery pass);
@@ -35,7 +35,6 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 "${BUILD}/tests/test_runtime"
 "${BUILD}/tests/test_flight"
 "${BUILD}/tests/test_thread_pool"
-"${BUILD}/tests/test_reorder"
 "${BUILD}/tests/test_verify"
 "${BUILD}/tests/test_verify_solver"
 # The SIMD lane tiers under real threads: the equivalence suite runs its
@@ -58,12 +57,9 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 
 # The DAG-level race check itself, with the per-worker access buffers
 # exercised by real threads + jitter: TSan watches the recorder while the
-# checker proves the graph ordered every conflicting pair. Run both data
-# layouts — the locality pass covers the range-annotated streaming
-# kernels on the renumbered mesh.
+# checker proves the graph ordered every conflicting pair; the bodies
+# stream the solver's own layout and record run-built annotations.
 "${BUILD}/examples/flusim" --mesh nozzle --cells 4000 \
-  --verify-races --verify-schedules 2 --verify-delay-us 20
-"${BUILD}/examples/flusim" --mesh nozzle --cells 4000 --reorder locality \
   --verify-races --verify-schedules 2 --verify-delay-us 20
 
 # Overlapped pipeline + instrumented race verifier: the access recorder
