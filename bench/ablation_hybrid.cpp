@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   cli.option("domains", "64", "number of domains");
   cli.option("processes", "16", "MPI processes");
   cli.option("worker-counts", "2,8", "cores-per-process values to sweep");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse_or_exit(argc, argv)) return 0;
 
   bench::banner(
       "§VII — HYBRID dual-phase partitioning ablation",

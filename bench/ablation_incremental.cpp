@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   cli.option("workers", "4", "cores per process");
   cli.option("steps", "5", "drift steps");
   cli.option("drift", "0.08", "per-step boundary-cell drift probability");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse_or_exit(argc, argv)) return 0;
 
   bench::banner("incremental repartitioning under temporal-level drift",
                 "levels evolve slowly (§III-A); incremental updates should "

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   cli.option("domains", "64", "number of domains");
   cli.option("processes", "16", "MPI processes");
   cli.option("workers", "8", "cores per process");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse_or_exit(argc, argv)) return 0;
 
   bench::banner("§V — recursive bisection vs direct k-way",
                 "the paper picks RB for quality on these meshes; k-way "

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   cli.option("processes", "16", "MPI processes");
   cli.option("workers", "4", "cores per process");
   cli.option("headroom", "0.15", "repair load headroom per constraint");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse_or_exit(argc, argv)) return 0;
 
   bench::banner("§IX — post-processing repair of MC_TL fragmentation",
                 "multi-criteria partitions 'tend to create disconnected "

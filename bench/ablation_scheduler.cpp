@@ -11,7 +11,7 @@ int main(int argc, char** argv) {
   cli.option("domains", "64", "number of domains");
   cli.option("processes", "16", "MPI processes");
   cli.option("workers", "8", "cores per process");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse_or_exit(argc, argv)) return 0;
 
   bench::banner("§III-C — scheduling policy ablation on CYLINDER",
                 "policy choice moves makespan by a few percent; the "

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   cli.option("domains", "64", "number of domains");
   cli.option("processes", "16", "MPI processes");
   cli.option("workers", "8", "cores per process");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse_or_exit(argc, argv)) return 0;
 
   bench::banner("related work — Hilbert-SFC geometric baseline",
                 "geometric methods (Zoltan, Cartesian-CFD SFC) ignore "

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   cli.option("workers", "32", "cores per process");
   cli.option("domain-counts", "32,64,128,256,512",
              "comma-separated list of domain counts");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse_or_exit(argc, argv)) return 0;
 
   bench::banner("Fig 11 — strategy comparison vs number of domains",
                 "(a) MC_TL/SC_OC performance ratio decays toward 1 with "

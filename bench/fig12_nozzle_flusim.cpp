@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
   cli.option("domains", "12", "number of domains");
   cli.option("processes", "6", "MPI processes");
   cli.option("workers", "4", "cores per process");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse_or_exit(argc, argv)) return 0;
 
   bench::banner("Fig 12 — PPRIME_NOZZLE, 12 domains, 6 processes x 4 cores",
                 "MC_TL improves the nozzle iteration by ~20% in FLUSIM");

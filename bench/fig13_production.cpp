@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   cli.option("processes", "6", "MPI processes");
   cli.option("workers", "4", "cores per process");
   cli.option("comm-latency-us", "30", "per-message latency modelled, µs");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse_or_exit(argc, argv)) return 0;
 
   bench::banner(
       "Fig 13 — production run with real kernels + communication model",

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   cli.option("workers", "4", "workers per process");
   cli.option("spin-us", "20",
              "wall microseconds per cost unit in the runtime execution");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse_or_exit(argc, argv)) return 0;
 
   bench::banner("Fig 5 — FLUSIM vs real runtime execution",
                 "identical parametrisation: PPRIME_NOZZLE, 12 domains, 6 "

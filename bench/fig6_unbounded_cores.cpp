@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
       "(paper Fig 6)");
   bench::add_common_options(cli);
   cli.option("processes", "64", "MPI processes, one domain each");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse_or_exit(argc, argv)) return 0;
 
   bench::banner("Fig 6 — unbounded cores per process, 64 processes",
                 "64 MPI processes, 1 domain each, unlimited cores: the "

@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
       "(Fig 7) and MC_TL (Fig 10)");
   bench::add_common_options(cli);
   cli.option("processes", "16", "MPI processes (one domain each)");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse_or_exit(argc, argv)) return 0;
 
   bench::banner("Fig 7 / Fig 10 — CYLINDER domain census, 16 processes",
                 "SC_OC: balanced totals, wildly uneven level mix, "

@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
   cli.option("domains", "128", "number of domains");
   cli.option("processes", "16", "MPI processes");
   cli.option("workers", "32", "cores per process");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse_or_exit(argc, argv)) return 0;
 
   bench::banner("Fig 9 — 128 domains on 16 processes x 32 cores",
                 "acceleration factor ~2 on both CYLINDER and CUBE");

@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
   cli.option("iterations", "6", "pipeline iterations per configuration");
   cli.option("drift", "0.05", "per-iteration temporal-level drift");
   cli.option("reps", "3", "repetitions per configuration; best wall is kept");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse_or_exit(argc, argv)) return 0;
 
   bench::banner(
       "micro_overlap: solve(i) overlapped with prep(i+1) on the "

@@ -177,7 +177,7 @@ int main(int argc, char** argv) {
   cli.option("domains", "16", "domains for the on-the-fly decomposition");
   cli.option("strategy", "mc_tl", "partitioning strategy");
   cli.option("reps", "8", "timed repetitions; best rep is reported");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse_or_exit(argc, argv)) return 0;
 
   bench::banner("micro_solver: Euler kernel sweeps x SIMD lanes (1 thread)",
                 "§V task bodies; arXiv:1704.01144 locality sensitivity");

@@ -9,7 +9,7 @@ using namespace tamp;
 int main(int argc, char** argv) {
   CliParser cli("table1_meshes — reproduce paper Table I (test meshes)");
   bench::add_common_options(cli);
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse_or_exit(argc, argv)) return 0;
   const double scale = cli.get_double("scale");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   cli.option("processes", "16", "MPI processes");
   cli.option("workers", "8", "cores per process");
   cli.option("trials", "5", "independent partitioner seeds");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse_or_exit(argc, argv)) return 0;
 
   bench::banner("multi-seed robustness of the MC_TL speedup",
                 "the Fig 9 result repeated over independent partitioner "

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   cli.option("grid", "24", "cells per axis of the graded box");
   cli.option("iterations", "6", "solver iterations to run");
   cli.option("domains", "8", "domains for the task-based execution");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse_or_exit(argc, argv)) return 0;
 
   const auto n = static_cast<index_t>(cli.get_int("grid"));
   mesh::Mesh m = mesh::make_graded_box_mesh(n, n, n, 1.12);

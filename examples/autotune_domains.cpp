@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   cli.option("strategy", "mc_tl", "partitioning strategy");
   cli.option("comm-latency", "20", "modelled latency per message (work units)");
   cli.option("task-overhead", "2", "modelled runtime cost per task");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse_or_exit(argc, argv)) return 0;
 
   mesh::TestMeshSpec spec;
   spec.target_cells = static_cast<index_t>(cli.get_int("cells"));

@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
   cli.option("verify-delay-us", "0",
              "max per-task dequeue jitter for the adversarial schedules "
              "(microseconds)");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse_or_exit(argc, argv)) return 0;
 
   // Asking for a trace implies wanting the pipeline spans in it: arm the
   // session before any pipeline work runs.

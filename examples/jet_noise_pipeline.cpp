@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   cli.option("processes", "8", "MPI processes of the booking");
   cli.option("workers", "8", "cores per process");
   cli.option("domains-per-process", "4", "granularity knob");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse_or_exit(argc, argv)) return 0;
 
   mesh::TestMeshSpec spec;
   spec.target_cells = static_cast<index_t>(cli.get_int("cells"));

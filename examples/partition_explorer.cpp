@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   cli.option("tolerance", "0.05", "per-constraint balance tolerance");
   cli.option("seed", "1", "partitioner seed");
   cli.flag("save-partition", "write <mesh>_partition.csv with cell→domain");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse_or_exit(argc, argv)) return 0;
 
   // Accept either a generator name or a mesh file produced by save_mesh().
   mesh::Mesh m = [&] {

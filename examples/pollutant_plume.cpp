@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   cli.option("domains", "8", "domains for task execution");
   cli.option("wind", "1.0", "wind speed along +x");
   cli.option("diffusivity", "0.05", "turbulent diffusivity");
-  if (!cli.parse(argc, argv)) return 0;
+  if (!cli.parse_or_exit(argc, argv)) return 0;
 
   const auto n = static_cast<index_t>(cli.get_int("grid"));
   mesh::Mesh m = mesh::make_graded_box_mesh(n, n, n, 1.12);

@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -229,8 +231,26 @@ std::uint64_t snapshot_fingerprint(const IterationSnapshot& s) {
   return h;
 }
 
+std::uint64_t class_delta_seal(const IterationSnapshot& s) {
+  std::uint64_t h = kFnv1aOffset;
+  const taskgraph::ClassMoves& moves = s.class_delta.moves;
+  for (const taskgraph::ClassIdLists* l :
+       {&moves.cells_left, &moves.cells_joined, &moves.faces_left,
+        &moves.faces_joined}) {
+    fnv1a_words(h, l->xadj.data(), l->xadj.size());
+    fnv1a_words(h, l->ids.data(), l->ids.size());
+  }
+  return h;
+}
+
+void seal_snapshot(IterationSnapshot& s) {
+  s.fingerprint = snapshot_fingerprint(s);
+  s.class_delta_seal = class_delta_seal(s);
+}
+
 void verify_snapshot(const IterationSnapshot& s, const char* where) {
-  if (snapshot_fingerprint(s) != s.fingerprint)
+  if (snapshot_fingerprint(s) != s.fingerprint ||
+      class_delta_seal(s) != s.class_delta_seal)
     throw invariant_error("pipeline snapshot " +
                           std::to_string(s.iteration) +
                           " was mutated after publication (detected at " +
@@ -242,8 +262,17 @@ void verify_snapshot(const IterationSnapshot& s, const char* where) {
 /// only mesh prep ever mutates — the live mesh belongs to the solve
 /// stage) and what prep keeps up to date with it. Owned by the prep
 /// stream: the depth-1 handoff guarantees two preps never overlap.
+///
+/// One set of changed cells runs through every stage: the evolver's
+/// changed cells refresh the strategy graph's weights, and with the
+/// repartition's migrated cells they update the census and patch the
+/// task graph, whose class moves then travel in the snapshot to the
+/// solver's bind. No stage rescans the mesh for what changed.
 struct PrepContext {
   mesh::Mesh planning;
+  /// The planning mesh's drift, stepped around the cells that change;
+  /// made by the first prep after snapshot 0.
+  std::optional<mesh::LevelEvolver> evolver;
   /// The repartitioner's graph of the planning mesh, built at the first
   /// drift and refreshed in place after (only changed cells' weights).
   partition::StrategyGraph strategy_graph;
@@ -251,17 +280,23 @@ struct PrepContext {
   std::unique_ptr<taskgraph::GraphPatcher> patcher = nullptr;
 };
 
-/// Shared tail of the taskgraph stage: produce (graph, classes, patch
-/// provenance) for a snapshot, either from scratch or via the patcher.
+/// Shared tail of the taskgraph stage: produce (graph, classes, class
+/// delta, patch provenance) for a snapshot, either from scratch or via
+/// the patcher, which is handed the cells whose level (`changed`) or
+/// domain (`migrated`) differ from `prev`'s (null for snapshot 0).
 void build_snapshot_graph(PrepContext& ctx,
                           const IterationPipelineConfig& config,
+                          const IterationSnapshot* prev,
+                          std::span<const index_t> changed,
+                          std::span<const index_t> migrated,
                           IterationSnapshot& snap,
                           PipelineIterationStats& stats) {
-  auto classes = std::make_shared<taskgraph::ClassMap>();
   if (config.patch == PatchPolicy::off) {
+    auto classes = std::make_shared<taskgraph::ClassMap>();
     snap.graph = taskgraph::generate_task_graph(
         ctx.planning, snap.decomposition.domain_of_cell, config.ndomains, {},
         classes.get());
+    snap.classes = std::move(classes);
   } else {
     if (ctx.patcher == nullptr) {
       taskgraph::GraphPatcher::Options popts;
@@ -271,18 +306,28 @@ void build_snapshot_graph(PrepContext& ctx,
           ctx.planning, snap.decomposition.domain_of_cell, config.ndomains,
           popts);
     } else {
-      ctx.patcher->apply(ctx.planning, snap.decomposition.domain_of_cell);
+      ctx.patcher->apply(ctx.planning, snap.decomposition.domain_of_cell,
+                         changed, migrated);
     }
     // Copying the patcher's graph/ClassMap is memcpy-speed — far cheaper
     // than the classification + sort a rebuild would redo — and keeps
     // the published snapshot immutable while the patcher keeps evolving.
+    // A patch that moved nothing left the previous snapshot's lists as
+    // they were: share that map instead.
     snap.graph = ctx.patcher->graph();
-    *classes = ctx.patcher->classes();
     snap.patch = ctx.patcher->last_stats();
+    const taskgraph::ClassMoves& moves = ctx.patcher->last_moves();
+    if (prev != nullptr && snap.patch.patched && moves.empty()) {
+      snap.classes = prev->classes;
+    } else {
+      snap.classes =
+          std::make_shared<taskgraph::ClassMap>(ctx.patcher->classes());
+      if (prev != nullptr && snap.patch.patched)
+        snap.class_delta = {prev->classes, moves};
+    }
     snap.dirty_tasks = ctx.patcher->dirty_tasks();
     stats.graph_patched = snap.patch.patched;
   }
-  snap.classes = std::move(classes);
   snap.domain_to_process = partition::map_domains_to_processes(
       config.ndomains, config.nprocesses, config.mapping);
   snap.prepared = runtime::prepare_execution(snap.graph,
@@ -312,10 +357,12 @@ std::shared_ptr<const IterationSnapshot> prep_snapshot(
     // depends on how many Rng draws earlier iterations made.
     Rng rng(mix_seed(config.seed, 0x9E3779B97F4A7C15ULL,
                      static_cast<std::uint64_t>(iter)));
-    snap->evolve = mesh::evolve_levels(ctx.planning, config.drift, rng);
+    if (!ctx.evolver) ctx.evolver.emplace(ctx.planning);
+    snap->evolve = ctx.evolver->step(ctx.planning, config.drift, rng);
     snap->levels = ctx.planning.cell_levels();
   }
   stats.cells_changed = snap->evolve.cells_changed;
+  const std::vector<index_t>& changed = ctx.evolver->changed();
 
   if (cancel.load(std::memory_order_acquire)) return nullptr;
   maybe_fault(config.fault, PipelineFault::Stage::repartition, iter);
@@ -337,37 +384,38 @@ std::shared_ptr<const IterationSnapshot> prep_snapshot(
     stats.migrated_cells = 0;
   } else {
     TAMP_TRACE_SCOPE("pipeline/repartition");
-    const graph::Csr& g = ctx.strategy_graph.refresh(ctx.planning);
-    std::vector<part_t> part = prev.decomposition.domain_of_cell;
+    const graph::Csr& g = ctx.strategy_graph.refresh(ctx.planning, changed);
+    snap->decomposition = prev.decomposition;
     partition::IncrementalOptions iopts;
     iopts.tolerance = config.partition_tolerance;
     iopts.seed = mix_seed(config.seed, 0xDA942042E4DD58B5ULL,
                           static_cast<std::uint64_t>(iter));
     iopts.dirty_vertices = snap->evolve.cells_changed;
     snap->repartition = partition::incremental_repartition(
-        g, part, config.ndomains, iopts);
+        g, snap->decomposition.domain_of_cell, config.ndomains, iopts);
+    const std::vector<index_t>& migrated = snap->repartition.migrated;
     // Migration census: per-domain counts of cells that left their old
-    // domain, against the old population — the worst per-domain fraction
-    // is what a distributed run would actually ship from one node.
-    const auto nd = static_cast<std::size_t>(config.ndomains);
-    std::vector<index_t> moved(nd, 0);
-    std::vector<index_t> total(nd, 0);
-    const std::vector<part_t>& old = prev.decomposition.domain_of_cell;
-    for (std::size_t c = 0; c < part.size(); ++c) {
-      const auto od = static_cast<std::size_t>(old[c]);
-      ++total[od];
-      if (part[c] != old[c]) ++moved[od];
+    // domain, against the old population (the previous census) — the
+    // worst per-domain fraction is what a distributed run would actually
+    // ship from one node.
+    const partition::DomainDecomposition& old = prev.decomposition;
+    std::vector<index_t> moved(static_cast<std::size_t>(config.ndomains), 0);
+    for (const index_t c : migrated)
+      ++moved[static_cast<std::size_t>(
+          old.domain_of_cell[static_cast<std::size_t>(c)])];
+    for (part_t d = 0; d < config.ndomains; ++d) {
+      index_t total = 0;
+      for (level_t tau = 0; tau < old.num_levels; ++tau)
+        total += old.cells_in(d, tau);
+      if (total > 0)
+        stats.max_domain_migration = std::max(
+            stats.max_domain_migration,
+            static_cast<double>(moved[static_cast<std::size_t>(d)]) /
+                static_cast<double>(total));
     }
-    for (std::size_t d = 0; d < nd; ++d)
-      if (total[d] > 0)
-        stats.max_domain_migration =
-            std::max(stats.max_domain_migration,
-                     static_cast<double>(moved[d]) /
-                         static_cast<double>(total[d]));
     stats.migrated_cells = snap->repartition.migrated_vertices;
-    snap->decomposition.domain_of_cell = std::move(part);
-    snap->decomposition.ndomains = config.ndomains;
-    partition::update_census(ctx.planning, snap->decomposition);
+    partition::update_census(ctx.planning, snap->decomposition, prev.levels,
+                             old.domain_of_cell, changed, migrated);
   }
   stats.balanced = snap->repartition.balanced;
 
@@ -375,9 +423,10 @@ std::shared_ptr<const IterationSnapshot> prep_snapshot(
   maybe_fault(config.fault, PipelineFault::Stage::taskgraph, iter);
   {
     TAMP_TRACE_SCOPE("pipeline/taskgraph");
-    build_snapshot_graph(ctx, config, *snap, stats);
+    build_snapshot_graph(ctx, config, &prev, changed,
+                         snap->repartition.migrated, *snap, stats);
   }
-  snap->fingerprint = snapshot_fingerprint(*snap);
+  seal_snapshot(*snap);
   stats.prep_end = clock.seconds();
   return snap;
 }
@@ -413,9 +462,9 @@ std::shared_ptr<const IterationSnapshot> initial_snapshot(
   maybe_fault(config.fault, PipelineFault::Stage::taskgraph, 0);
   {
     TAMP_TRACE_SCOPE("pipeline/taskgraph");
-    build_snapshot_graph(ctx, config, *snap, stats);
+    build_snapshot_graph(ctx, config, nullptr, {}, {}, *snap, stats);
   }
-  snap->fingerprint = snapshot_fingerprint(*snap);
+  seal_snapshot(*snap);
   stats.prep_end = clock.seconds();
   return snap;
 }
@@ -456,7 +505,7 @@ PipelineRunReport run_iteration_pipeline(mesh::Mesh& live_mesh,
 
   // Prep owns a private planning mesh; the live mesh is only touched at
   // iteration boundaries on this (the driver) thread.
-  PrepContext ctx{live_mesh,
+  PrepContext ctx{live_mesh, std::nullopt,
                   partition::StrategyGraph(
                       config.strategy == partition::Strategy::hybrid
                           ? partition::Strategy::mc_tl
@@ -585,8 +634,8 @@ SolverHooks solver_pipeline_hooks(
   SolverHooks hooks;
   hooks.make_body = [&solver, wrap = std::move(wrap_body)](
                         const IterationSnapshot& snap) {
-    runtime::TaskBody body = solver.make_iteration_body(snap.graph,
-                                                        snap.classes);
+    runtime::TaskBody body = solver.make_iteration_body(
+        snap.graph, snap.classes, &snap.class_delta);
     return wrap ? wrap(std::move(body), snap) : body;
   };
   hooks.note_complete = [&solver] { solver.note_tasks_complete(); };

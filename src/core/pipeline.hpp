@@ -140,15 +140,22 @@ PipelineFault pipeline_fault_from_env();
 
 /// Everything iteration i's solve needs, frozen by the prep stage —
 /// published once, then immutable. The fingerprint seals levels,
-/// domain assignment and graph shape at publish time; every consumer
-/// re-verifies it, so a leaked mutable reference that changes any of
-/// them is caught at the next stage boundary (invariant_error).
+/// domain assignment and graph shape at publish time, and a second seal
+/// the class moves; every consumer re-verifies both, so a leaked mutable
+/// reference that changes any of them is caught at the next stage
+/// boundary (invariant_error).
 struct IterationSnapshot {
   int iteration = 0;
   std::vector<level_t> levels;  ///< temporal levels this iteration runs at
   partition::DomainDecomposition decomposition;
   taskgraph::TaskGraph graph;
+  /// The previous snapshot's map itself when the patch was a no-op.
   std::shared_ptr<const taskgraph::ClassMap> classes;
+  /// The patcher's class moves from the previous snapshot's map to
+  /// `classes` (base empty when the graph was generated or rebuilt from
+  /// scratch): what lets the solver's bind re-cut only the lists they
+  /// touch. Sealed by class_delta_seal.
+  taskgraph::ClassDelta class_delta;
   std::vector<part_t> domain_to_process;
   runtime::PreparedGraph prepared;  ///< launch bookkeeping, pre-derived
   /// Prep provenance (zero for snapshot 0, which evolves nothing).
@@ -162,6 +169,9 @@ struct IterationSnapshot {
   /// re-certifies on patched graphs (verify::check_races_region).
   std::vector<char> dirty_tasks;
   std::uint64_t fingerprint = 0;  ///< seal over levels/assignment/graph
+  /// Seal over class_delta's moves, apart from `fingerprint` so that
+  /// every patch policy publishes the same fingerprint; verified with it.
+  std::uint64_t class_delta_seal = 0;
 };
 
 struct IterationPipelineConfig {
@@ -218,9 +228,9 @@ struct PipelineRunReport {
 
 /// How the pipeline drives a solver, expressed as hooks so Euler and
 /// transport (and tests' instrumented wrappers) share one driver:
-/// make_body binds a snapshot's pre-built (graph, classes) to the
-/// solver — called on the driver thread *after* the snapshot's levels
-/// were applied to the live mesh; note_complete advances the solver
+/// make_body binds a snapshot's pre-built (graph, classes, class delta)
+/// to the solver — called on the driver thread *after* the snapshot's
+/// levels were applied to the live mesh; note_complete advances the solver
 /// clock; observer (optional) runs after each iteration's solve with the
 /// consumed snapshot and the runtime report.
 struct SolverHooks {

@@ -10,13 +10,35 @@ namespace tamp::mesh {
 void Mesh::set_cell_levels(std::vector<level_t> levels) {
   TAMP_EXPECTS(levels.size() == static_cast<std::size_t>(num_cells_),
                "level vector size must equal cell count");
+  level_population_.fill(0);
   level_t max_level = 0;
   for (const level_t l : levels) {
     TAMP_EXPECTS(l >= 0, "temporal levels must be non-negative");
+    ++level_population_[static_cast<std::size_t>(l)];
     max_level = std::max(max_level, l);
   }
   cell_level_ = std::move(levels);
   max_level_ = max_level;
+}
+
+void Mesh::set_cell_levels(std::span<const index_t> cells,
+                           std::span<const level_t> levels) {
+  TAMP_EXPECTS(cells.size() == levels.size(),
+               "one level per listed cell expected");
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const index_t c = cells[i];
+    const level_t l = levels[i];
+    TAMP_EXPECTS(c >= 0 && c < num_cells_, "cell id out of range");
+    TAMP_EXPECTS(l >= 0, "temporal levels must be non-negative");
+    level_t& mine = cell_level_[static_cast<std::size_t>(c)];
+    --level_population_[static_cast<std::size_t>(mine)];
+    ++level_population_[static_cast<std::size_t>(l)];
+    mine = l;
+    max_level_ = std::max(max_level_, l);
+  }
+  while (max_level_ > 0 &&
+         level_population_[static_cast<std::size_t>(max_level_)] == 0)
+    --max_level_;
 }
 
 graph::Csr Mesh::dual_graph(int ncon) const {
@@ -105,6 +127,7 @@ Mesh MeshBuilder::build() {
   m.cell_centroid_ = std::move(cell_centroid_);
   m.cell_level_.assign(static_cast<std::size_t>(num_cells_), 0);
   m.max_level_ = 0;
+  m.level_population_[0] = num_cells_;
 
   const auto nfaces = static_cast<index_t>(m.face_area_.size());
   m.num_interior_ = 0;

@@ -8,6 +8,7 @@
 // the finer neighbour's rate (paper Fig 4's "active faces").
 #pragma once
 
+#include <array>
 #include <span>
 #include <vector>
 
@@ -94,6 +95,11 @@ public:
 
   /// Replace the temporal level annotation. Values must be in [0, 127].
   void set_cell_levels(std::vector<level_t> levels);
+  /// Give cell cells[i] the level levels[i], for each i, and keep
+  /// max_level() exact without visiting the other cells: the O(changed)
+  /// form of set_cell_levels for a few changed cells.
+  void set_cell_levels(std::span<const index_t> cells,
+                       std::span<const level_t> levels);
 
   // --- derived structures ---------------------------------------------------
 
@@ -118,6 +124,9 @@ private:
   std::vector<Vec3> cell_centroid_;
   std::vector<level_t> cell_level_;
   level_t max_level_ = 0;
+  /// Cells per temporal level (level_t holds at most 128 non-negative
+  /// values): keeps max_level_ exact under the per-cell update.
+  std::array<index_t, 128> level_population_{};
   std::vector<eindex_t> cell_face_xadj_;
   std::vector<index_t> cell_face_;
 };

@@ -191,7 +191,8 @@ IncrementalReport incremental_repartition(const graph::Csr& g,
   for (std::size_t i = 0; i < moves.size(); ++i)
     if ((i == 0 || moves[i - 1].vertex != moves[i].vertex) &&
         part[static_cast<std::size_t>(moves[i].vertex)] != moves[i].from)
-      ++report.migrated_vertices;
+      report.migrated.push_back(moves[i].vertex);
+  report.migrated_vertices = static_cast<index_t>(report.migrated.size());
   report.imbalance_after = max_imbalance(loads, nparts, nc);
   report.balanced = within_allowances(loads, allowed);
   obs::counter("partition.incremental.migrated_vertices")

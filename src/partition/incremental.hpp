@@ -31,6 +31,9 @@ struct IncrementalOptions {
 
 struct IncrementalReport {
   index_t migrated_vertices = 0;  ///< vertices whose part changed
+  /// Those vertices, ascending: the net migration the stages after a
+  /// repartition update from (moves that came back are not in it).
+  std::vector<index_t> migrated;
   weight_t cut_before = 0;
   weight_t cut_after = 0;
   double imbalance_before = 0;    ///< worst constraint, on the new weights

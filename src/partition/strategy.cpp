@@ -225,11 +225,77 @@ const graph::Csr& StrategyGraph::refresh(const mesh::Mesh& mesh) {
   return graph_;
 }
 
+const graph::Csr& StrategyGraph::refresh(const mesh::Mesh& mesh,
+                                         std::span<const index_t> changed) {
+  if (mesh.max_level() != max_level_ ||
+      mesh.cell_levels().size() != levels_.size())
+    return refresh(mesh);
+  for (const index_t c : changed) {
+    const level_t level = mesh.cell_level(c);
+    write_weights(strategy_, level, max_level_,
+                  graph_.mutable_vertex_weights(c));
+    levels_[static_cast<std::size_t>(c)] = level;
+  }
+  return graph_;
+}
+
 void update_census(const mesh::Mesh& mesh, DomainDecomposition& dd) {
   TAMP_EXPECTS(dd.domain_of_cell.size() ==
                    static_cast<std::size_t>(mesh.num_cells()),
                "decomposition does not match mesh");
   fill_census(mesh, dd);
+}
+
+void update_census(const mesh::Mesh& mesh, DomainDecomposition& dd,
+                   const std::vector<level_t>& old_levels,
+                   const std::vector<part_t>& old_domains,
+                   std::span<const index_t> changed,
+                   std::span<const index_t> migrated) {
+  const auto n = static_cast<std::size_t>(mesh.num_cells());
+  TAMP_EXPECTS(dd.domain_of_cell.size() == n && old_levels.size() == n &&
+                   old_domains.size() == n,
+               "decomposition does not match mesh");
+  if (dd.num_levels != mesh.max_level() + 1 ||
+      dd.cells_by_level.size() != static_cast<std::size_t>(dd.ndomains) *
+                                      static_cast<std::size_t>(dd.num_levels)) {
+    fill_census(mesh, dd);
+    return;
+  }
+  const auto slot = [&dd](part_t d, level_t tau) {
+    return static_cast<std::size_t>(d) * dd.num_levels +
+           static_cast<std::size_t>(tau);
+  };
+  // Each cell of changed ∪ migrated leaves its old (domain, level) slot
+  // for its new one, once.
+  const auto move_cell = [&](index_t c) {
+    const auto sc = static_cast<std::size_t>(c);
+    --dd.cells_by_level[slot(old_domains[sc], old_levels[sc])];
+    ++dd.cells_by_level[slot(dd.domain_of_cell[sc], mesh.cell_level(c))];
+  };
+  std::size_t i = 0, j = 0;
+  while (i < changed.size() || j < migrated.size()) {
+    if (j == migrated.size() ||
+        (i < changed.size() && changed[i] < migrated[j])) {
+      move_cell(changed[i++]);
+    } else {
+      if (i < changed.size() && changed[i] == migrated[j]) ++i;
+      move_cell(migrated[j++]);
+    }
+  }
+  // Only a face of a migrated cell can change sides of the cut; a face
+  // between two migrated cells is counted from its lower one.
+  const auto was_migrated = [&](index_t c) {
+    return std::binary_search(migrated.begin(), migrated.end(), c);
+  };
+  for (const index_t c : migrated)
+    for (const index_t f : mesh.cell_faces(c)) {
+      const index_t o = mesh.face_other_cell(f, c);
+      if (o == invalid_index || (o < c && was_migrated(o))) continue;
+      const auto sc = static_cast<std::size_t>(c);
+      const auto so = static_cast<std::size_t>(o);
+      dd.edge_cut += (dd.domain_of_cell[sc] != dd.domain_of_cell[so] ? 1 : 0) -
+                     (old_domains[sc] != old_domains[so] ? 1 : 0);
+    }
 }
 
 DomainDecomposition decompose(const mesh::Mesh& mesh,

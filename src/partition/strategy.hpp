@@ -13,6 +13,7 @@
 //              little balance for less inter-process communication.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -81,9 +82,10 @@ graph::Csr build_strategy_graph(const mesh::Mesh& mesh, Strategy strategy);
 
 /// One strategy graph kept across the temporal-level changes of a mesh
 /// whose cells and faces stay the same, as the iteration pipeline
-/// repartitions it. refresh() compares the mesh's levels with the levels
-/// the graph is weighted for and rewrites in place only the weight rows
-/// of the cells that differ, through build_strategy_graph's weight rule.
+/// repartitions it. refresh() rewrites in place only the weight rows of
+/// the cells whose level differs from the levels the graph is weighted
+/// for, through build_strategy_graph's weight rule: the whole-mesh form
+/// finds them by comparing every level, the list form is handed them.
 /// When the maximum level changed it rebuilds instead: MC_TL's constraint
 /// count and every SC_OC weight depend on it. After each refresh the
 /// graph equals build_strategy_graph(mesh, strategy).
@@ -93,6 +95,11 @@ public:
 
   /// Bring the graph to `mesh`'s levels (the first call builds it).
   const graph::Csr& refresh(const mesh::Mesh& mesh);
+  /// The same, when only the cells in `changed` can differ from the
+  /// levels of the previous refresh (mesh::LevelEvolver::changed()):
+  /// O(changed) unless it builds or rebuilds.
+  const graph::Csr& refresh(const mesh::Mesh& mesh,
+                            std::span<const index_t> changed);
 
 private:
   Strategy strategy_;
@@ -109,6 +116,18 @@ DomainDecomposition decompose(const mesh::Mesh& mesh,
 /// edited externally (e.g. by repair_fragments or incremental
 /// repartitioning).
 void update_census(const mesh::Mesh& mesh, DomainDecomposition& dd);
+
+/// The same from the cells that changed: `dd` holds the census and cut
+/// of (`old_levels`, `old_domains`), its domain_of_cell is already the
+/// new assignment, and only the cells in `changed` (new level) and
+/// `migrated` (new domain), both ascending, differ from the old. O(changed
+/// + faces of migrated); when the number of levels changed it recounts
+/// with update_census instead.
+void update_census(const mesh::Mesh& mesh, DomainDecomposition& dd,
+                   const std::vector<level_t>& old_levels,
+                   const std::vector<part_t>& old_domains,
+                   std::span<const index_t> changed,
+                   std::span<const index_t> migrated);
 
 /// Map domain ids to process ids.
 std::vector<part_t> map_domains_to_processes(part_t ndomains,

@@ -29,7 +29,12 @@
 // class lists into runs under the current layout and relays the data out
 // when those runs exceed a fresh layout's by more than one per
 // kObjectsPerExtraRun objects — the construction-time mesh order falls
-// under the same rule at the first bind.
+// under the same rule at the first bind. A bind of the map already bound
+// reuses its runs; a bind handed the class moves from the bound map
+// (taskgraph::ClassDelta, as the iteration pipeline's patched snapshots
+// carry) re-cuts only the lists they touch (update_class_runs); any
+// other bind walks every list (build_class_runs). Both give the same
+// runs, so the relayouts fall on the same binds.
 #pragma once
 
 #include <cstdint>
@@ -60,6 +65,9 @@ inline constexpr std::int64_t kObjectsPerExtraRun = 8;
 /// The kernel layout as of the last bind.
 struct LayoutStats {
   std::uint64_t relayouts = 0;  ///< relayouts since construction
+  /// Binds since construction whose runs came from class moves
+  /// (update_class_runs) rather than a walk of every list.
+  std::uint64_t derived_binds = 0;
   std::size_t runs = 0;         ///< runs the bound class map streams as
   std::size_t fresh_runs = 0;   ///< runs a layout built from it would give
   index_t objects = 0;          ///< cells + faces
@@ -124,10 +132,14 @@ public:
   /// kernel-id runs through the kernel table. The bind may relay the
   /// kernel data out (see the file comment); a body is valid until the
   /// next relayout, and one run after it throws precondition_error — so
-  /// run each body before binding the next.
+  /// run each body before binding the next. When `delta` holds the moves
+  /// from the map bound last to `*classes`, the bind costs O(runs +
+  /// moves) instead of O(objects); a delta from any other map is
+  /// ignored.
   runtime::TaskBody make_iteration_body(
       const taskgraph::TaskGraph& graph,
-      std::shared_ptr<const taskgraph::ClassMap> classes);
+      std::shared_ptr<const taskgraph::ClassMap> classes,
+      const taskgraph::ClassDelta* delta = nullptr);
 
   /// Advance the solver clock after an externally-executed iteration's
   /// tasks all ran.
@@ -138,6 +150,14 @@ public:
   [[nodiscard]] simd::Level simd_level() const { return simd_level_; }
 
   [[nodiscard]] const LayoutStats& layout_stats() const { return stats_; }
+
+  /// The kernel layout (old = mesh id, new = kernel id) and the bound
+  /// map's runs under it (null before the first bind): what a check of
+  /// a bind against build_class_runs compares.
+  [[nodiscard]] const MeshPermutation& kernel_layout() const {
+    return layout_;
+  }
+  [[nodiscard]] const ClassRuns* bound_runs() const { return runs_.get(); }
 
 protected:
   /// Binds to `mesh` (whose temporal levels assign_temporal_levels()
@@ -181,10 +201,12 @@ private:
 
   /// Point ctx_'s arrays at the kernel data.
   void point_kernel_ctx();
-  /// Cut the class lists into runs under the current layout, relaying
-  /// the data out first when the rule says so; reuses the previous
-  /// bind's runs when the lists equal its lists.
-  void bind_layout(std::shared_ptr<const taskgraph::ClassMap> classes);
+  /// Cut the class lists into runs under the current layout — from
+  /// `delta` when it applies to the bound map — relaying the data out
+  /// when the rule says so; reuses the previous bind's runs when
+  /// `classes` is the bound map itself.
+  void bind_layout(std::shared_ptr<const taskgraph::ClassMap> classes,
+                   const taskgraph::ClassDelta* delta);
   /// Move the kernel data into class_layout(classes) order; returns the
   /// map's runs under it.
   ClassRuns relayout(const taskgraph::ClassMap& classes);

@@ -144,15 +144,15 @@ ClassRuns FvDriver<Physics>::relayout(const taskgraph::ClassMap& classes) {
 
 template <class Physics>
 void FvDriver<Physics>::bind_layout(
-    std::shared_ptr<const taskgraph::ClassMap> classes) {
-  const bool same_lists =
-      bound_classes_ != nullptr &&
-      (bound_classes_ == classes ||
-       (bound_classes_->class_cells == classes->class_cells &&
-        bound_classes_->class_faces == classes->class_faces));
-  if (!same_lists) {
+    std::shared_ptr<const taskgraph::ClassMap> classes,
+    const taskgraph::ClassDelta* delta) {
+  if (classes != bound_classes_) {
+    const bool derive = delta != nullptr && runs_ != nullptr &&
+                        delta->applies_to(bound_classes_);
     auto runs = std::make_shared<ClassRuns>(
-        build_class_runs(mesh_, *classes, layout_));
+        derive ? update_class_runs(mesh_, *runs_, delta->moves, layout_)
+               : build_class_runs(mesh_, *classes, layout_));
+    if (derive) ++stats_.derived_binds;
     const index_t objects = mesh_.num_cells() + mesh_.num_faces();
     const auto extra = static_cast<std::int64_t>(runs->runs.size()) -
                        static_cast<std::int64_t>(runs->fresh_runs());
@@ -170,13 +170,14 @@ void FvDriver<Physics>::bind_layout(
 template <class Physics>
 runtime::TaskBody FvDriver<Physics>::make_iteration_body(
     const taskgraph::TaskGraph& graph,
-    std::shared_ptr<const taskgraph::ClassMap> classes) {
+    std::shared_ptr<const taskgraph::ClassMap> classes,
+    const taskgraph::ClassDelta* delta) {
   TAMP_EXPECTS(dt0_ > 0, "call assign_temporal_levels() first");
   TAMP_EXPECTS(classes != nullptr, "iteration body needs a class map");
   TAMP_EXPECTS(classes->task_class.size() ==
                    static_cast<std::size_t>(graph.num_tasks()),
                "class map does not match the graph");
-  bind_layout(classes);
+  bind_layout(classes, delta);
 
   // Per-task execution plan, self-contained so the body outlives both the
   // caller's structs and the graph: the task's slice of the run list.

@@ -230,6 +230,185 @@ ClassRuns build_class_runs(const mesh::Mesh& mesh,
   return out;
 }
 
+namespace {
+
+/// First position p in [lo, hi) with ids[p] > x, where ids is ascending
+/// over [lo, hi): galloping from lo, so O(log(p − lo)) probes, all near
+/// lo when p is.
+index_t gallop_past(const index_t* ids, index_t lo, index_t hi, index_t x) {
+  if (lo >= hi || ids[lo] > x) return lo;
+  index_t below = lo;  // ids[below] <= x
+  index_t step = 1;
+  while (below + step < hi && ids[below + step] <= x) {
+    below += step;
+    step *= 2;
+  }
+  const index_t top = std::min(below + step, hi);
+  return static_cast<index_t>(std::upper_bound(ids + below + 1, ids + top, x) -
+                              ids);
+}
+
+/// Re-cut the runs [begin, end) of `before` — one list's, whose last
+/// objects are `last_of` — for the ids that `left` the list and the ids that
+/// `joined` it (each ascending), at kernel ids `left_k` and `joined_k`,
+/// appending to `out`.
+void recut_list(const ClassRuns& before, const std::vector<index_t>& last_of,
+                std::size_t begin, std::size_t end,
+                std::span<const index_t> left, std::span<const index_t> left_k,
+                std::span<const index_t> joined,
+                std::span<const index_t> joined_k,
+                const std::vector<index_t>& new_to_old, ClassRuns& out) {
+  const std::size_t first = out.runs.size();
+  // Append run [b, e), whose last object is `last`, joining it to the
+  // list's previous run when their kernel ids meet.
+  const auto emit = [&](index_t b, index_t e, index_t last) {
+    if (b == e) return;
+    if (out.runs.size() > first && out.runs.back().end == b) {
+      out.runs.back().end = e;
+      out.last.back() = last;
+    } else {
+      out.runs.push_back({b, e});
+      out.last.push_back(last);
+    }
+  };
+  const auto mesh_id = [&new_to_old](index_t k) {
+    return new_to_old[static_cast<std::size_t>(k)];
+  };
+  std::size_t l = 0, j = 0;
+  for (std::size_t i = begin; i < end; ++i) {
+    const IdRange r = before.runs[i];
+    const index_t last = last_of[i];
+    index_t pos = r.begin;  // first kernel id of the run not yet emitted
+    for (;;) {
+      const bool leaves = l < left.size() && left[l] <= last;
+      const bool joins = j < joined.size() && joined[j] <= last;
+      if (!leaves && !joins) break;
+      // The next event is likely a little further along the run: fetch
+      // that stretch of the mesh ids while this one is handled.
+      __builtin_prefetch(new_to_old.data() + std::min(pos + 24, r.end - 1));
+      if (leaves && (!joins || left[l] < joined[j])) {
+        const index_t k = left_k[l++];
+        TAMP_EXPECTS(k >= pos && k < r.end,
+                     "class moves do not match the runs they update");
+        if (k > pos) emit(pos, k, mesh_id(k - 1));
+        pos = k + 1;
+      } else {
+        // The run's mesh ids ascend and the joins walk it forward, so the
+        // search gallops from where the last one ended.
+        const index_t split =
+            gallop_past(new_to_old.data(), pos, r.end, joined[j]);
+        if (split > pos) emit(pos, split, mesh_id(split - 1));
+        emit(joined_k[j], joined_k[j] + 1, joined[j]);
+        ++j;
+        pos = split;
+      }
+    }
+    emit(pos, r.end, last);
+  }
+  TAMP_EXPECTS(l == left.size(),
+               "class moves do not match the runs they update");
+  for (; j < joined.size(); ++j) emit(joined_k[j], joined_k[j] + 1, joined[j]);
+}
+
+}  // namespace
+
+ClassRuns update_class_runs(const mesh::Mesh& mesh, const ClassRuns& before,
+                            const taskgraph::ClassMoves& moves,
+                            const MeshPermutation& layout) {
+  TAMP_EXPECTS(!before.offset.empty() && before.offset.size() % 3 == 1 &&
+                   (before.last.empty() ||
+                    before.last.size() == before.runs.size()),
+               "malformed class runs");
+  const std::size_t nclasses = before.offset.size() / 3;
+  // Runs cut from scratch carry no last ids: read them off the layout,
+  // once (a derived bind's runs carry them on).
+  std::vector<index_t> read_last;
+  if (before.last.empty()) {
+    read_last.resize(before.runs.size());
+    for (std::size_t i = 0; i + 1 < before.offset.size(); ++i) {
+      const std::vector<index_t>& new_to_old =
+          i % 3 == 0 ? layout.cell_new_to_old : layout.face_new_to_old;
+      for (std::size_t r = before.offset[i]; r < before.offset[i + 1]; ++r)
+        read_last[r] = new_to_old[static_cast<std::size_t>(
+            before.runs[r].end - 1)];
+    }
+  }
+  const std::vector<index_t>& last_of =
+      before.last.empty() ? read_last : before.last;
+  for (const taskgraph::ClassIdLists* l :
+       {&moves.cells_left, &moves.cells_joined, &moves.faces_left,
+        &moves.faces_joined})
+    TAMP_EXPECTS(l->xadj.empty() || l->xadj.size() == nclasses + 1,
+                 "class moves do not match the runs they update");
+  ClassRuns out;
+  const std::size_t capacity = before.runs.size() +
+                               2 * (moves.cells_joined.ids.size() +
+                                    moves.faces_joined.ids.size());
+  out.runs.reserve(capacity);
+  out.last.reserve(capacity);
+  out.offset.reserve(before.offset.size());
+  out.offset.push_back(0);
+  const auto keep = [&](std::size_t i) {
+    const std::size_t b = before.offset[i], e = before.offset[i + 1];
+    out.runs.insert(out.runs.end(), before.runs.begin() + static_cast<std::ptrdiff_t>(b),
+                    before.runs.begin() + static_cast<std::ptrdiff_t>(e));
+    out.last.insert(out.last.end(), last_of.begin() + static_cast<std::ptrdiff_t>(b),
+                    last_of.begin() + static_cast<std::ptrdiff_t>(e));
+    out.offset.push_back(out.runs.size());
+  };
+  // Re-cut run list i for `left` and `joined`, their kernel ids looked
+  // up first in one pass each: independent loads the core overlaps,
+  // where the walk itself is a chain of dependent ones.
+  std::vector<index_t> left_k, joined_k;
+  const auto recut = [&](std::size_t i, std::span<const index_t> left,
+                         std::span<const index_t> joined,
+                         const std::vector<index_t>& old_to_new,
+                         const std::vector<index_t>& new_to_old) {
+    const auto kernel_ids = [&old_to_new](std::span<const index_t> ids,
+                                          std::vector<index_t>& k) {
+      k.resize(ids.size());
+      for (std::size_t n = 0; n < ids.size(); ++n)
+        k[n] = old_to_new[static_cast<std::size_t>(ids[n])];
+    };
+    kernel_ids(left, left_k);
+    kernel_ids(joined, joined_k);
+    recut_list(before, last_of, before.offset[i], before.offset[i + 1], left,
+               left_k, joined, joined_k, new_to_old, out);
+    out.offset.push_back(out.runs.size());
+  };
+  // A face list's moves, split into its interior and boundary sub-lists.
+  std::array<std::vector<index_t>, 2> face_left, face_joined;
+  const auto split = [&mesh](std::span<const index_t> faces,
+                             std::array<std::vector<index_t>, 2>& parts) {
+    parts[0].clear();
+    parts[1].clear();
+    for (const index_t f : faces)
+      parts[mesh.is_boundary_face(f) ? 1 : 0].push_back(f);
+  };
+  for (std::size_t k = 0; k < nclasses; ++k) {
+    const auto cells_left = moves.cells_left.of(k);
+    const auto cells_joined = moves.cells_joined.of(k);
+    if (cells_left.empty() && cells_joined.empty())
+      keep(3 * k);
+    else
+      recut(3 * k, cells_left, cells_joined, layout.cell_old_to_new,
+            layout.cell_new_to_old);
+    const auto faces_left = moves.faces_left.of(k);
+    const auto faces_joined = moves.faces_joined.of(k);
+    if (faces_left.empty() && faces_joined.empty()) {
+      keep(3 * k + 1);
+      keep(3 * k + 2);
+      continue;
+    }
+    split(faces_left, face_left);
+    split(faces_joined, face_joined);
+    for (std::size_t b = 0; b < 2; ++b)
+      recut(3 * k + 1 + b, face_left[b], face_joined[b],
+            layout.face_old_to_new, layout.face_new_to_old);
+  }
+  return out;
+}
+
 void permute_vars(PaddedVars& vars,
                   const std::vector<index_t>& old_kernel_of_mesh,
                   const std::vector<index_t>& mesh_of_new_kernel,

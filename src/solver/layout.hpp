@@ -33,6 +33,7 @@
 
 namespace tamp::taskgraph {
 struct ClassMap;
+struct ClassMoves;
 }
 
 namespace tamp::solver {
@@ -203,6 +204,10 @@ struct IdRange {
 struct ClassRuns {
   std::vector<IdRange> runs;
   std::vector<std::size_t> offset;  ///< 3 · classes + 1
+  /// Mesh id of each run's last object — where the run ends in its
+  /// list's ascending mesh-id order — as update_class_runs leaves it for
+  /// the next update (empty from build_class_runs and class_layout).
+  std::vector<index_t> last;
 
   /// The runs the class_layout of the same map gives: one per non-empty
   /// cell, interior-face and boundary-face list.
@@ -226,10 +231,26 @@ struct ClassRuns {
 /// interior faces first, then boundary faces. On class_layout(classes)
 /// itself this gives fresh_runs() runs. Order within a class is free
 /// (its objects are independent), so streaming the runs is bitwise the
-/// list walk.
+/// list walk. O(objects): the from-scratch path.
 [[nodiscard]] ClassRuns build_class_runs(const mesh::Mesh& mesh,
                                          const taskgraph::ClassMap& classes,
                                          const MeshPermutation& layout);
+
+/// build_class_runs of a patched map, from the runs `before` of the map
+/// it was patched from (under the same `layout`) and the patch's class
+/// moves: the lists no move touches keep their runs, and each touched
+/// list is re-cut from its old runs, its leaving ids and its joining
+/// ids. A list's runs are in ascending mesh id, and so are the mesh ids
+/// inside a run (layout.*_new_to_old over the run), so a leaving id
+/// splits the run holding it and a joining id is placed by a galloping
+/// search; adjacent pieces whose kernel ids meet are joined again.
+/// O(runs + moves · log run length), and equal to build_class_runs on
+/// the patched map run for run. Throws precondition_error when a
+/// leaving id is in none of its list's runs.
+[[nodiscard]] ClassRuns update_class_runs(const mesh::Mesh& mesh,
+                                          const ClassRuns& before,
+                                          const taskgraph::ClassMoves& moves,
+                                          const MeshPermutation& layout);
 
 /// Move every column of `vars` from one kernel order to another: entry n
 /// becomes the old entry old_kernel_of_mesh[mesh_of_new_kernel[n]]. One

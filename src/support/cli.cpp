@@ -1,6 +1,7 @@
 #include "support/cli.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 namespace tamp {
@@ -75,6 +76,21 @@ bool CliParser::parse(int argc, const char* const* argv) {
   return true;
 }
 
+bool CliParser::parse_or_exit(int argc, const char* const* argv) {
+  exit_on_error_ = true;
+  try {
+    return parse(argc, argv);
+  } catch (const precondition_error& e) {
+    fail(e.what());
+  }
+}
+
+void CliParser::fail(const std::string& message) const {
+  if (!exit_on_error_) throw precondition_error(message);
+  std::fprintf(stderr, "error: %s (see --help)\n", message.c_str());
+  std::exit(2);
+}
+
 const std::string& CliParser::get(const std::string& name) const {
   auto it = values_.find(name);
   TAMP_EXPECTS(it != values_.end(), "option not registered: " + name);
@@ -89,16 +105,18 @@ long long CliParser::get_int(const std::string& name) const {
   long long out = 0;
   const auto [ptr, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
   if (ec == std::errc::result_out_of_range)
-    throw precondition_error("option --" + name + " value out of range: '" +
-                             raw + "'");
+    fail("option --" + name + " value out of range: '" + raw + "'");
   if (ec != std::errc{} || ptr != v.data() + v.size())
-    throw precondition_error("option --" + name + " expects an integer, got '" +
-                             raw + "'");
+    fail("option --" + name + " expects an integer, got '" + raw + "'");
   return out;
 }
 
 double CliParser::get_double(const std::string& name) const {
-  return parse_finite_double(get(name), "option --" + name);
+  try {
+    return parse_finite_double(get(name), "option --" + name);
+  } catch (const precondition_error& e) {
+    fail(e.what());
+  }
 }
 
 bool CliParser::get_flag(const std::string& name) const {

@@ -70,6 +70,11 @@ public:
   /// Throws precondition_error for unknown or malformed options.
   bool parse(int argc, const char* const* argv);
 
+  /// parse() for a program's main: an unknown or malformed option — or,
+  /// later, a value get_int()/get_double() cannot read — prints the
+  /// error to stderr and exits with status 2 instead of throwing.
+  bool parse_or_exit(int argc, const char* const* argv);
+
   [[nodiscard]] const std::string& get(const std::string& name) const;
   [[nodiscard]] long long get_int(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
@@ -79,6 +84,10 @@ public:
   [[nodiscard]] std::string help() const;
 
 private:
+  /// Throw precondition_error(message), or print it and exit(2) after
+  /// parse_or_exit().
+  [[noreturn]] void fail(const std::string& message) const;
+
   struct Option {
     std::string default_value;
     std::string help;
@@ -89,6 +98,7 @@ private:
   std::vector<std::pair<std::string, std::string>> positionals_;  ///< name, help
   std::map<std::string, Option> options_;
   std::map<std::string, std::string> values_;
+  bool exit_on_error_ = false;
 };
 
 }  // namespace tamp

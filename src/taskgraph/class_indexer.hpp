@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "mesh/mesh.hpp"
@@ -103,6 +102,110 @@ struct Classifier {
          static_cast<std::uint32_t>(cell_cls);
 }
 
+/// Counts per (face class, cell class) pair key, in one flat
+/// open-addressing table (linear probing, backward-shift deletion). A
+/// patch updates four pair counts per dirty face, so the table stays in
+/// cache and an update is a multiply and a probe or two, with no node
+/// allocation.
+class PairCounter {
+public:
+  PairCounter() { clear(); }
+
+  /// Add one to `key`'s count; true when the key is new.
+  bool add(std::uint64_t key) {
+    if (2 * (size_ + 1) > keys_.size()) grow();
+    std::size_t i = home(key);
+    for (; keys_[i] != kEmpty; i = (i + 1) & mask()) {
+      if (keys_[i] == key) {
+        ++counts_[i];
+        return false;
+      }
+    }
+    keys_[i] = key;
+    counts_[i] = 1;
+    ++size_;
+    return true;
+  }
+
+  /// Take one from `key`'s count and return what is left (the key goes
+  /// at zero), or -1 when the key is absent.
+  index_t remove_one(std::uint64_t key) {
+    std::size_t i = home(key);
+    for (; keys_[i] != key; i = (i + 1) & mask())
+      if (keys_[i] == kEmpty) return -1;
+    const index_t left = --counts_[i];
+    if (left == 0) erase_slot(i);
+    return left;
+  }
+
+  void clear() {
+    keys_.assign(kInitialSlots, kEmpty);
+    counts_.assign(kInitialSlots, 0);
+    shift_ = kInitialShift;
+    size_ = 0;
+  }
+
+  /// Every key, in table order.
+  [[nodiscard]] std::vector<std::uint64_t> keys() const {
+    std::vector<std::uint64_t> out;
+    out.reserve(size_);
+    for (const std::uint64_t k : keys_)
+      if (k != kEmpty) out.push_back(k);
+    return out;
+  }
+
+private:
+  /// No pair key has every bit set: its class ids are below 2^31.
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  static constexpr std::size_t kInitialSlots = 64;
+  static constexpr int kInitialShift = 58;  ///< 64 − log2(kInitialSlots)
+
+  [[nodiscard]] std::size_t mask() const { return keys_.size() - 1; }
+  [[nodiscard]] std::size_t home(std::uint64_t key) const {
+    // Fibonacci hashing: the top bits of the product, as many as the
+    // power-of-two table needs.
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+
+  void erase_slot(std::size_t hole) {
+    // Shift back every later entry of the probe run that may fill the
+    // hole: one whose home is not cyclically within (hole, j].
+    for (std::size_t j = (hole + 1) & mask(); keys_[j] != kEmpty;
+         j = (j + 1) & mask()) {
+      const std::size_t h = home(keys_[j]);
+      const bool stays = hole <= j ? (h > hole && h <= j)
+                                   : (h > hole || h <= j);
+      if (stays) continue;
+      keys_[hole] = keys_[j];
+      counts_[hole] = counts_[j];
+      hole = j;
+    }
+    keys_[hole] = kEmpty;
+    counts_[hole] = 0;
+    --size_;
+  }
+
+  void grow() {
+    std::vector<std::uint64_t> keys = std::move(keys_);
+    std::vector<index_t> counts = std::move(counts_);
+    keys_.assign(2 * keys.size(), kEmpty);
+    counts_.assign(keys_.size(), 0);
+    --shift_;
+    for (std::size_t s = 0; s < keys.size(); ++s) {
+      if (keys[s] == kEmpty) continue;
+      std::size_t i = home(keys[s]);
+      while (keys_[i] != kEmpty) i = (i + 1) & mask();
+      keys_[i] = keys[s];
+      counts_[i] = counts[s];
+    }
+  }
+
+  std::vector<std::uint64_t> keys_;
+  std::vector<index_t> counts_;
+  int shift_ = kInitialShift;
+  std::size_t size_ = 0;
+};
+
 /// Face class → adjacent cell classes and the transpose, each list in
 /// ascending class order.
 struct ClassAdjacency {
@@ -116,14 +219,13 @@ struct ClassAdjacency {
 struct ClassAggregates {
   std::vector<index_t> cell_class, face_class;
   std::vector<index_t> cell_count, face_count;
-  std::unordered_map<std::uint64_t, index_t> pair_count;
+  PairCounter pair_count;
   ClassAdjacency adjacency;
 };
 
 /// Adjacency CSR of the distinct pairs (the keys of `pair_count`).
-[[nodiscard]] ClassAdjacency class_adjacency(
-    const std::unordered_map<std::uint64_t, index_t>& pair_count,
-    index_t nclasses);
+[[nodiscard]] ClassAdjacency class_adjacency(const PairCounter& pair_count,
+                                             index_t nclasses);
 
 /// Algorithm 1's emission loop over the aggregates. When `task_class` is
 /// non-null it receives each task's class id.

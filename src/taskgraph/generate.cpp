@@ -9,12 +9,9 @@
 
 namespace tamp::taskgraph {
 
-ClassAdjacency class_adjacency(
-    const std::unordered_map<std::uint64_t, index_t>& pair_count,
-    index_t nclasses) {
-  std::vector<std::uint64_t> pairs;
-  pairs.reserve(pair_count.size());
-  for (const auto& entry : pair_count) pairs.push_back(entry.first);
+ClassAdjacency class_adjacency(const PairCounter& pair_count,
+                               index_t nclasses) {
+  std::vector<std::uint64_t> pairs = pair_count.keys();
   std::sort(pairs.begin(), pairs.end());
 
   // Counting sort of the (face, cell)-ordered pairs by one endpoint keeps
@@ -141,9 +138,9 @@ TaskGraph build_task_graph(const Classifier& cf, const GenerateOptions& opts,
     const index_t k = cf.face_class(f);
     agg.face_class[static_cast<std::size_t>(f)] = k;
     ++agg.face_count[static_cast<std::size_t>(k)];
-    ++agg.pair_count[pack_pair(k, side_class(f, 0))];
+    agg.pair_count.add(pack_pair(k, side_class(f, 0)));
     if (!mesh.is_boundary_face(f))
-      ++agg.pair_count[pack_pair(k, side_class(f, 1))];
+      agg.pair_count.add(pack_pair(k, side_class(f, 1)));
   }
   agg.adjacency = class_adjacency(agg.pair_count, cf.cls.count());
 

@@ -21,6 +21,8 @@
 // neighbours before entering the next one).
 #pragma once
 
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "mesh/mesh.hpp"
@@ -56,6 +58,48 @@ struct ClassMap {
   std::vector<index_t> task_class;               ///< per task id
   std::vector<std::vector<index_t>> class_faces; ///< face ids per class
   std::vector<std::vector<index_t>> class_cells; ///< cell ids per class
+};
+
+/// Object ids grouped by class: class k's ids are ids[xadj[k],
+/// xadj[k+1]), ascending. An empty `xadj` holds no ids at all.
+struct ClassIdLists {
+  std::vector<index_t> xadj;
+  std::vector<index_t> ids;
+
+  [[nodiscard]] std::span<const index_t> of(std::size_t k) const {
+    if (k + 1 >= xadj.size()) return {};
+    return {ids.data() + xadj[k], ids.data() + xadj[k + 1]};
+  }
+};
+
+/// The per-object class moves one GraphPatcher::apply made: per object
+/// kind, the ids that left each class list and the ids that joined it.
+/// Applied to the lists of the map the patch started from, they give
+/// the patched map's lists.
+struct ClassMoves {
+  ClassIdLists cells_left, cells_joined;
+  ClassIdLists faces_left, faces_joined;
+
+  [[nodiscard]] bool empty() const {
+    return cells_left.ids.empty() && cells_joined.ids.empty() &&
+           faces_left.ids.empty() && faces_joined.ids.empty();
+  }
+};
+
+/// A class map given as the moves from the map it was patched from —
+/// what lets a consumer that holds `base` update what it derived from
+/// it in O(moves) (solver/layout.hpp update_class_runs).
+struct ClassDelta {
+  std::weak_ptr<const ClassMap> base;  ///< the map `moves` apply to
+  ClassMoves moves;
+
+  /// Do the moves apply to `map`? (Ownership identity: a map freed and
+  /// another allocated at its address is not the base.)
+  [[nodiscard]] bool applies_to(
+      const std::shared_ptr<const ClassMap>& map) const {
+    return map != nullptr && !base.owner_before(map) &&
+           !map.owner_before(base);
+  }
 };
 
 /// Generate the task DAG for `mesh` decomposed by `domain_of_cell`.

@@ -1,6 +1,7 @@
 #include "taskgraph/patch.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -22,31 +23,58 @@ struct Move {
 };
 
 /// Apply a batch of moves to the sorted class lists, touching each
-/// changed list once: a source list drops every member now classed
-/// elsewhere (`cls` already holds the new classes), and a target list
-/// merges in its sorted arrivals. One pass per list, not one memmove per
-/// move.
-void apply_moves(std::vector<Move>& moves, const std::vector<index_t>& cls,
-                 std::vector<std::vector<index_t>>& lists) {
-  std::vector<std::size_t> leaving(lists.size(), 0);
-  for (const Move& m : moves) ++leaving[static_cast<std::size_t>(m.from)];
-  for (std::size_t k = 0; k < lists.size(); ++k) {
-    if (leaving[k] == 0) continue;
-    const std::size_t left = std::erase_if(lists[k], [&](index_t x) {
-      return static_cast<std::size_t>(cls[static_cast<std::size_t>(x)]) != k;
-    });
-    TAMP_ENSURE(left == leaving[k],
-                "patch bookkeeping lost a class-list member");
+/// changed list once. The moved ids are bucketed by source list into
+/// `left` and by target list into `joined` (a counting sort, then a sort
+/// of each small bucket), and each touched list is rewritten in one
+/// sequential merge walk that drops its leaving ids and merges in its
+/// joining ones — no per-member class lookup, no memmove per move.
+void apply_moves(const std::vector<Move>& moves,
+                 std::vector<std::vector<index_t>>& lists, ClassIdLists& left,
+                 ClassIdLists& joined) {
+  const std::size_t nlists = lists.size();
+  const auto bucket = [&](ClassIdLists& out, auto list_of) {
+    out.xadj.assign(nlists + 1, 0);
+    for (const Move& m : moves)
+      ++out.xadj[static_cast<std::size_t>(list_of(m)) + 1];
+    for (std::size_t k = 0; k < nlists; ++k) out.xadj[k + 1] += out.xadj[k];
+    out.ids.resize(moves.size());
+    std::vector<index_t> cursor(out.xadj.begin(), out.xadj.end() - 1);
+    for (const Move& m : moves)
+      out.ids[static_cast<std::size_t>(
+          cursor[static_cast<std::size_t>(list_of(m))]++)] = m.x;
+    for (std::size_t k = 0; k < nlists; ++k)
+      std::sort(out.ids.begin() + out.xadj[k], out.ids.begin() + out.xadj[k + 1]);
+  };
+  bucket(left, [](const Move& m) { return m.from; });
+  bucket(joined, [](const Move& m) { return m.to; });
+  std::vector<index_t> merged;
+  for (std::size_t k = 0; k < nlists; ++k) {
+    const std::span<const index_t> gone = left.of(k);
+    const std::span<const index_t> came = joined.of(k);
+    if (gone.empty() && came.empty()) continue;
+    std::vector<index_t>& list = lists[k];
+    merged.clear();
+    merged.reserve(list.size() + came.size());
+    auto g = gone.begin();
+    auto c = came.begin();
+    for (const index_t x : list) {
+      for (; c != came.end() && *c < x; ++c) merged.push_back(*c);
+      if (g != gone.end() && *g == x)
+        ++g;
+      else
+        merged.push_back(x);
+    }
+    merged.insert(merged.end(), c, came.end());
+    TAMP_ENSURE(g == gone.end(), "patch bookkeeping lost a class-list member");
+    list.swap(merged);
   }
-  std::sort(moves.begin(), moves.end(), [](const Move& a, const Move& b) {
-    return a.to != b.to ? a.to < b.to : a.x < b.x;
-  });
-  for (auto m = moves.begin(); m != moves.end();) {
-    const index_t k = m->to;
-    std::vector<index_t>& list = lists[static_cast<std::size_t>(k)];
-    const auto nkept = static_cast<std::ptrdiff_t>(list.size());
-    for (; m != moves.end() && m->to == k; ++m) list.push_back(m->x);
-    std::inplace_merge(list.begin(), list.begin() + nkept, list.end());
+}
+
+void clear(ClassMoves& moves) {
+  for (ClassIdLists* l : {&moves.cells_left, &moves.cells_joined,
+                          &moves.faces_left, &moves.faces_joined}) {
+    l->xadj.clear();
+    l->ids.clear();
   }
 }
 
@@ -98,44 +126,93 @@ const PatchStats& GraphPatcher::apply(
   // The one pass over every cell also range-checks the new domain ids,
   // before any state changes.
   std::vector<index_t> changed;
-  std::vector<index_t> domain_changed;
+  std::vector<index_t> migrated;
   for (index_t c = 0; c < ncells; ++c) {
     const auto sc = static_cast<std::size_t>(c);
     TAMP_EXPECTS(domain_of_cell[sc] >= 0 && domain_of_cell[sc] < ndomains_,
                  "domain id out of range");
-    const bool lev = levels_[sc] != mesh.cell_level(c);
-    const bool dom = domains_[sc] != domain_of_cell[sc];
-    if (lev || dom) changed.push_back(c);
-    if (dom) domain_changed.push_back(c);
+    if (levels_[sc] != mesh.cell_level(c)) changed.push_back(c);
+    if (domains_[sc] != domain_of_cell[sc]) migrated.push_back(c);
   }
+  for (const index_t c : changed)
+    levels_[static_cast<std::size_t>(c)] = mesh.cell_level(c);
+  for (const index_t c : migrated)
+    domains_[static_cast<std::size_t>(c)] =
+        domain_of_cell[static_cast<std::size_t>(c)];
+  patch(mesh, changed, migrated);
+  return stats_;
+}
 
+const PatchStats& GraphPatcher::apply(const mesh::Mesh& mesh,
+                                      const std::vector<part_t>& domain_of_cell,
+                                      std::span<const index_t> changed,
+                                      std::span<const index_t> migrated) {
+  TAMP_TRACE_SCOPE("taskgraph/patch/apply");
+  const index_t ncells = mesh.num_cells();
+  TAMP_EXPECTS(levels_.size() == static_cast<std::size_t>(ncells) &&
+                   agg_.face_class.size() ==
+                       static_cast<std::size_t>(mesh.num_faces()),
+               "GraphPatcher bound to a mesh of different topology");
+  TAMP_EXPECTS(domain_of_cell.size() == static_cast<std::size_t>(ncells),
+               "domain vector size must equal cell count");
+  // Only a migrated cell can carry a new domain id: check those, before
+  // any state changes.
+  for (const std::span<const index_t> cells : {changed, migrated})
+    for (const index_t c : cells)
+      TAMP_EXPECTS(c >= 0 && c < ncells, "changed cell id out of range");
+  for (const index_t c : migrated) {
+    const part_t d = domain_of_cell[static_cast<std::size_t>(c)];
+    TAMP_EXPECTS(d >= 0 && d < ndomains_, "domain id out of range");
+  }
+  for (const index_t c : changed)
+    levels_[static_cast<std::size_t>(c)] = mesh.cell_level(c);
+  for (const index_t c : migrated)
+    domains_[static_cast<std::size_t>(c)] =
+        domain_of_cell[static_cast<std::size_t>(c)];
+  if (opts_.oracle && (levels_ != mesh.cell_levels() ||
+                       domains_ != domain_of_cell))
+    throw invariant_error(
+        "GraphPatcher change lists missed a cell whose level or domain "
+        "changed — caught by the equivalence oracle");
+  patch(mesh, changed, migrated);
+  return stats_;
+}
+
+void GraphPatcher::patch(const mesh::Mesh& mesh,
+                         std::span<const index_t> changed,
+                         std::span<const index_t> migrated) {
+  const index_t ncells = mesh.num_cells();
   stats_ = {};
+  clear(moves_);
   if (static_cast<level_t>(mesh.max_level() + 1) != nlev_) {
     // The class id space itself changed; every cached class id is void.
-    domains_ = domain_of_cell;
     rebuild(mesh, "temporal level count changed");
     stats_.dirty_fraction = 1.0;
     if (opts_.oracle) run_oracle(mesh);
-    return stats_;
+    return;
   }
-  stats_.dirty_fraction =
-      static_cast<double>(changed.size()) / static_cast<double>(ncells);
+  // Cells whose level or domain changed: changed ∪ migrated, ascending.
+  std::vector<index_t> dirty_cells;
+  dirty_cells.reserve(changed.size() + migrated.size());
+  std::set_union(changed.begin(), changed.end(), migrated.begin(),
+                 migrated.end(), std::back_inserter(dirty_cells));
+  stats_.dirty_fraction = static_cast<double>(dirty_cells.size()) /
+                          static_cast<double>(ncells);
   obs::gauge("taskgraph.patch.dirty_fraction").set(stats_.dirty_fraction);
 
-  if (changed.empty()) {
+  if (dirty_cells.empty()) {
     // Classification is a pure function of (levels, domains): nothing
     // changed, the graph is already exact.
     stats_.patched = true;
     std::fill(dirty_tasks_.begin(), dirty_tasks_.end(), char{0});
     obs::counter("taskgraph.patch.noop").add(1);
     if (opts_.oracle) run_oracle(mesh);
-    return stats_;
+    return;
   }
   if (stats_.dirty_fraction > opts_.max_dirty_fraction) {
-    domains_ = domain_of_cell;
     rebuild(mesh, "dirty fraction above patch threshold");
     if (opts_.oracle) run_oracle(mesh);
-    return stats_;
+    return;
   }
 
   TAMP_TRACE_SCOPE("taskgraph/patch/diff");
@@ -144,44 +221,38 @@ const PatchStats& GraphPatcher::apply(
   // domain-changed cell (its locality may flip). Faces to re-derive:
   // every face incident to a reclassified cell (its own class and its
   // (face class, cell class) pairs both depend on its two cells).
-  std::vector<char> cell_mark(static_cast<std::size_t>(ncells), 0);
-  std::vector<index_t> dirty_cells;
-  auto add_cell = [&](index_t c) {
-    if (cell_mark[static_cast<std::size_t>(c)] == 0) {
-      cell_mark[static_cast<std::size_t>(c)] = 1;
-      dirty_cells.push_back(c);
-    }
-  };
-  for (const index_t c : changed) add_cell(c);
-  for (const index_t c : domain_changed)
+  cell_mark_.resize(static_cast<std::size_t>(ncells), 0);  // first patch
+  face_mark_.resize(static_cast<std::size_t>(mesh.num_faces()), 0);
+  for (const index_t c : dirty_cells) cell_mark_[static_cast<std::size_t>(c)] = 1;
+  for (const index_t c : migrated)
     for (const index_t f : mesh.cell_faces(c)) {
       const index_t o = mesh.face_other_cell(f, c);
-      if (o != invalid_index) add_cell(o);
+      if (o != invalid_index && cell_mark_[static_cast<std::size_t>(o)] == 0) {
+        cell_mark_[static_cast<std::size_t>(o)] = 1;
+        dirty_cells.push_back(o);
+      }
     }
-  std::vector<char> face_mark(static_cast<std::size_t>(mesh.num_faces()), 0);
   std::vector<index_t> dirty_faces;
   for (const index_t c : dirty_cells)
     for (const index_t f : mesh.cell_faces(c))
-      if (face_mark[static_cast<std::size_t>(f)] == 0) {
-        face_mark[static_cast<std::size_t>(f)] = 1;
+      if (face_mark_[static_cast<std::size_t>(f)] == 0) {
+        face_mark_[static_cast<std::size_t>(f)] = 1;
         dirty_faces.push_back(f);
       }
+  for (const index_t c : dirty_cells) cell_mark_[static_cast<std::size_t>(c)] = 0;
+  for (const index_t f : dirty_faces) face_mark_[static_cast<std::size_t>(f)] = 0;
 
   // --- retract the dirty contributions (old classes) -----------------------
   auto cell_class_at = [&](index_t f, int side) {
     return agg_.cell_class[static_cast<std::size_t>(mesh.face_cell(f, side))];
   };
   auto dec_pair = [&](index_t fc, index_t cc) {
-    const auto it = agg_.pair_count.find(pack_pair(fc, cc));
-    TAMP_ENSURE(it != agg_.pair_count.end() && it->second > 0,
-                "patch bookkeeping lost an adjacency pair");
-    if (--it->second == 0) {
-      agg_.pair_count.erase(it);
-      pair_set_changed_ = true;
-    }
+    const index_t left = agg_.pair_count.remove_one(pack_pair(fc, cc));
+    TAMP_ENSURE(left >= 0, "patch bookkeeping lost an adjacency pair");
+    if (left == 0) pair_set_changed_ = true;
   };
   auto inc_pair = [&](index_t fc, index_t cc) {
-    if (++agg_.pair_count[pack_pair(fc, cc)] == 1) pair_set_changed_ = true;
+    if (agg_.pair_count.add(pack_pair(fc, cc))) pair_set_changed_ = true;
   };
   for (const index_t f : dirty_faces) {
     const index_t fc = agg_.face_class[static_cast<std::size_t>(f)];
@@ -190,8 +261,6 @@ const PatchStats& GraphPatcher::apply(
   }
 
   // --- reclassify under the new (levels, domains) --------------------------
-  domains_ = domain_of_cell;
-  levels_ = mesh.cell_levels();
   const Classifier cf{mesh, domains_, ClassIndexer{ndomains_, nlev_}};
   std::fill(dirty_classes_.begin(), dirty_classes_.end(), char{0});
   // Move one object between the class populations; its class-list move
@@ -220,8 +289,10 @@ const PatchStats& GraphPatcher::apply(
     inc_pair(fc, cell_class_at(f, 0));
     if (!mesh.is_boundary_face(f)) inc_pair(fc, cell_class_at(f, 1));
   }
-  apply_moves(cell_moves, agg_.cell_class, classes_.class_cells);
-  apply_moves(face_moves, agg_.face_class, classes_.class_faces);
+  apply_moves(cell_moves, classes_.class_cells, moves_.cells_left,
+              moves_.cells_joined);
+  apply_moves(face_moves, classes_.class_faces, moves_.faces_left,
+              moves_.faces_joined);
 
   // --- re-emit from the patched aggregates ---------------------------------
   if (pair_set_changed_) {
@@ -265,7 +336,6 @@ const PatchStats& GraphPatcher::apply(
   obs::counter("taskgraph.patch.dirty_faces").add(stats_.dirty_faces);
 
   if (opts_.oracle) run_oracle(mesh);
-  return stats_;
 }
 
 std::uint64_t GraphPatcher::fingerprint(const TaskGraph& graph,

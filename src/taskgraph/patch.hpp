@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "mesh/mesh.hpp"
@@ -52,8 +53,10 @@ struct PatchStats {
 /// Incrementally-maintained task graph over one evolving mesh.
 ///
 /// Construction runs the generator's from-scratch build and keeps its
-/// class aggregates; each apply() diffs the new (levels, domains)
-/// against the stored ones and patches. The mesh topology (cells, faces,
+/// class aggregates; each apply() patches them from the cells whose
+/// level or domain changed, which the whole-mesh apply() finds by
+/// diffing the new (levels, domains) against the stored ones and the
+/// list-driven apply() is handed. The mesh topology (cells, faces,
 /// adjacency) must not change across applies — only temporal levels and
 /// the domain assignment may. Not thread-safe: one patcher belongs to one
 /// prep stream (the pipeline's depth-1 handoff serializes applies).
@@ -77,12 +80,28 @@ public:
 
   /// Bring the graph up to date with `mesh`'s current levels and the new
   /// domain assignment. Returns stats for the applied diff (or rebuild).
+  /// Range-checks every domain id.
   const PatchStats& apply(const mesh::Mesh& mesh,
                           const std::vector<part_t>& domain_of_cell);
+
+  /// The same, handed the cells that differ from the last apply instead
+  /// of diffing the mesh: `changed` (level) and `migrated` (domain), both
+  /// ascending and exact. Range-checks the domain ids of `migrated` only
+  /// — no other cell can carry a new one. The oracle (Options::oracle)
+  /// also checks that the lists missed no cell.
+  const PatchStats& apply(const mesh::Mesh& mesh,
+                          const std::vector<part_t>& domain_of_cell,
+                          std::span<const index_t> changed,
+                          std::span<const index_t> migrated);
 
   [[nodiscard]] const TaskGraph& graph() const { return graph_; }
   [[nodiscard]] const ClassMap& classes() const { return classes_; }
   [[nodiscard]] const PatchStats& last_stats() const { return stats_; }
+
+  /// The class-list moves of the last apply: what turned the previous
+  /// classes() into the current one. Empty after a no-op, and
+  /// meaningless after a rebuild (last_stats().patched false).
+  [[nodiscard]] const ClassMoves& last_moves() const { return moves_; }
 
   /// Per-task dirty mask of the last apply(): tasks whose class
   /// aggregates changed or that are class-adjacent to one that did —
@@ -110,6 +129,10 @@ public:
 
 private:
   void rebuild(const mesh::Mesh& mesh, const char* reason);
+  /// Both applies, once the mirrors hold the new levels and domains:
+  /// patch from the cells in `changed` ∪ `migrated`.
+  void patch(const mesh::Mesh& mesh, std::span<const index_t> changed,
+             std::span<const index_t> migrated);
   void run_oracle(const mesh::Mesh& mesh) const;
 
   Options opts_;
@@ -127,9 +150,14 @@ private:
 
   TaskGraph graph_;
   ClassMap classes_;
+  ClassMoves moves_;
   PatchStats stats_;
   std::vector<char> dirty_classes_;  ///< scratch, per class
   std::vector<char> dirty_tasks_;
+  /// Dirty-object marks, sized by the first patch and all zero between
+  /// applies (each apply clears the marks it set from its own dirty
+  /// lists).
+  std::vector<char> cell_mark_, face_mark_;
 };
 
 }  // namespace tamp::taskgraph

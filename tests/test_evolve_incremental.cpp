@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <fstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/builder.hpp"
 #include "mesh/evolve.hpp"
@@ -63,6 +67,88 @@ TEST(Evolve, Deterministic) {
   mesh::evolve_levels(m1, 0.3, a);
   mesh::evolve_levels(m2, 0.3, b);
   EXPECT_EQ(m1.cell_levels(), m2.cell_levels());
+}
+
+/// The whole-mesh drift loop evolve_levels ran before LevelEvolver: the
+/// reference every evolver step must reproduce, draw for draw.
+mesh::EvolveStats reference_evolve(mesh::Mesh& mesh, double drift, Rng& rng) {
+  const index_t n = mesh.num_cells();
+  const level_t max_level = mesh.max_level();
+  std::vector<level_t> next(mesh.cell_levels());
+  mesh::EvolveStats stats;
+  for (index_t c = 0; c < n; ++c) {
+    const level_t mine = mesh.cell_level(c);
+    std::array<level_t, 8> other{};
+    std::size_t count = 0;
+    for (const index_t f : mesh.cell_faces(c)) {
+      const index_t nb = mesh.face_other_cell(f, c);
+      if (nb == invalid_index) continue;
+      const level_t ln = mesh.cell_level(nb);
+      if (ln != mine && count < other.size()) other[count++] = ln;
+    }
+    if (count == 0) continue;
+    ++stats.eligible_cells;
+    if (rng.uniform() >= drift) continue;
+    const level_t target = other[static_cast<std::size_t>(rng.below(count))];
+    const level_t stepped = static_cast<level_t>(mine + (target > mine ? 1 : -1));
+    next[static_cast<std::size_t>(c)] = std::clamp<level_t>(stepped, 0, max_level);
+    if (next[static_cast<std::size_t>(c)] != mine) ++stats.cells_changed;
+  }
+  mesh.set_cell_levels(std::move(next));
+  return stats;
+}
+
+TEST(Evolve, SteppedEvolverIsBitwiseTheOneShotEvolve) {
+  // Cylinder, graded box (levels from the CFL rule) and a one-level
+  // lattice, at drift 0, 0.05 and 1: after every one of 200 steps the
+  // stepped evolver, a fresh evolve_levels and the whole-mesh reference
+  // loop agree on the levels, the changed cells, the counts and max_level.
+  std::vector<std::pair<const char*, mesh::Mesh>> meshes;
+  meshes.emplace_back("cylinder", graded_test_mesh(2500));
+  mesh::Mesh box = mesh::make_graded_box_mesh(12, 10, 8, 1.3);
+  mesh::assign_levels_by_cfl(box, 4);
+  meshes.emplace_back("graded box", std::move(box));
+  meshes.emplace_back("one level", mesh::make_lattice_mesh(9, 8, 7));
+  for (const auto& [name, start] : meshes) {
+    ASSERT_GT(start.num_cells(), 0);
+    for (const double drift : {0.0, 0.05, 1.0}) {
+      mesh::Mesh stepped = start, oneshot = start, reference = start;
+      mesh::LevelEvolver evolver(stepped);
+      index_t total_changed = 0;
+      for (int step = 0; step < 200; ++step) {
+        const std::uint64_t seed = mix_seed(5, static_cast<std::uint64_t>(step));
+        Rng a(seed), b(seed), c(seed);
+        const std::vector<level_t> before = stepped.cell_levels();
+        const mesh::EvolveStats sa = evolver.step(stepped, drift, a);
+        const mesh::EvolveStats sb = mesh::evolve_levels(oneshot, drift, b);
+        const mesh::EvolveStats sc = reference_evolve(reference, drift, c);
+        const std::string where = std::string(name) + " drift " +
+                                  std::to_string(drift) + " step " +
+                                  std::to_string(step);
+        ASSERT_EQ(stepped.cell_levels(), reference.cell_levels()) << where;
+        ASSERT_EQ(oneshot.cell_levels(), reference.cell_levels()) << where;
+        ASSERT_EQ(sa.cells_changed, sc.cells_changed) << where;
+        ASSERT_EQ(sb.cells_changed, sc.cells_changed) << where;
+        ASSERT_EQ(sa.eligible_cells, sc.eligible_cells) << where;
+        ASSERT_EQ(sb.eligible_cells, sc.eligible_cells) << where;
+        std::vector<index_t> diff;
+        for (index_t x = 0; x < stepped.num_cells(); ++x)
+          if (stepped.cell_level(x) != before[static_cast<std::size_t>(x)])
+            diff.push_back(x);
+        ASSERT_EQ(evolver.changed(), diff) << where;
+        ASSERT_EQ(stepped.max_level(), reference.max_level()) << where;
+        ASSERT_EQ(stepped.max_level(),
+                  *std::max_element(stepped.cell_levels().begin(),
+                                    stepped.cell_levels().end()))
+            << where;
+        total_changed += sa.cells_changed;
+      }
+      if (drift == 0.0 || std::string(name) == "one level")
+        EXPECT_EQ(total_changed, 0) << name << " drift " << drift;
+      else
+        EXPECT_GT(total_changed, 0) << name << " drift " << drift;
+    }
+  }
 }
 
 TEST(Incremental, RestoresBalanceAfterDrift) {

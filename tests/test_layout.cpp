@@ -18,12 +18,15 @@
 #include <vector>
 
 #include "core/pipeline.hpp"
+#include "mesh/evolve.hpp"
 #include "mesh/generators.hpp"
 #include "partition/strategy.hpp"
 #include "solver/euler.hpp"
 #include "solver/layout.hpp"
 #include "solver/transport.hpp"
+#include "support/rng.hpp"
 #include "taskgraph/generate.hpp"
+#include "taskgraph/patch.hpp"
 #include "verify/verifier.hpp"
 
 namespace tamp::solver {
@@ -442,6 +445,131 @@ TEST(KernelLayout, DriftingEulerPipelineIsBitwiseTheSerialReference) {
   const State ta = solver.conserved_totals();
   const State tb = reference.conserved_totals();
   EXPECT_EQ(std::memcmp(ta.data(), tb.data(), sizeof ta), 0);
+}
+
+/// Runs the drifting pipeline on `solver` and requires, after every
+/// iteration, that the bound runs equal build_class_runs of the
+/// snapshot's map under the solver's layout, and that some binds came
+/// from the snapshots' class moves.
+template <class Solver>
+void expect_binds_match_a_fresh_cut(Solver& solver, mesh::Mesh& live,
+                                    core::SolverHooks hooks,
+                                    core::PipelineMode mode,
+                                    core::PatchPolicy patch,
+                                    const std::string& what) {
+  int checked = 0;
+  hooks.observer = [&](const core::IterationSnapshot& snap,
+                       const runtime::ExecutionReport&) {
+    const ClassRuns expected =
+        build_class_runs(live, *snap.classes, solver.kernel_layout());
+    const ClassRuns* bound = solver.bound_runs();
+    ASSERT_NE(bound, nullptr);
+    EXPECT_TRUE(bound->runs == expected.runs)
+        << what << ": iteration " << snap.iteration << " runs differ";
+    EXPECT_EQ(bound->offset, expected.offset)
+        << what << ": iteration " << snap.iteration;
+    ++checked;
+  };
+  core::IterationPipelineConfig cfg = pipeline_config(0.05);
+  cfg.mode = mode;
+  cfg.patch = patch;
+  cfg.threads = mode == core::PipelineMode::overlap ? 2 : 1;
+  core::run_iteration_pipeline(live, cfg, hooks);
+  EXPECT_EQ(checked, cfg.num_iterations) << what;
+  EXPECT_GT(solver.layout_stats().derived_binds, 0u)
+      << what << ": no bind came from class moves";
+}
+
+TEST(KernelLayout, DriftingBindsStreamTheRunsOfAFreshCut) {
+  for (const core::PipelineMode mode :
+       {core::PipelineMode::sync, core::PipelineMode::overlap}) {
+    for (const core::PatchPolicy patch :
+         {core::PatchPolicy::automatic, core::PatchPolicy::oracle}) {
+      const std::string what = std::string(core::to_string(mode)) + "/" +
+                               core::to_string(patch);
+      mesh::TestMeshSpec spec;
+      spec.target_cells = 3000;
+      mesh::Mesh cylinder =
+          mesh::make_test_mesh(mesh::TestMeshKind::cylinder, spec);
+      TransportSolver transport(cylinder);
+      transport.initialize_uniform(0.0);
+      add_central_blob(transport, cylinder);
+      transport.assign_temporal_levels();
+      expect_binds_match_a_fresh_cut(
+          transport, cylinder, core::transport_pipeline_hooks(transport), mode,
+          patch, "transport " + what);
+
+      mesh::Mesh box = levelled_box();
+      EulerSolver euler(box);
+      euler.initialize_uniform(1.0, {0.1, 0.05, 0.0}, 1.0);
+      euler.add_pulse({1.5, 1.2, 0.9}, 0.9, 0.3);
+      euler.assign_temporal_levels();
+      expect_binds_match_a_fresh_cut(euler, box,
+                                     core::euler_pipeline_hooks(euler), mode,
+                                     patch, "euler " + what);
+    }
+  }
+}
+
+// A delta whose base is not the bound map — a skipped map, or one
+// already freed — is ignored: the bind walks every list. One from the
+// bound map is used.
+TEST(KernelLayout, ADeltaFromAnotherMapTakesTheFromScratchPath) {
+  mesh::Mesh m = levelled_box();
+  EulerSolver s(m);
+  s.initialize_uniform(1.0, {0.1, 0.05, 0.0}, 1.0);
+  s.add_pulse({1.5, 1.2, 0.9}, 0.9, 0.3);
+  s.assign_temporal_levels();
+  const Decomposition d = decompose(m, partition::Strategy::mc_tl, 4);
+  taskgraph::GraphPatcher::Options always;
+  always.max_dirty_fraction = 1.0;
+  taskgraph::GraphPatcher patcher(m, d.domain_of_cell, d.ndomains, always);
+  auto snapshot = [&patcher] {
+    return std::make_shared<const taskgraph::ClassMap>(patcher.classes());
+  };
+  // One drift step and patch: the new map and its moves from `from`.
+  std::uint64_t step = 0;
+  auto drift = [&](const std::shared_ptr<const taskgraph::ClassMap>& from) {
+    Rng rng(mix_seed(31, ++step));
+    mesh::evolve_levels(m, 0.05, rng);
+    const taskgraph::PatchStats& st = patcher.apply(m, d.domain_of_cell);
+    EXPECT_TRUE(st.patched && !patcher.last_moves().empty()) << step;
+    return taskgraph::ClassDelta{from, patcher.last_moves()};
+  };
+  auto expect_fresh_cut = [&](const taskgraph::ClassMap& map,
+                              const std::string& what) {
+    const ClassRuns expected = build_class_runs(m, map, s.kernel_layout());
+    EXPECT_TRUE(s.bound_runs()->runs == expected.runs) << what;
+    EXPECT_EQ(s.bound_runs()->offset, expected.offset) << what;
+  };
+
+  const auto a = snapshot();
+  static_cast<void>(s.make_iteration_body(patcher.graph(), a));
+  drift(a);
+  const auto b = snapshot();
+  const taskgraph::ClassDelta bc = drift(b);
+  const auto c = snapshot();
+  ASSERT_FALSE(bc.applies_to(a));
+  static_cast<void>(s.make_iteration_body(patcher.graph(), c, &bc));
+  EXPECT_EQ(s.layout_stats().derived_binds, 0u) << "skipped map";
+  expect_fresh_cut(*c, "skipped map");
+
+  taskgraph::ClassDelta cd = drift(c);
+  auto d_map = snapshot();
+  {
+    // The same moves, claimed from a map that no longer exists.
+    taskgraph::ClassDelta stale = cd;
+    stale.base = std::make_shared<const taskgraph::ClassMap>(*c);
+    ASSERT_TRUE(stale.base.expired());
+    static_cast<void>(s.make_iteration_body(patcher.graph(), d_map, &stale));
+    EXPECT_EQ(s.layout_stats().derived_binds, 0u) << "freed map";
+    expect_fresh_cut(*d_map, "freed map");
+  }
+  const taskgraph::ClassDelta de = drift(d_map);
+  const auto e = snapshot();
+  static_cast<void>(s.make_iteration_body(patcher.graph(), e, &de));
+  EXPECT_EQ(s.layout_stats().derived_binds, 1u) << "bound map";
+  expect_fresh_cut(*e, "bound map");
 }
 
 TEST(KernelLayout, FrozenMeshLaysOutOnce) {

@@ -10,6 +10,8 @@
 // genuine article, flagged when a load-bearing edge is severed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -17,6 +19,7 @@
 
 #include "mesh/evolve.hpp"
 #include "mesh/generators.hpp"
+#include "partition/incremental.hpp"
 #include "partition/strategy.hpp"
 #include "sim/doctor.hpp"
 #include "sim/simulate.hpp"
@@ -231,6 +234,93 @@ TEST(Patch, RejectsOutOfRangeDomainIds) {
     EXPECT_EQ(patcher.fingerprint(), before) << bad;
     EXPECT_TRUE(patcher.apply(m, dom).patched) << bad;
   }
+}
+
+/// `before`'s lists with `moves` applied: each list loses the ids that
+/// left it and gains, in order, the ids that joined it.
+std::vector<std::vector<index_t>> apply_class_moves(
+    std::vector<std::vector<index_t>> lists, const ClassIdLists& left,
+    const ClassIdLists& joined) {
+  for (std::size_t k = 0; k < lists.size(); ++k) {
+    std::vector<index_t> kept;
+    const auto gone = left.of(k);
+    std::set_difference(lists[k].begin(), lists[k].end(), gone.begin(),
+                        gone.end(), std::back_inserter(kept));
+    std::vector<index_t> merged;
+    const auto came = joined.of(k);
+    std::merge(kept.begin(), kept.end(), came.begin(), came.end(),
+               std::back_inserter(merged));
+    lists[k] = std::move(merged);
+  }
+  return lists;
+}
+
+// The list-driven apply — handed the evolver's changed cells and the
+// repartition's migrated cells — gives the diffing apply's graph and
+// class lists after every drift step, and its class moves turn the
+// previous lists into the new ones.
+TEST(Patch, ListDrivenApplyEqualsTheDiffingApply) {
+  mesh::Mesh m = test_mesh(mesh::TestMeshKind::cylinder, 4000, 3);
+  auto dom = decompose(m, partition::Strategy::mc_tl, 8);
+  GraphPatcher diffing(m, dom, 8);
+  GraphPatcher listed(m, dom, 8);
+  mesh::LevelEvolver evolver(m);
+  partition::StrategyGraph sg(partition::Strategy::mc_tl);
+  int patched = 0;
+  index_t migrated = 0;
+  for (int step = 0; step < 12; ++step) {
+    Rng rng(mix_seed(21, static_cast<std::uint64_t>(step)));
+    evolver.step(m, 0.02, rng);
+    partition::IncrementalOptions iopts;
+    iopts.seed = static_cast<std::uint64_t>(step) + 1;
+    const partition::IncrementalReport report = partition::incremental_repartition(
+        sg.refresh(m, evolver.changed()), dom, 8, iopts);
+    migrated += report.migrated_vertices;
+    const ClassMap before = listed.classes();
+    const PatchStats& a = diffing.apply(m, dom);
+    const PatchStats& b = listed.apply(m, dom, evolver.changed(), report.migrated);
+    const std::string ctx = "step " + std::to_string(step);
+    ASSERT_EQ(listed.fingerprint(), diffing.fingerprint()) << ctx;
+    EXPECT_EQ(b.patched, a.patched) << ctx;
+    EXPECT_EQ(b.dirty_cells, a.dirty_cells) << ctx;
+    EXPECT_EQ(b.dirty_faces, a.dirty_faces) << ctx;
+    EXPECT_EQ(listed.dirty_tasks(), diffing.dirty_tasks()) << ctx;
+    if (!b.patched) continue;
+    ++patched;
+    const ClassMoves& mv = listed.last_moves();
+    EXPECT_EQ(apply_class_moves(before.class_cells, mv.cells_left,
+                                mv.cells_joined),
+              listed.classes().class_cells)
+        << ctx;
+    EXPECT_EQ(apply_class_moves(before.class_faces, mv.faces_left,
+                                mv.faces_joined),
+              listed.classes().class_faces)
+        << ctx;
+  }
+  EXPECT_GT(patched, 6);
+  EXPECT_GT(migrated, 0) << "no step migrated a cell";
+
+  // A migrated cell's domain id is range-checked, before any state
+  // changes; a list that misses a changed cell is caught by the oracle.
+  const index_t victim = 17;
+  for (const part_t bad : {part_t{8}, part_t{-1}}) {
+    auto wrong = dom;
+    wrong[static_cast<std::size_t>(victim)] = bad;
+    const std::uint64_t fp = listed.fingerprint();
+    const std::vector<index_t> moved{victim};
+    EXPECT_THROW(listed.apply(m, wrong, {}, moved), precondition_error) << bad;
+    EXPECT_EQ(listed.fingerprint(), fp) << bad;
+  }
+  EXPECT_TRUE(listed.apply(m, dom, {}, {}).patched);
+  GraphPatcher::Options oracle;
+  oracle.oracle = true;
+  GraphPatcher checked(m, dom, 8, oracle);
+  Rng rng(99);
+  evolver.step(m, 0.05, rng);
+  ASSERT_GT(evolver.changed().size(), 1u);
+  const std::vector<index_t> partial(evolver.changed().begin() + 1,
+                                     evolver.changed().end());
+  EXPECT_THROW(checked.apply(m, dom, partial, {}), invariant_error);
 }
 
 TEST(Patch, RejectsOverflowingClassSpace) {

@@ -177,6 +177,18 @@ TEST(PipelineAsync, SnapshotMutationIsDetected) {
          std::vector<part_t>& p = s.prepared.process_of;
          p[p.size() / 2] ^= 1;
        }},
+      {"class move",
+       [](IterationSnapshot& s) {
+         taskgraph::ClassMoves& m = s.class_delta.moves;
+         for (taskgraph::ClassIdLists* l :
+              {&m.faces_joined, &m.faces_left, &m.cells_joined,
+               &m.cells_left}) {
+           if (l->ids.empty()) continue;
+           l->ids[l->ids.size() / 2] ^= 1;
+           return;
+         }
+         FAIL() << "the last snapshot carries no class move";
+       }},
   };
   for (const PipelineMode mode : {PipelineMode::sync, PipelineMode::overlap}) {
     for (const auto& [what, mutate] : mutations) {
@@ -437,6 +449,39 @@ TEST(PipelineAsync, PatchPolicyModesAreBitwiseIdentical) {
   EXPECT_TRUE(any_patched);
   for (const PipelineIterationStats& it : off.run.report.iterations)
     EXPECT_FALSE(it.graph_patched);
+}
+
+// A patch that moves nothing publishes the previous snapshot's class map
+// itself (the bind then reuses its runs by pointer); a drifting patch
+// publishes a new map with the moves from the previous one.
+TEST(PipelineAsync, NoOpPatchSharesThePreviousClassMap) {
+  for (const double drift : {0.0, 0.02}) {
+    mesh::Mesh m = test_mesh();
+    solver::EulerSolver solver(m);
+    solver.initialize_uniform(1.0, {0.2, 0.1, 0.0}, 1.0);
+    solver.assign_temporal_levels();
+    std::vector<std::shared_ptr<const taskgraph::ClassMap>> maps;
+    std::vector<bool> delta_from_previous;
+    SolverHooks hooks = euler_pipeline_hooks(solver);
+    hooks.observer = [&](const IterationSnapshot& snap,
+                         const runtime::ExecutionReport&) {
+      delta_from_previous.push_back(
+          !maps.empty() && snap.class_delta.applies_to(maps.back()));
+      maps.push_back(snap.classes);
+    };
+    IterationPipelineConfig cfg = base_config(PipelineMode::sync, 2);
+    cfg.drift = drift;
+    const PipelineRunReport report = run_iteration_pipeline(m, cfg, hooks);
+    ASSERT_EQ(maps.size(), static_cast<std::size_t>(kIterations));
+    for (std::size_t i = 1; i < maps.size(); ++i) {
+      if (drift == 0.0) {
+        EXPECT_EQ(maps[i], maps[0]) << "iteration " << i;
+      } else if (report.iterations[i].graph_patched) {
+        EXPECT_NE(maps[i], maps[i - 1]) << "iteration " << i;
+        EXPECT_TRUE(delta_from_previous[i]) << "iteration " << i;
+      }
+    }
+  }
 }
 
 TEST(PipelineAsync, ZeroDriftReusesDecompositionVerbatim) {

@@ -7,7 +7,9 @@
 
 #include "mesh/evolve.hpp"
 #include "mesh/generators.hpp"
+#include "partition/incremental.hpp"
 #include "partition/strategy.hpp"
+#include "support/rng.hpp"
 
 namespace tamp::partition {
 namespace {
@@ -103,6 +105,106 @@ TEST(StrategyGraph, RefreshEqualsRebuild) {
     expect_same_graph(persistent.refresh(m), build_strategy_graph(m, s),
                       name + " raised maximum");
   }
+}
+
+// The same with the changed cells handed in (the pipeline's form): drift
+// steps refresh only the listed cells; a lowered and a raised maximum
+// level rebuild.
+TEST(StrategyGraph, ListRefreshEqualsRebuild) {
+  for (const Strategy s :
+       {Strategy::sc_cells, Strategy::sc_oc, Strategy::mc_tl}) {
+    const std::string name = to_string(s);
+    mesh::Mesh m = small_cylinder();
+    StrategyGraph persistent(s);
+    mesh::LevelEvolver evolver(m);
+    expect_same_graph(persistent.refresh(m, {}), build_strategy_graph(m, s),
+                      name + " first refresh");
+    const eindex_t* topology = persistent.refresh(m, {}).xadj().data();
+    for (int step = 1; step <= 4; ++step) {
+      Rng rng(mix_seed(5, static_cast<std::uint64_t>(step)));
+      ASSERT_GT(evolver.step(m, 0.3, rng).cells_changed, 0);
+      const graph::Csr& g = persistent.refresh(m, evolver.changed());
+      expect_same_graph(g, build_strategy_graph(m, s),
+                        name + " drift step " + std::to_string(step));
+      EXPECT_EQ(g.xadj().data(), topology)
+          << name << ": rebuilt, not refreshed";
+    }
+    const level_t top = m.max_level();
+    ASSERT_GE(top, 2);
+    std::vector<index_t> cells;
+    std::vector<level_t> lowered;
+    for (index_t c = 0; c < m.num_cells(); ++c)
+      if (m.cell_level(c) == top) {
+        cells.push_back(c);
+        lowered.push_back(static_cast<level_t>(top - 1));
+      }
+    m.set_cell_levels(cells, lowered);
+    ASSERT_EQ(m.max_level(), top - 1);
+    expect_same_graph(persistent.refresh(m, cells), build_strategy_graph(m, s),
+                      name + " lowered maximum");
+    const std::vector<index_t> first{0};
+    const std::vector<level_t> raised{static_cast<level_t>(top + 1)};
+    m.set_cell_levels(first, raised);
+    ASSERT_EQ(m.max_level(), top + 1);
+    expect_same_graph(persistent.refresh(m, first), build_strategy_graph(m, s),
+                      name + " raised maximum");
+  }
+}
+
+// The census the pipeline keeps from the changed and migrated cells
+// equals update_census's recount after every iteration: drift steps with
+// incremental repartitions, and a step that lowers the maximum level.
+TEST(Census, ChangedCellUpdateEqualsTheRecount) {
+  mesh::Mesh m = small_cylinder();
+  StrategyOptions sopts;
+  sopts.strategy = Strategy::mc_tl;
+  sopts.ndomains = 8;
+  DomainDecomposition dd = decompose(m, sopts);
+  StrategyGraph persistent(Strategy::mc_tl);
+  index_t migrated_total = 0;
+  bool lowered_maximum = false;
+  for (int it = 0; it < 30; ++it) {
+    const std::vector<level_t> old_levels = m.cell_levels();
+    const std::vector<part_t> old_domains = dd.domain_of_cell;
+    std::vector<index_t> changed;
+    if (it == 15) {
+      std::vector<level_t> lowered;
+      const level_t top = m.max_level();
+      for (index_t c = 0; c < m.num_cells(); ++c)
+        if (m.cell_level(c) == top) {
+          changed.push_back(c);
+          lowered.push_back(static_cast<level_t>(top - 1));
+        }
+      m.set_cell_levels(changed, lowered);
+      ASSERT_EQ(m.max_level(), top - 1);
+      lowered_maximum = true;
+    } else {
+      mesh::LevelEvolver evolver(m);
+      Rng rng(mix_seed(9, static_cast<std::uint64_t>(it)));
+      evolver.step(m, 0.2, rng);
+      changed = evolver.changed();
+    }
+    IncrementalOptions iopts;
+    iopts.seed = static_cast<std::uint64_t>(it) + 1;
+    const IncrementalReport report = incremental_repartition(
+        persistent.refresh(m, changed), dd.domain_of_cell, 8, iopts);
+    std::vector<index_t> moved;
+    for (index_t c = 0; c < m.num_cells(); ++c)
+      if (dd.domain_of_cell[static_cast<std::size_t>(c)] !=
+          old_domains[static_cast<std::size_t>(c)])
+        moved.push_back(c);
+    ASSERT_EQ(report.migrated, moved) << "iteration " << it;
+    migrated_total += report.migrated_vertices;
+
+    update_census(m, dd, old_levels, old_domains, changed, report.migrated);
+    DomainDecomposition recount = dd;
+    update_census(m, recount);
+    ASSERT_EQ(dd.num_levels, recount.num_levels) << "iteration " << it;
+    ASSERT_EQ(dd.cells_by_level, recount.cells_by_level) << "iteration " << it;
+    ASSERT_EQ(dd.edge_cut, recount.edge_cut) << "iteration " << it;
+  }
+  EXPECT_TRUE(lowered_maximum);
+  EXPECT_GT(migrated_total, 0) << "no repartition migrated a cell";
 }
 
 TEST(StrategyGraph, HybridHasNoSingleGraph) {

@@ -2,8 +2,14 @@
 // where the expected graph can be reasoned out by hand.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "mesh/generators.hpp"
 #include "mesh/levels.hpp"
+#include "support/rng.hpp"
+#include "taskgraph/class_indexer.hpp"
 #include "taskgraph/generate.hpp"
 
 namespace tamp::taskgraph {
@@ -196,6 +202,33 @@ TEST(Generate, RejectsOverflowingClassSpace) {
   // 2^30 domains × 1 level × 2 localities does not fit index_t.
   EXPECT_THROW(generate_task_graph(t.mesh, {0, 0, 0, 0}, part_t{1} << 30),
                precondition_error);
+}
+
+// The patcher's flat pair table against std::map under random adds and
+// removals: enough keys to grow it several times and to wrap probe runs
+// around its end, which backward-shift deletion must handle.
+TEST(PairCounter, MatchesAMapUnderRandomAddsAndRemovals) {
+  PairCounter table;
+  std::map<std::uint64_t, index_t> ref;
+  Rng rng(17);
+  for (int op = 0; op < 200000; ++op) {
+    const std::uint64_t key = pack_pair(static_cast<index_t>(rng.below(40)),
+                                        static_cast<index_t>(rng.below(40)));
+    if (rng.below(2) != 0) {
+      EXPECT_EQ(table.add(key), ++ref[key] == 1) << "op " << op;
+    } else {
+      const auto it = ref.find(key);
+      const index_t expected = it == ref.end() ? -1 : --it->second;
+      if (it != ref.end() && it->second == 0) ref.erase(it);
+      ASSERT_EQ(table.remove_one(key), expected) << "op " << op;
+    }
+  }
+  std::vector<std::uint64_t> keys = table.keys();
+  std::sort(keys.begin(), keys.end());
+  std::vector<std::uint64_t> ref_keys;
+  for (const auto& [key, count] : ref) ref_keys.push_back(key);
+  EXPECT_EQ(keys, ref_keys);
+  EXPECT_GT(ref_keys.size(), 500u);
 }
 
 TEST(TaskGraphStructure, RejectsOutOfRangeDeps) {
