@@ -129,9 +129,7 @@ void bench_mesh(mesh::TestMeshKind kind, const CliParser& cli,
   double best_simd = 1.0;    // best simd_speedup over the lane sweep
   for (const simd::Level level : simd::runnable_levels()) {
     solver::SolverConfig scfg;
-    scfg.simd = level == simd::Level::avx2   ? simd::Request::avx2
-                : level == simd::Level::sse2 ? simd::Request::sse2
-                                             : simd::Request::scalar;
+    scfg.simd = level;
     solver::EulerSolver es(m, scfg);
     init_state(es, m);
     // Per-cell CFL reads only cell-local geometry and state, so this

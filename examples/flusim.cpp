@@ -59,8 +59,8 @@ int main(int argc, char** argv) {
              "serial). Any value gives a bit-identical decomposition");
   cli.option("simd", "",
              "SIMD tier for the solver streaming kernels: auto | avx2 | "
-             "sse2 | scalar (default: TAMP_SIMD env, else auto; requests "
-             "the CPU cannot run clamp down)");
+             "sse2 | scalar (default: TAMP_SIMD env, else auto; a tier the "
+             "build or CPU lacks clamps down)");
   cli.option("processes", "4", "emulated MPI processes");
   cli.option("workers", "4", "workers per process; 0 = unbounded");
   cli.option("policy", "eager", "eager | lifo | cp | random");
@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
   cli.option("svg", "", "write a Gantt SVG here");
   cli.option("chrome-trace", "",
              "write a chrome://tracing JSON here (task spans merged with "
-             "pipeline-phase spans)");
+             "pipeline-phase spans; with --pipeline, its stage spans)");
   cli.option("metrics", "", "write a metrics JSON snapshot here");
   cli.flag("doctor",
            "diagnose the schedule: realized critical path, idle blame "
@@ -137,11 +137,12 @@ int main(int argc, char** argv) {
     obs::set_tracing_enabled(true);
 
   try {
-    // Seat the process-wide SIMD default before any solver is built so
-    // every EulerSolver this run constructs (verify path included)
-    // resolves against it.
+    // Every solver config this run builds (verify path included) carries
+    // --simd; `auto` parses to a concrete level, so it overrides
+    // TAMP_SIMD too.
+    std::optional<simd::Level> simd_level;
     if (!cli.get("simd").empty())
-      simd::set_default_request(simd::parse_request(cli.get("simd")));
+      simd_level = simd::parse_level(cli.get("simd"));
 
     // --- inputs -------------------------------------------------------------
     mesh::Mesh m = [&] {
@@ -159,8 +160,10 @@ int main(int argc, char** argv) {
     // (not the generator's synthetic ones) must be on the mesh before the
     // partitioner sees it.
     std::optional<solver::EulerSolver> euler;
-    const auto init_euler = [&euler](mesh::Mesh& mm) {
-      euler.emplace(mm);
+    const auto init_euler = [&euler, &simd_level](mesh::Mesh& mm) {
+      solver::SolverConfig config;
+      config.simd = simd_level;
+      euler.emplace(mm, config);
       euler->initialize_uniform(1.0, {0.2, 0.1, 0.0}, 1.0);
       mesh::Vec3 lo = mm.cell_centroid(0), hi = lo, mean{};
       for (index_t c = 0; c < mm.num_cells(); ++c) {
@@ -251,7 +254,9 @@ int main(int argc, char** argv) {
         euler->assign_temporal_levels();
         hooks = core::euler_pipeline_hooks(*euler, wrap);
       } else if (solver_name == "transport") {
-        transport.emplace(m);
+        solver::TransportConfig config;
+        config.simd = simd_level;
+        transport.emplace(m, config);
         transport->initialize_uniform(0.0);
         mesh::Vec3 lo = m.cell_centroid(0), hi = lo, mean{};
         for (index_t c = 0; c < m.num_cells(); ++c) {
@@ -307,6 +312,12 @@ int main(int argc, char** argv) {
         obs::save_text(
             obs::metrics_to_json(obs::Registry::instance().snapshot()),
             cli.get("metrics"));
+      // The pipeline has no one task graph to merge: its trace is the
+      // session's stage spans.
+      if (!cli.get("chrome-trace").empty())
+        obs::save_text(
+            obs::to_chrome_trace(obs::TraceSession::instance().snapshot()),
+            cli.get("chrome-trace"));
       if (races) {
         std::cout << "verify: " << race_pairs << " pairs checked across "
                   << pcfg.num_iterations << " iteration graphs\n";

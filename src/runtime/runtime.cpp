@@ -176,10 +176,6 @@ ExecutionReport execute(const taskgraph::TaskGraph& graph,
         0)
       push_ready(t);
 
-  // Resolve metric handles once: the per-name lookup takes the registry
-  // mutex and must stay out of the worker loop.
-  obs::Histogram& task_seconds_hist = obs::histogram("runtime.task.seconds");
-
   const AdversarialSchedule& adv = config.adversarial;
 
   auto worker_main = [&](part_t p, int w) {
@@ -287,7 +283,6 @@ ExecutionReport execute(const taskgraph::TaskGraph& graph,
           report.perf.per_task[static_cast<std::size_t>(t)] =
               obs::perf_delta(perf_begin, perf_end);
       }
-      task_seconds_hist.record(span.end - span.start);
 
       for (const index_t s : graph.successors(t)) {
         if (pending[static_cast<std::size_t>(s)].fetch_sub(
@@ -339,9 +334,6 @@ ExecutionReport execute(const taskgraph::TaskGraph& graph,
     if (report.perf.tier == obs::PerfTier::unavailable)
       report.perf.per_task.clear();
   }
-  obs::counter("runtime.tasks.executed").add(n);
-  obs::gauge("runtime.worker.busy_seconds").add(report.total_busy_seconds());
-  obs::gauge("runtime.occupancy").set(report.occupancy());
   return report;
 }
 

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <array>
+#include <optional>
 
 #include "mesh/mesh.hpp"
 #include "solver/fv_driver.hpp"
@@ -44,10 +45,10 @@ struct SolverConfig {
   /// meshes; FLUSEPA's Heun + flux-correction scheme tolerates more).
   double cfl = 0.2;
   level_t max_levels = 4;  ///< cap on the number of temporal levels
-  /// SIMD tier for the streaming kernels, resolved once at construction:
-  /// inherit defers to the process default (flusim --simd / TAMP_SIMD,
-  /// auto when unset). `scalar` forces the width-1 kernels.
-  simd::Request simd = simd::Request::inherit;
+  /// SIMD tier for the streaming kernels, resolved once at construction
+  /// (simd::resolve): unset means TAMP_SIMD, and a tier the build or CPU
+  /// lacks clamps down. `scalar` forces the width-1 kernels.
+  std::optional<simd::Level> simd;
 };
 
 /// Levels, iteration and task execution come from FvDriver.

@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "mesh/mesh.hpp"
@@ -145,8 +146,8 @@ public:
   /// tasks all ran.
   void note_tasks_complete();
 
-  /// The SIMD tier the streaming kernels actually run (config request
-  /// resolved against the CPU at construction).
+  /// The SIMD tier the streaming kernels actually run (the config's
+  /// level resolved at construction).
   [[nodiscard]] simd::Level simd_level() const { return simd_level_; }
 
   [[nodiscard]] const LayoutStats& layout_stats() const { return stats_; }
@@ -162,7 +163,8 @@ public:
 protected:
   /// Binds to `mesh` (whose temporal levels assign_temporal_levels()
   /// rewrites). The mesh must outlive the solver.
-  FvDriver(mesh::Mesh& mesh, level_t max_levels, simd::Request simd);
+  FvDriver(mesh::Mesh& mesh, level_t max_levels,
+           std::optional<simd::Level> simd);
 
   /// Per-object reference cell update of mesh cell c: gathers and
   /// resets the cell's side of every adjacent face accumulator, in

@@ -18,7 +18,7 @@ namespace tamp::solver {
 
 template <class Physics>
 FvDriver<Physics>::FvDriver(mesh::Mesh& mesh, level_t max_levels,
-                            simd::Request simd)
+                            std::optional<simd::Level> simd)
     : mesh_(mesh), u_(mesh.num_cells(), Physics::kVars),
       acc_(mesh.num_faces(), 2 * Physics::kVars), max_levels_(max_levels),
       layout_(identity_permutation(mesh)),

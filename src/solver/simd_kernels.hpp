@@ -3,13 +3,15 @@
 // The three streaming sweeps — interior flux, boundary flux, cell
 // update — are written once, as lane-width templates in
 // simd_kernels_impl.hpp. Each solver picks its row of one width's table
-// at construction (solver/fv_driver.hpp): width 1 is the scalar tier,
-// width 2 the sse2 tier, width 4 the avx2 tier. Each width lives in its
-// own translation unit so the 4-lane unit can be compiled with -mavx2
-// without leaking AVX2 code into baseline objects: simd_kernels_w2.cpp
-// exports the width-1 and width-2 tables, simd_kernels_w4.cpp the
-// width-4 one. All instantiate the same templates, so the tiers differ
-// only in lane count, never in expression shape.
+// at construction (solver/fv_driver.hpp), for the level simd::resolve
+// gives its config: width 1 is the scalar tier, width 2 the sse2 tier,
+// width 4 the avx2 tier. The 4-lane table lives in its own translation
+// unit so it can be compiled with -mavx2 without leaking AVX2 code into
+// baseline objects: simd_kernels_w2.cpp exports the width-1 table and,
+// where __SSE2__ is defined, the width-2 one; simd_kernels_w4.cpp, built
+// only where the compiler takes -mavx2, the width-4 one. A tier without
+// its table is never resolved to. All instantiate the same templates,
+// so the tiers differ only in lane count, never in expression shape.
 //
 // KernelCtx is a plain pointer bundle into solver-owned storage; it
 // borrows, never owns. Keep this header light: it is included from a TU
@@ -77,8 +79,8 @@ struct KernelTable {
 };
 
 extern const KernelTable kKernelsW1;  ///< scalar tier
-extern const KernelTable kKernelsW2;  ///< sse2 tier
-extern const KernelTable kKernelsW4;  ///< avx2 tier
+extern const KernelTable kKernelsW2;  ///< sse2 tier (where __SSE2__)
+extern const KernelTable kKernelsW4;  ///< avx2 tier (x86)
 
 /// The table a resolved level runs (defined in simd_kernels_w2.cpp, so
 /// no code of this header is compiled with the 4-lane TU's flags).

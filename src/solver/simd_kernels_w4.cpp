@@ -1,8 +1,6 @@
-// Width-4 kernel table. CMake compiles this one TU with -mavx2 when the
-// compiler accepts the flag (publishing TAMP_SIMD_MAVX2 so
-// simd::level_runnable knows), making Pack<4> the hand-written __m256d
-// specialisation with hardware gathers; without the flag it is the
-// portable 4-lane fallback, runnable on any CPU. Everything
+// Width-4 kernel table, the avx2 tier. CMake builds this one TU, with
+// -mavx2, only where the compiler accepts the flag, making Pack<4> the
+// hand-written __m256d pack with hardware gathers. Everything
 // ISA-sensitive here has internal linkage (see simd_kernels_impl.hpp) —
 // only the table is exported, constinit so no AVX2 code runs at static
 // initialisation, and a solver picks it only when simd::Level::avx2

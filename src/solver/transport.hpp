@@ -19,6 +19,7 @@
 #pragma once
 
 #include <atomic>
+#include <optional>
 
 #include "mesh/mesh.hpp"
 #include "solver/fv_driver.hpp"
@@ -35,8 +36,8 @@ struct TransportConfig {
   double cfl = 0.2;
   level_t max_levels = 4;
   /// SIMD tier for the streaming kernels (same semantics as
-  /// SolverConfig::simd: inherit → flusim --simd / TAMP_SIMD / auto).
-  simd::Request simd = simd::Request::inherit;
+  /// SolverConfig::simd: unset means TAMP_SIMD).
+  std::optional<simd::Level> simd;
 };
 
 /// Levels, iteration and task execution come from FvDriver; the state

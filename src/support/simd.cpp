@@ -1,6 +1,5 @@
 #include "support/simd.hpp"
 
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdlib>
@@ -12,30 +11,12 @@ namespace tamp::simd {
 
 namespace {
 
-#if defined(__x86_64__) || defined(__i386__)
-inline constexpr bool kX86 = true;
-#else
-inline constexpr bool kX86 = false;
-#endif
-
-bool cpu_has(Level level) {
-#if defined(__x86_64__) || defined(__i386__)
-  switch (level) {
-    case Level::scalar:
-      return true;
-    case Level::sse2:
-      return __builtin_cpu_supports("sse2");
-    case Level::avx2:
-      return __builtin_cpu_supports("avx2");
-  }
-#else
-  (void)level;
-#endif
-  return !kX86;
+/// The best runnable level at or below `level`.
+Level clamp(Level level) {
+  while (level != Level::scalar && !level_runnable(level))
+    level = static_cast<Level>(static_cast<int>(level) - 1);
+  return level;
 }
-
-/// Process default request; inherit = "unset, fall back to TAMP_SIMD".
-std::atomic<Request> g_default_request{Request::inherit};
 
 }  // namespace
 
@@ -63,69 +44,40 @@ const char* to_string(Level level) {
   return "scalar";
 }
 
-Request parse_request(std::string_view text) {
-  if (text.empty()) return Request::inherit;
-  if (text == "auto") return Request::auto_;
-  if (text == "scalar") return Request::scalar;
-  if (text == "sse2") return Request::sse2;
-  if (text == "avx2") return Request::avx2;
+Level parse_level(std::string_view text) {
+  if (text == "auto") return clamp(Level::avx2);
+  if (text == "scalar") return Level::scalar;
+  if (text == "sse2") return Level::sse2;
+  if (text == "avx2") return Level::avx2;
   TAMP_EXPECTS(false, "SIMD level must be auto|avx2|sse2|scalar");
-  return Request::auto_;
-}
-
-Level detect_native() {
-  if (cpu_has(Level::avx2) && kX86) return Level::avx2;
-  if (cpu_has(Level::sse2) && kX86) return Level::sse2;
   return Level::scalar;
 }
 
 bool level_runnable(Level level) {
-  if (level == Level::scalar) return true;
-  if (!kX86) return true;  // per-width TUs are portable off x86
-#if !defined(TAMP_SIMD_MAVX2)
-  // The 4-lane TU was built without -mavx2 (compiler too old / flag
-  // rejected): it holds portable packs and runs anywhere SSE2 does.
-  if (level == Level::avx2) return cpu_has(Level::sse2);
+  // The tiers solver/simd_kernels_w2.cpp and _w4.cpp compile, each
+  // behind the same guard as here.
+  switch (level) {
+    case Level::scalar:
+      return true;
+#if defined(__SSE2__)
+    case Level::sse2:
+      return __builtin_cpu_supports("sse2");
 #endif
-  return cpu_has(level);
-}
-
-Request env_request() {
-  const char* env = std::getenv("TAMP_SIMD");
-  if (env == nullptr || *env == '\0') return Request::auto_;
-  const Request request = parse_request(env);
-  return request == Request::inherit ? Request::auto_ : request;
-}
-
-Request default_request() {
-  const Request request = g_default_request.load(std::memory_order_relaxed);
-  return request == Request::inherit ? env_request() : request;
-}
-
-void set_default_request(Request request) {
-  g_default_request.store(request, std::memory_order_relaxed);
-}
-
-Level resolve(Request request) {
-  if (request == Request::inherit) request = default_request();
-  Level level = Level::scalar;
-  switch (request) {
-    case Request::inherit:
-    case Request::auto_:
-      level = detect_native();
-      break;
-    case Request::scalar:
-      return Level::scalar;
-    case Request::sse2:
-      level = Level::sse2;
-      break;
-    case Request::avx2:
-      level = Level::avx2;
-      break;
+#if defined(__x86_64__) || defined(__i386__)
+    case Level::avx2:
+      return __builtin_cpu_supports("avx2");
+#endif
+    default:
+      return false;
   }
-  while (level != Level::scalar && !level_runnable(level))
-    level = static_cast<Level>(static_cast<int>(level) - 1);
-  return level;
+}
+
+Level resolve(std::optional<Level> level) {
+  if (!level) {
+    const char* env = std::getenv("TAMP_SIMD");
+    level = parse_level(env == nullptr || *env == '\0' ? "auto" : env);
+  }
+  return clamp(*level);
 }
 
 std::vector<Level> runnable_levels() {

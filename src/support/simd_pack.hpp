@@ -8,22 +8,19 @@
 // horizontal sum (diagnostics only — never on the physics path, so no
 // kernel result depends on a cross-lane reduction order).
 //
-// Three implementations, chosen per translation unit by the ISA macros
-// the TU was compiled with:
-//   * hand-written AVX2 (`__m256d`, W=4) and SSE2 (`__m128d`, W=2)
-//     intrinsic specialisations;
-//   * a portable generic built on std::experimental::simd where the
-//     standard library ships it;
-//   * a plain-array fallback everywhere else.
+// Three packs, each present only where the ISA macros of the
+// translation unit allow it: the plain scalar Pack<1> everywhere, the
+// hand-written SSE2 Pack<2> (`__m128d`) where __SSE2__ is defined and the
+// hand-written AVX2 Pack<4> (`__m256d`) where __AVX2__ is. There is no
+// portable fallback: a width without its pack is a tier the build lacks.
 //
 // Everything lives in an anonymous namespace ON PURPOSE: the per-width
 // kernel TUs (solver/simd_kernels_w2.cpp / _w4.cpp) are compiled with
-// different -m flags, so the same Pack<4> must be allowed to have an
-// AVX2 body in one TU and a portable body in another. Internal linkage
-// gives each TU its own copy and keeps the linker from COMDAT-merging
-// an AVX2 instantiation into baseline code (the Highway per-target
-// trick, without the macro machinery). Include this header only from
-// TUs that instantiate kernels.
+// different -m flags, and both instantiate the Pack<1> remainder path.
+// Internal linkage gives each TU its own copy and keeps the linker from
+// COMDAT-merging an AVX2-compiled instantiation into baseline code (the
+// Highway per-target trick, without the macro machinery). Include this
+// header only from TUs that instantiate kernels.
 //
 // Lanewise-bitwise contract: every operation is elementwise IEEE-754
 // (add/sub/mul/div/sqrt are correctly rounded; max matches
@@ -44,133 +41,13 @@
 #include <immintrin.h>
 #endif
 
-#if defined(__has_include)
-#if __has_include(<experimental/simd>) && !defined(TAMP_SIMD_NO_EXPSIMD)
-#define TAMP_SIMD_HAVE_EXPSIMD 1
-#include <experimental/simd>
-#endif
-#endif
-
 namespace tamp::simd {
 namespace {  // NOLINT — internal linkage per TU, see file header
 
-/// Primary template: portable W-lane pack.
+/// W-lane pack, defined only for the widths below: a tier exists only
+/// where its hand-written pack is compiled.
 template <int W>
-struct Pack {
-#if defined(TAMP_SIMD_HAVE_EXPSIMD)
-  using vec_t = std::experimental::fixed_size_simd<double, W>;
-  using mask_t = typename vec_t::mask_type;
-  vec_t v;
-
-  static Pack load(const double* p) {
-    return {vec_t(p, std::experimental::element_aligned)};
-  }
-  static Pack load_strided(const double* p, std::ptrdiff_t stride) {
-    return {vec_t([&](auto i) { return p[static_cast<std::ptrdiff_t>(i) * stride]; })};
-  }
-  static Pack gather(const double* base, const index_t* idx,
-                     std::ptrdiff_t idx_stride = 1) {
-    return {vec_t([&](auto i) {
-      return base[idx[static_cast<std::ptrdiff_t>(i) * idx_stride]];
-    })};
-  }
-  static Pack broadcast(double x) { return {vec_t(x)}; }
-  void store(double* p) const {
-    v.copy_to(p, std::experimental::element_aligned);
-  }
-  double lane(int i) const { return v[i]; }
-  double hsum() const {
-    double s = v[0];
-    for (int i = 1; i < W; ++i) s += v[i];
-    return s;
-  }
-  friend Pack operator+(Pack a, Pack b) { return {a.v + b.v}; }
-  friend Pack operator-(Pack a, Pack b) { return {a.v - b.v}; }
-  friend Pack operator*(Pack a, Pack b) { return {a.v * b.v}; }
-  friend Pack operator/(Pack a, Pack b) { return {a.v / b.v}; }
-  friend Pack max(Pack a, Pack b) {
-    return {std::experimental::max(a.v, b.v)};
-  }
-  friend Pack sqrt(Pack a) { return {std::experimental::sqrt(a.v)}; }
-  friend mask_t ge(Pack a, Pack b) { return a.v >= b.v; }
-  static Pack select(const mask_t& m, Pack a, Pack b) {
-    vec_t r = b.v;
-    std::experimental::where(m, r) = a.v;
-    return {r};
-  }
-#else
-  using mask_t = bool[W];  // avoided below; see array fallback
-  double v[W];
-
-  static Pack load(const double* p) {
-    Pack r;
-    for (int i = 0; i < W; ++i) r.v[i] = p[i];
-    return r;
-  }
-  static Pack load_strided(const double* p, std::ptrdiff_t stride) {
-    Pack r;
-    for (int i = 0; i < W; ++i) r.v[i] = p[i * stride];
-    return r;
-  }
-  static Pack gather(const double* base, const index_t* idx,
-                     std::ptrdiff_t idx_stride = 1) {
-    Pack r;
-    for (int i = 0; i < W; ++i) r.v[i] = base[idx[i * idx_stride]];
-    return r;
-  }
-  static Pack broadcast(double x) {
-    Pack r;
-    for (int i = 0; i < W; ++i) r.v[i] = x;
-    return r;
-  }
-  void store(double* p) const {
-    for (int i = 0; i < W; ++i) p[i] = v[i];
-  }
-  double lane(int i) const { return v[i]; }
-  double hsum() const {
-    double s = v[0];
-    for (int i = 1; i < W; ++i) s += v[i];
-    return s;
-  }
-  friend Pack operator+(Pack a, Pack b) {
-    for (int i = 0; i < W; ++i) a.v[i] += b.v[i];
-    return a;
-  }
-  friend Pack operator-(Pack a, Pack b) {
-    for (int i = 0; i < W; ++i) a.v[i] -= b.v[i];
-    return a;
-  }
-  friend Pack operator*(Pack a, Pack b) {
-    for (int i = 0; i < W; ++i) a.v[i] *= b.v[i];
-    return a;
-  }
-  friend Pack operator/(Pack a, Pack b) {
-    for (int i = 0; i < W; ++i) a.v[i] /= b.v[i];
-    return a;
-  }
-  friend Pack max(Pack a, Pack b) {
-    for (int i = 0; i < W; ++i) a.v[i] = a.v[i] < b.v[i] ? b.v[i] : a.v[i];
-    return a;
-  }
-  friend Pack sqrt(Pack a) {
-    for (int i = 0; i < W; ++i) a.v[i] = __builtin_sqrt(a.v[i]);
-    return a;
-  }
-  struct Mask {
-    bool m[W];
-  };
-  friend Mask ge(Pack a, Pack b) {
-    Mask r;
-    for (int i = 0; i < W; ++i) r.m[i] = a.v[i] >= b.v[i];
-    return r;
-  }
-  static Pack select(const Mask& m, Pack a, Pack b) {
-    for (int i = 0; i < W; ++i)
-      if (!m.m[i]) a.v[i] = b.v[i];
-    return a;
-  }
-#endif
-};
+struct Pack;
 
 /// One-lane pack: the tail/remainder path. Written with plain scalar
 /// ops so remainder objects get bit-for-bit the scalar kernel's math.

@@ -1,10 +1,8 @@
-// Tests of level evolution and incremental repartitioning, plus the VTK
-// export.
+// Tests of level evolution and incremental repartitioning.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
-#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,7 +11,6 @@
 #include "mesh/evolve.hpp"
 #include "mesh/generators.hpp"
 #include "mesh/levels.hpp"
-#include "mesh/vtk.hpp"
 #include "partition/incremental.hpp"
 #include "partition/strategy.hpp"
 
@@ -275,40 +272,6 @@ TEST(Incremental, ValidatesInput) {
   EXPECT_THROW(
       (void)partition::incremental_repartition(g, wrong, 2),
       precondition_error);
-}
-
-TEST(Vtk, WritesWellFormedFile) {
-  auto m = mesh::make_lattice_mesh(3, 3, 3);
-  m.set_cell_levels(std::vector<level_t>(27, 1));
-  const std::string path = testing::TempDir() + "/tamp_mesh.vtk";
-  mesh::write_vtk_partition(m, path, std::vector<part_t>(27, 2));
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string content((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  EXPECT_NE(content.find("POINTS 27 double"), std::string::npos);
-  EXPECT_NE(content.find("SCALARS temporal_level int 1"), std::string::npos);
-  EXPECT_NE(content.find("SCALARS domain double 1"), std::string::npos);
-  EXPECT_NE(content.find("POINT_DATA 27"), std::string::npos);
-}
-
-TEST(Vtk, ValidatesFields) {
-  const auto m = mesh::make_lattice_mesh(2, 2, 2);
-  const std::string path = testing::TempDir() + "/tamp_bad.vtk";
-  EXPECT_THROW(
-      mesh::write_vtk_points(m, path, {{"", std::vector<double>(8, 0)}}),
-      precondition_error);
-  EXPECT_THROW(
-      mesh::write_vtk_points(m, path, {{"bad name", std::vector<double>(8, 0)}}),
-      precondition_error);
-  EXPECT_THROW(
-      mesh::write_vtk_points(m, path, {{"f", std::vector<double>(3, 0)}}),
-      precondition_error);
-  EXPECT_THROW(mesh::write_vtk_points(
-                   m, path,
-                   {{"f", std::vector<double>(8, 0)},
-                    {"f", std::vector<double>(8, 0)}}),
-               precondition_error);
 }
 
 }  // namespace

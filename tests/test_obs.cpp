@@ -20,7 +20,6 @@
 #include "obs/trace.hpp"
 #include "sim/trace_json.hpp"
 #include "support/check.hpp"
-#include "support/log.hpp"
 #include "support/stopwatch.hpp"
 
 namespace tamp::obs {
@@ -303,19 +302,6 @@ TEST_F(ObsTest, SnapshotIsSortedByStartTime) {
                              [](const TraceEvent& a, const TraceEvent& b) {
                                return a.start_ns < b.start_ns;
                              }));
-}
-
-TEST_F(ObsTest, WarnLogsRouteIntoSession) {
-  const LogLevel saved = log_threshold();
-  set_log_threshold(LogLevel::warn);
-  log(LogLevel::warn) << "something \"quoted\" happened";
-  log(LogLevel::info) << "info is not routed";
-  set_log_threshold(saved);
-  const auto events = TraceSession::instance().snapshot();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].kind, EventKind::instant);
-  EXPECT_EQ(events[0].name, "log/warn");
-  EXPECT_NE(events[0].detail.find("\"quoted\""), std::string::npos);
 }
 
 // --- metrics -----------------------------------------------------------------

@@ -11,7 +11,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "mesh/generators.hpp"
@@ -38,17 +40,38 @@ using solver::TransportSolver;
 /// divergences (none today on the physics path).
 constexpr std::uint64_t kMaxUlp = 4;
 
-simd::Request request_for(simd::Level level) {
-  switch (level) {
-    case simd::Level::scalar:
-      return simd::Request::scalar;
-    case simd::Level::sse2:
-      return simd::Request::sse2;
-    case simd::Level::avx2:
-      return simd::Request::avx2;
+/// The best tier this build and CPU run: what auto and an unset
+/// TAMP_SIMD mean.
+simd::Level best_level() { return simd::runnable_levels().back(); }
+
+constexpr simd::Level kAllLevels[] = {simd::Level::scalar, simd::Level::sse2,
+                                      simd::Level::avx2};
+
+/// Sets TAMP_SIMD (nullptr unsets it) and restores the value the test
+/// started with when the scope ends.
+class ScopedTampSimd {
+public:
+  explicit ScopedTampSimd(const char* value) {
+    const char* old = std::getenv("TAMP_SIMD");
+    had_old_ = old != nullptr;
+    if (had_old_) old_ = old;
+    set(value);
   }
-  return simd::Request::scalar;
-}
+  ~ScopedTampSimd() { set(had_old_ ? old_.c_str() : nullptr); }
+  ScopedTampSimd(const ScopedTampSimd&) = delete;
+  ScopedTampSimd& operator=(const ScopedTampSimd&) = delete;
+
+  static void set(const char* value) {
+    if (value != nullptr)
+      setenv("TAMP_SIMD", value, 1);
+    else
+      unsetenv("TAMP_SIMD");
+  }
+
+private:
+  bool had_old_ = false;
+  std::string old_;
+};
 
 struct Decomposition {
   std::vector<part_t> domain_of_cell;
@@ -99,14 +122,29 @@ runtime::RuntimeConfig serial_config(part_t nproc) {
 
 // --- support-layer units -----------------------------------------------------
 
-TEST(SimdSupport, ParseRequestRoundTrips) {
-  EXPECT_EQ(simd::parse_request(""), simd::Request::inherit);
-  EXPECT_EQ(simd::parse_request("auto"), simd::Request::auto_);
-  EXPECT_EQ(simd::parse_request("scalar"), simd::Request::scalar);
-  EXPECT_EQ(simd::parse_request("sse2"), simd::Request::sse2);
-  EXPECT_EQ(simd::parse_request("avx2"), simd::Request::avx2);
-  EXPECT_THROW((void)simd::parse_request("avx512"), precondition_error);
-  EXPECT_THROW((void)simd::parse_request("SCALAR"), precondition_error);
+TEST(SimdSupport, TampSimdSelectsEachTier) {
+  const ScopedTampSimd env(nullptr);
+  EXPECT_EQ(simd::resolve(), best_level());
+  for (const char* best : {"", "auto"}) {
+    ScopedTampSimd::set(best);
+    EXPECT_EQ(simd::resolve(), best_level()) << '"' << best << '"';
+  }
+  for (const simd::Level level : kAllLevels) {
+    ScopedTampSimd::set(simd::to_string(level));
+    EXPECT_EQ(simd::resolve(), simd::resolve(level)) << simd::to_string(level);
+    if (simd::level_runnable(level)) {
+      EXPECT_EQ(simd::resolve(), level);
+    }
+  }
+  // Only the four names, case-sensitive, in the variable and in --simd.
+  for (const char* bad : {"avx512", "SCALAR"}) {
+    ScopedTampSimd::set(bad);
+    EXPECT_THROW((void)simd::resolve(), precondition_error) << bad;
+    EXPECT_THROW((void)simd::parse_level(bad), precondition_error) << bad;
+  }
+  EXPECT_EQ(simd::parse_level("auto"), best_level());
+  for (const simd::Level level : kAllLevels)
+    EXPECT_EQ(simd::parse_level(simd::to_string(level)), level);
 }
 
 TEST(SimdSupport, LanesMatchTiers) {
@@ -119,27 +157,39 @@ TEST(SimdSupport, RunnableLevelsStartScalarAndResolveIsRunnable) {
   const auto levels = simd::runnable_levels();
   ASSERT_FALSE(levels.empty());
   EXPECT_EQ(levels.front(), simd::Level::scalar);
-  for (const simd::Level level : levels) {
+  for (const simd::Level level : levels)
     EXPECT_TRUE(simd::level_runnable(level));
-    // A concrete runnable request resolves to exactly itself.
-    EXPECT_EQ(simd::resolve(request_for(level)), level);
-  }
-  // Scalar is always honoured; auto resolves to something runnable.
-  EXPECT_EQ(simd::resolve(simd::Request::scalar), simd::Level::scalar);
-  EXPECT_TRUE(simd::level_runnable(simd::resolve(simd::Request::auto_)));
-  // An un-runnable concrete request clamps downward, never up.
-  if (!simd::level_runnable(simd::Level::avx2)) {
-    EXPECT_NE(simd::resolve(simd::Request::avx2), simd::Level::avx2);
+  // Every level resolves to the best runnable level at or below it: a
+  // runnable one to itself, one the build or the CPU lacks clamps down,
+  // never up.
+  for (const simd::Level level : kAllLevels) {
+    const simd::Level got = simd::resolve(level);
+    EXPECT_TRUE(simd::level_runnable(got)) << simd::to_string(level);
+    EXPECT_LE(static_cast<int>(got), static_cast<int>(level));
+    for (int above = static_cast<int>(got) + 1;
+         above <= static_cast<int>(level); ++above)
+      EXPECT_FALSE(simd::level_runnable(static_cast<simd::Level>(above)))
+          << simd::to_string(level) << " resolved to " << simd::to_string(got);
   }
 }
 
-TEST(SimdSupport, DefaultRequestOverridesEnvAndResets) {
-  simd::set_default_request(simd::Request::scalar);
-  EXPECT_EQ(simd::default_request(), simd::Request::scalar);
-  EXPECT_EQ(simd::resolve(simd::Request::inherit), simd::Level::scalar);
-  // inherit resets the override; the default falls back to TAMP_SIMD.
-  simd::set_default_request(simd::Request::inherit);
-  EXPECT_EQ(simd::default_request(), simd::env_request());
+TEST(SimdSupport, ConfigLevelOverridesTampSimd) {
+  // An explicit config level beats the variable both ways round; an
+  // unset one reads it.
+  mesh::Mesh m = mesh::make_lattice_mesh(3, 2, 2);
+  const ScopedTampSimd env("scalar");
+  EXPECT_EQ(simd::resolve(best_level()), best_level());
+  solver::SolverConfig cfg;
+  cfg.simd = best_level();
+  EXPECT_EQ(EulerSolver(m, cfg).simd_level(), best_level());
+  EXPECT_EQ(EulerSolver(m).simd_level(), simd::Level::scalar);
+
+  ScopedTampSimd::set("auto");
+  EXPECT_EQ(simd::resolve(simd::Level::scalar), simd::Level::scalar);
+  solver::TransportConfig tc;
+  tc.simd = simd::Level::scalar;
+  EXPECT_EQ(TransportSolver(m, tc).simd_level(), simd::Level::scalar);
+  EXPECT_EQ(TransportSolver(m).simd_level(), best_level());
 }
 
 TEST(SimdSupport, UlpDistanceIsAMetricOnDoubles) {
@@ -174,7 +224,7 @@ TEST(SimdEquivalence, EulerLevelsAgreeWithinUlpBoundOnRandomStates) {
   for (const simd::Level level : levels) {
     mesh::Mesh m = base;
     solver::SolverConfig cfg;
-    cfg.simd = request_for(level);
+    cfg.simd = level;
     EulerSolver s(m, cfg);
     ASSERT_EQ(s.simd_level(), level);
     random_euler_state(s, m, 42);
@@ -218,7 +268,7 @@ TEST(SimdEquivalence, TransportLevelsAgreeWithinUlpBound) {
   for (const simd::Level level : levels) {
     mesh::Mesh m = base;
     solver::TransportConfig cfg = tc;
-    cfg.simd = request_for(level);
+    cfg.simd = level;
     TransportSolver s(m, cfg);
     ASSERT_EQ(s.simd_level(), level);
     s.initialize_uniform(0.1);
@@ -268,7 +318,7 @@ TEST(SimdEquivalence, ScalarRequestIsBitwiseTheSerialReference) {
   }
   const auto dd = decompose(base, 4, 2);
   solver::SolverConfig cfg;
-  cfg.simd = simd::Request::scalar;
+  cfg.simd = simd::Level::scalar;
   EulerSolver serial(base), tasked(base, cfg);
   EXPECT_EQ(tasked.simd_level(), simd::Level::scalar);
   random_euler_state(serial, base, 9);
@@ -291,7 +341,7 @@ TEST(SimdEquivalence, ScalarRequestIsBitwiseTheSerialReference) {
   tc.velocity = {0.8, 0.3, -0.2};
   tc.diffusivity = 0.02;
   tc.ambient = 0.05;
-  tc.simd = simd::Request::scalar;
+  tc.simd = simd::Level::scalar;
   auto init = [](TransportSolver& s) {
     s.initialize_uniform(0.1);
     s.add_blob({2.0, 2.0, 1.5}, 1.2, 0.8);
@@ -340,7 +390,7 @@ TEST(SimdEquivalence, ConservationHoldsAtSubiterationBoundariesPerLevel) {
   for (const simd::Level level : simd::runnable_levels()) {
     mesh::Mesh m = base;
     solver::SolverConfig cfg;
-    cfg.simd = request_for(level);
+    cfg.simd = level;
     EulerSolver s(m, cfg);
     random_euler_state(s, m, 17);
     const State start = s.conserved_totals();
@@ -389,7 +439,7 @@ TEST(SimdEquivalence, VerifyRacesCleanPerLevel) {
   for (const simd::Level level : simd::runnable_levels()) {
     mesh::Mesh m = base;
     solver::SolverConfig cfg;
-    cfg.simd = request_for(level);
+    cfg.simd = level;
     EulerSolver s(m, cfg);
     random_euler_state(s, m, 5);
     const auto iter = s.make_iteration_tasks(dd0.domain_of_cell, dd0.ndomains);
@@ -436,7 +486,7 @@ TEST(SimdEquivalence, TailLengthsAroundPaddedStrideAgree) {
     for (const simd::Level level : simd::runnable_levels()) {
       mesh::Mesh m = base;
       solver::SolverConfig cfg;
-      cfg.simd = request_for(level);
+      cfg.simd = level;
       EulerSolver s(m, cfg);
       random_euler_state(s, m, 100 + static_cast<std::uint64_t>(n));
       for (int it = 0; it < 2; ++it)
